@@ -178,20 +178,20 @@ def _reduce_worker(payload) -> tuple:
 
 def _combine_verdicts(parts: list[tuple]) -> tuple:
     statuses = [p[0] for p in parts]
-    if rd.NOT_REDUCIBLE in statuses:
-        i = statuses.index(rd.NOT_REDUCIBLE)
-        status, witness = rd.NOT_REDUCIBLE, parts[i][1]
-    elif rd.INCONCLUSIVE in statuses:
-        status, witness = rd.INCONCLUSIVE, None
-    else:
-        status, witness = rd.REDUCIBLE, None
     stats = {"enumerated": sum(p[2].get("enumerated", 0) for p in parts),
              "seconds": max(p[2].get("seconds", 0.0) for p in parts)}
-    for p in parts:
-        for key in ("pruned", "reason", "worst_bad_colors"):
-            if key in p[2]:
-                stats[key] = p[2][key]
-    return status, witness, stats
+    worst = [p[2]["worst_bad_colors"] for p in parts
+             if "worst_bad_colors" in p[2]]
+    if worst:
+        stats["worst_bad_colors"] = max(worst)
+    if rd.NOT_REDUCIBLE in statuses:
+        i = statuses.index(rd.NOT_REDUCIBLE)
+        return rd.NOT_REDUCIBLE, parts[i][1], stats
+    if rd.INCONCLUSIVE in statuses:
+        i = statuses.index(rd.INCONCLUSIVE)
+        stats["reason"] = parts[i][2].get("reason")
+        return rd.INCONCLUSIVE, None, stats
+    return rd.REDUCIBLE, None, stats
 
 
 def cmd_reduce_check(args, run: RunConfig) -> dict:
@@ -206,16 +206,20 @@ def cmd_reduce_check(args, run: RunConfig) -> dict:
                 f"choices: {', '.join(sorted(catalog))}")
         cfg = catalog[args.lemma]
         src = (None, args.lemma)
-    splittable = run.mode == "full" and cfg.strategy in ("product", "eliminate")
-    if run.workers > 1 and splittable:
+    # sampled runs draw one seeded sequence, so only full runs split
+    workers = run.workers if run.mode == "full" else 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # the shares split the budget too, so the run stays within it
         payloads = [
-            (src[0], src[1], run.mode, run.seed, run.count, run.budget,
-             (i, run.workers))
-            for i in range(run.workers)
+            (src[0], src[1], run.mode, run.seed, run.count,
+             None if run.budget is None
+             else run.budget // workers + (i < run.budget % workers),
+             (i, workers))
+            for i in range(workers)
         ]
-        with ProcessPoolExecutor(max_workers=run.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_reduce_worker, payloads))
         status, witness, stats = _combine_verdicts(parts)
     else:
@@ -226,7 +230,7 @@ def cmd_reduce_check(args, run: RunConfig) -> dict:
         "label": cfg.label,
         "status": status,
         "enumerated": stats.get("enumerated"),
-        "pruned": stats.get("pruned", 0),
+        "workers": workers,
         "seconds": round(stats.get("seconds", 0.0), 3),
     }
     for key in ("reason", "worst_bad_colors"):

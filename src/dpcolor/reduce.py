@@ -17,22 +17,38 @@ transversal exists.  Three sound reductions shrink the search:
   transversals, so only injections matching min(|A|,|B|) colors between the
   endpoint residual sets A, B need enumeration.
 
-Strategies: "product" enumerates instances directly; "condition" splits at a
-cut vertex and combines per-side blocked-color families; "eliminate" removes
-a full-floor pivot vertex and reasons about blocked neighbor-color profiles;
-"margin" is the precolor-margin check (at most one blocked pivot color).
+All four strategies run on one mask kernel (`_Run.leaves`).  For each
+residual choice the candidate color assignments form a grid, one axis per
+vertex, with the strategy's grouping vertices outermost; each free edge has
+one boolean mask row per maximal injection, and an instance is the AND of
+one row per edge.  The kernel walks the outer edges ANDing rows, vectorizes
+the last one or two edges as an instances x candidates block, and ORs each
+instance over the non-grouping axes.  It also counts instances, stops on the
+budget and keeps the split=(i, n) share.  Each strategy is one reduction of
+those blocks:
+
+* "product" (no grouping): an instance with no live candidate fails;
+* "margin" (the precolored vertex): more than one dead precolor fails;
+* "condition" (the cut vertex, one side at a time): the families of blocked
+  cut colors, combined across the two sides;
+* "eliminate" (the neighbors of a removed full-floor pivot): the live
+  neighbor-color profiles, which maps on the pivot edges try to block.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .cover import CoverInstance, find_transversal, identity
 from .graphs import Graph, edge_key
 from .patterns import cluster_pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 K = 4
 FULL = frozenset(range(1, K + 1))
@@ -58,12 +74,6 @@ class Configuration:
 
     def vertex(self, name: str) -> int:
         return self.names[name]
-
-    def role_of(self, v: int) -> str:
-        for name, w in self.names.items():
-            if w == v:
-                return name
-        raise KeyError(v)
 
 
 @dataclass
@@ -193,8 +203,9 @@ def extend_to_bijection(partial: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(full[c] for c in range(1, K + 1))
 
 
-def _tree_components(cfg: Configuration) -> list[set[int]]:
-    parent = list(range(cfg.graph.n))
+def _components(n: int, edges) -> list[set[int]]:
+    """Vertex sets of the connected components of ({0..n-1}, edges)."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -202,12 +213,12 @@ def _tree_components(cfg: Configuration) -> list[set[int]]:
             x = parent[x]
         return x
 
-    for u, v in cfg.tree:
+    for u, v in edges:
         parent[find(u)] = find(v)
     comps: dict[int, set[int]] = {}
-    for v in range(cfg.graph.n):
+    for v in range(n):
         comps.setdefault(find(v), set()).add(v)
-    return [c for c in comps.values() if len(c) > 1]
+    return list(comps.values())
 
 
 def residual_choices(cfg: Configuration,
@@ -223,7 +234,7 @@ def residual_choices(cfg: Configuration,
     for u, v in cfg.tree:
         in_tree.update((u, v))
     canonical: set[int] = set(range(cfg.graph.n)) - in_tree
-    for comp in _tree_components(cfg):
+    for comp in _components(cfg.graph.n, cfg.tree):
         rep = min(comp, key=lambda v: (cfg.floors[v], v))
         canonical.add(rep)
     vary = [v for v in range(cfg.graph.n)
@@ -322,187 +333,239 @@ def _straight_constraints(cfg: Configuration) -> list:
 
 
 # ---------------------------------------------------------------------------
-# strategies
+# the mask kernel
+
+# Largest rows x candidates block the kernel builds when it vectorizes the
+# last two edges; larger ones vectorize only the last edge.
+_BLOCK_CELLS = 1 << 20
 
 
-def _check_product(cfg: Configuration, budget: Optional[int],
-                   split: Optional[tuple[int, int]] = None) -> Verdict:
-    verts = list(range(cfg.graph.n))
-    straight = _straight_constraints(cfg)
-    free = _free_edges(cfg)
-    enumerated = 0
-    t0 = time.monotonic()
-    for ri, residuals in enumerate(residual_choices(cfg)):
-        if split is not None and ri % split[1] != split[0]:
-            continue
-        options = [maximal_injections(residuals[u], residuals[v]) for u, v in free]
-        for combo in itertools.product(*options):
-            enumerated += 1
-            if budget is not None and enumerated > budget:
-                return Verdict(INCONCLUSIVE, stats={
-                    "enumerated": enumerated, "reason": "budget exhausted",
-                    "seconds": time.monotonic() - t0})
-            cons = straight + [
-                (u, v, m) for (u, v), m in zip(free, combo)
-            ]
-            if local_solve(verts, residuals, cons) is None:
-                witness = build_witness(
-                    cfg, residuals, dict(zip(free, combo)))
-                return Verdict(NOT_REDUCIBLE, witness, {
-                    "enumerated": enumerated,
-                    "seconds": time.monotonic() - t0})
-    return Verdict(REDUCIBLE, stats={
-        "enumerated": enumerated, "seconds": time.monotonic() - t0})
+@dataclass
+class _Leaf:
+    """One kernel block: instances x assignments of the grouping vertices."""
+
+    residuals: Mapping[int, frozenset[int]]
+    alive: np.ndarray  # [j, g]: group assignment g extends in instance j
+    first: int  # instances enumerated before this block
+    path: list  # (edge, map) fixed by the walk down to this block
+    inner: list  # (edge, maps) vectorized, the first one outermost
+
+    def maps(self, j: int) -> dict:
+        """The edge maps of the block's j-th instance."""
+        out = dict(self.path)
+        for e, opts in reversed(self.inner):
+            j, r = divmod(j, len(opts))
+            out[e] = opts[r]
+        return out
 
 
-def _side_blocked_families(
-    cfg: Configuration, side: list[int], cut: int,
-    cut_residual: frozenset[int], budget_state: list,
-) -> set[frozenset[int]] | Verdict:
-    """All realizable sets of cut colors whose choice leaves `side` uncolorable.
+class _Run:
+    """Counters, budget and split share of one exhaustive check.
 
-    Returns the family of blocked-color sets over every residual/matching
-    choice on the side (including its edges to the cut vertex), keyed so the
-    caller can test whether two sides can jointly block every cut color.
-    Each family member remembers one realizing branch for witness assembly.
+    `enumerated` counts instances, one maximal injection per free edge and
+    residual choice, in every strategy.  The budget caps it: the kernel stops
+    as soon as the next block would pass it.
     """
-    sub_cfg_edges = [
-        e for e in sorted(cfg.graph.edges)
-        if (e[0] in side or e[0] == cut) and (e[1] in side or e[1] == cut)
-    ]
-    side_edges = [e for e in sub_cfg_edges if cut not in e]
-    cut_edges = [e for e in sub_cfg_edges if cut in e]
-    families: dict[frozenset[int], tuple] = {}
-    floor_sets = {
-        v: frozenset(range(1, cfg.floors[v] + 1)) for v in side
-    }
-    options = [maximal_injections(floor_sets[u], floor_sets[v])
-               for u, v in side_edges]
-    cut_options = []
-    for u, v in cut_edges:
-        a = cut_residual if u == cut else floor_sets[u]
-        b = cut_residual if v == cut else floor_sets[v]
-        cut_options.append(maximal_injections(a, b))
-    for combo in itertools.product(*options):
-        for cut_combo in itertools.product(*cut_options):
-            budget_state[0] += 1
-            cons = [(u, v, m) for (u, v), m in zip(side_edges, combo)]
-            blocked = set()
-            for c in sorted(cut_residual):
-                cut_cons = cons + [
-                    (u, v, m) for (u, v), m in zip(cut_edges, cut_combo)
-                ]
-                avail = dict(floor_sets)
-                avail[cut] = frozenset({c})
-                if local_solve(side + [cut], avail, cut_cons) is None:
-                    blocked.add(c)
-            key = frozenset(blocked)
-            if key not in families:
-                families[key] = (
-                    dict(zip(side_edges, combo)) | dict(zip(cut_edges, cut_combo))
-                )
-    return families
+
+    def __init__(self, budget: Optional[int],
+                 split: Optional[tuple[int, int]]):
+        self.budget = budget
+        self.split = split
+        self.enumerated = 0
+        self.exhausted = False
+        self.blocks = 0
+        self.t0 = time.monotonic()
+
+    def verdict(self, status: str, witness: Optional[CoverInstance] = None,
+                **stats) -> Verdict:
+        stats = {"enumerated": self.enumerated, **stats}
+        if status == INCONCLUSIVE:
+            stats["reason"] = "budget exhausted"
+        stats["seconds"] = time.monotonic() - self.t0
+        return Verdict(status, witness, stats)
+
+    def done(self, **stats) -> Verdict:
+        """REDUCIBLE after a complete enumeration, else INCONCLUSIVE."""
+        return self.verdict(
+            INCONCLUSIVE if self.exhausted else REDUCIBLE, **stats)
+
+    def stop(self, leaf: _Leaf, j: int, witness: CoverInstance,
+             **stats) -> Verdict:
+        """NOT_REDUCIBLE at instance j of a leaf, counted up to it."""
+        self.enumerated = leaf.first + int(j) + 1
+        return self.verdict(NOT_REDUCIBLE, witness, **stats)
+
+    def leaves(self, choices, group: Sequence[int], rest: Sequence[int],
+               straight, free, split: Optional[tuple[int, int]],
+               ) -> Iterator[_Leaf]:
+        """Yield the instances of every residual choice, block by block.
+
+        The candidate assignments of group + rest form a grid, group
+        outermost.  Straightened edges mask out equal colors; each free edge
+        has one mask row per maximal injection.  The walk ANDs rows edge by
+        edge, fewest options first, and vectorizes the last one or two
+        edges; a leaf's `alive` ORs each instance over the `rest` axes.
+        split=(i, n) keeps the leaf blocks whose index is i modulo n.
+        """
+        import numpy as np  # loaded by checks only, not by every verb
+
+        order = [*group, *rest]
+        for residuals in choices:
+            domains = [sorted(residuals[v]) for v in order]
+            grid = np.meshgrid(*domains, indexing="ij")
+            color = {v: g.ravel() for v, g in zip(order, grid)}
+            width = math.prod(len(residuals[v]) for v in rest)
+            base = np.ones(math.prod(map(len, domains)), dtype=bool)
+            for u, v in straight:
+                base &= color[u] != color[v]
+            edges = []
+            for u, v in free:
+                opts = maximal_injections(residuals[u], residuals[v])
+                image = np.zeros((len(opts), K + 1), dtype=np.int64)
+                for row, m in zip(image, opts):
+                    row[list(m)] = list(m.values())
+                edges.append(((u, v), opts, image[:, color[u]] != color[v]))
+            edges.sort(key=lambda t: len(t[1]))
+            tail = min(len(edges), 1)
+            if (len(edges) >= 2 and _BLOCK_CELLS
+                    >= len(edges[-1][1]) * len(edges[-2][1]) * base.size):
+                tail = 2
+            outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
+
+            def walk(acc, path):
+                if len(path) < len(outer):
+                    e, opts, rows = outer[len(path)]
+                    for m, row in zip(opts, rows):
+                        yield from walk(acc & row, path + [(e, m)])
+                        if self.exhausted:
+                            return
+                    return
+                self.blocks += 1
+                if split and (self.blocks - 1) % split[1] != split[0]:
+                    return
+                block = acc[None, :]
+                for _, _, rows in inner:
+                    block = (block[:, None, :] & rows[None, :, :]).reshape(
+                        -1, acc.size)
+                if self.budget is not None and \
+                        self.enumerated + len(block) > self.budget:
+                    block = block[:self.budget - self.enumerated]
+                    self.exhausted = True
+                first = self.enumerated
+                self.enumerated += len(block)
+                if len(block):
+                    alive = block.reshape(len(block), -1, width).any(axis=2)
+                    yield _Leaf(residuals, alive, first, path,
+                                [(e, opts) for e, opts, _ in inner])
+
+            yield from walk(base, [])
+            if self.exhausted:
+                return
 
 
-def _check_condition(cfg: Configuration, budget: Optional[int]) -> Verdict:
+def _first_rows(table: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct boolean row."""
+    import numpy as np
+
+    _, first = np.unique(np.packbits(table, axis=1), axis=0,
+                         return_index=True)
+    return np.sort(first)
+
+
+# ---------------------------------------------------------------------------
+# strategies: one reduction of the kernel's blocks each
+
+
+def _check_product(cfg: Configuration, run: _Run) -> Verdict:
+    """A counterexample is an instance with no transversal at all."""
+    import numpy as np
+
+    for leaf in run.leaves(residual_choices(cfg), (), range(cfg.graph.n),
+                           cfg.tree, _free_edges(cfg), run.split):
+        dead = np.flatnonzero(~leaf.alive[:, 0])
+        if dead.size:
+            j = dead[0]
+            return run.stop(leaf, j, build_witness(
+                cfg, leaf.residuals, leaf.maps(j)))
+    return run.done()
+
+
+def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
+    """REDUCIBLE iff at most one color of the precolored vertex is ever bad."""
+    import numpy as np
+
+    v = cfg.margin_vertex
+    if v is None:
+        raise ValueError("margin strategy needs a margin vertex")
+    rest = [x for x in range(cfg.graph.n) if x != v]
+    worst = 0
+    for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
+                           _free_edges(cfg), run.split):
+        nbad = leaf.alive.shape[1] - leaf.alive.sum(axis=1)
+        over = np.flatnonzero(nbad > 1)
+        if over.size:
+            j = over[0]
+            bad = [c for c, ok in zip(sorted(leaf.residuals[v]),
+                                      leaf.alive[j]) if not ok]
+            # the witness keeps only the bad precolors, so it has no
+            # transversal at all
+            residuals = {**leaf.residuals, v: frozenset(bad)}
+            return run.stop(
+                leaf, j, build_witness(cfg, residuals, leaf.maps(j)),
+                bad_colors=bad, worst_bad_colors=len(bad))
+        worst = max(worst, int(nbad.max()))
+    return run.done(worst_bad_colors=worst)
+
+
+def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
+    """Split at the cut vertex; combine the blocked cut-color families.
+
+    A side's family holds every set of cut colors that some side instance
+    blocks (each with one realizing instance); the configuration fails iff
+    one member of each side covers the cut vertex's colors together.
+    """
+    import numpy as np
+
     cut = cfg.cut
-    assert cut is not None and not cfg.tree
-    # components of the local graph minus the cut vertex
-    comps: list[list[int]] = []
-    seen: set[int] = {cut}
-    for v in range(cfg.graph.n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in cfg.graph.adjacency[u]:
-                if w not in seen and w != cut:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+    if cut is None or cfg.tree:
+        raise ValueError(
+            "condition strategy needs a cut vertex and no straightened forest")
+    comps = [sorted(c) for c in _components(
+        cfg.graph.n, [e for e in cfg.graph.edges if cut not in e])
+        if cut not in c]
     if len(comps) != 2:
         raise ValueError(
             f"condition strategy needs exactly two sides, got {len(comps)}")
-    cut_residual = frozenset(range(1, cfg.floors[cut] + 1))
-    t0 = time.monotonic()
-    state = [0]
-    fam = [
-        _side_blocked_families(cfg, comp, cut, cut_residual, state)
-        for comp in comps
-    ]
-    stats = {"enumerated": state[0], "seconds": time.monotonic() - t0}
-    if budget is not None and state[0] > budget:
-        stats["reason"] = "budget exhausted"
-        return Verdict(INCONCLUSIVE, stats=stats)
-    for bad_a, maps_a in fam[0].items():
-        for bad_b, maps_b in fam[1].items():
-            if bad_a | bad_b >= cut_residual:
-                residuals = {
-                    v: frozenset(range(1, cfg.floors[v] + 1))
-                    for v in range(cfg.graph.n)
-                }
-                witness = build_witness(cfg, residuals, maps_a | maps_b)
-                stats["blocking_pair"] = (sorted(bad_a), sorted(bad_b))
-                return Verdict(NOT_REDUCIBLE, witness, stats)
-    stats["families"] = [sorted(map(sorted, f)) for f in fam]
-    return Verdict(REDUCIBLE, stats=stats)
-
-
-def _check_margin(cfg: Configuration, budget: Optional[int]) -> Verdict:
-    """REDUCIBLE iff at most one color of the precolored vertex is ever bad."""
-    v = cfg.margin_vertex
-    assert v is not None
-    others = [x for x in range(cfg.graph.n) if x != v]
-    floor_sets = {
-        x: frozenset(range(1, cfg.floors[x] + 1)) for x in range(cfg.graph.n)
-    }
-    inner_edges = [e for e in sorted(cfg.graph.edges) if v not in e]
-    v_edges = [e for e in sorted(cfg.graph.edges) if v in e]
-    options = [maximal_injections(floor_sets[a], floor_sets[b])
-               for a, b in inner_edges]
-    v_options = [maximal_injections(floor_sets[a], floor_sets[b])
-                 for a, b in v_edges]
-    enumerated = 0
-    worst = 0
-    t0 = time.monotonic()
-    for combo in itertools.product(*options):
-        inner_cons = [(a, b, m) for (a, b), m in zip(inner_edges, combo)]
-        for v_combo in itertools.product(*v_options):
-            enumerated += 1
-            if budget is not None and enumerated > budget:
-                return Verdict(INCONCLUSIVE, stats={
-                    "enumerated": enumerated, "reason": "budget exhausted",
-                    "seconds": time.monotonic() - t0})
-            cons = inner_cons + [
-                (a, b, m) for (a, b), m in zip(v_edges, v_combo)
-            ]
-            bad = []
-            for c in sorted(floor_sets[v]):
-                avail = dict(floor_sets)
-                avail[v] = frozenset({c})
-                if local_solve([v] + others, avail, cons) is None:
-                    bad.append(c)
-            if len(bad) > worst:
-                worst = len(bad)
-            if len(bad) > 1:
-                witness = build_witness(
-                    cfg, floor_sets,
-                    dict(zip(inner_edges, combo)) | dict(zip(v_edges, v_combo)))
-                return Verdict(NOT_REDUCIBLE, witness, {
-                    "enumerated": enumerated, "bad_colors": bad,
-                    "seconds": time.monotonic() - t0})
-    return Verdict(REDUCIBLE, stats={
-        "enumerated": enumerated, "worst_bad_colors": worst,
-        "seconds": time.monotonic() - t0})
-
-
-def check_precolor_margin(cfg: Configuration) -> bool:
-    """True iff in every instance at most one precolor choice is blocked."""
-    return _check_margin(cfg, None).status == REDUCIBLE
+    floors = {v: frozenset(range(1, cfg.floors[v] + 1))
+              for v in range(cfg.graph.n)}
+    colors = np.array(sorted(floors[cut]))
+    # Each pair of side instances is checked by the share that owns the
+    # first side's instance, so every share needs the second side's whole
+    # family; only share 0 books that enumeration, so that the shares'
+    # counts add up to the whole run's.
+    second = run if run.split is None or run.split[0] == 0 else \
+        _Run(run.budget, None)
+    families = []
+    for side, side_run, split in ((comps[0], run, run.split),
+                                  (comps[1], second, None)):
+        inside = set(side) | {cut}
+        edges = [e for e in sorted(cfg.graph.edges) if set(e) <= inside]
+        family: dict[frozenset[int], dict] = {}
+        for leaf in side_run.leaves([floors], [cut], side, (), edges, split):
+            blocked = ~leaf.alive
+            for j in _first_rows(blocked):
+                family.setdefault(frozenset(colors[blocked[j]].tolist()),
+                                  leaf.maps(j))
+        if side_run.exhausted:
+            return run.verdict(INCONCLUSIVE)
+        families.append(family)
+    for bad_a, maps_a in families[0].items():
+        for bad_b, maps_b in families[1].items():
+            if bad_a | bad_b >= floors[cut]:
+                return run.verdict(
+                    NOT_REDUCIBLE, build_witness(cfg, floors, maps_a | maps_b),
+                    blocking_pair=(sorted(bad_a), sorted(bad_b)))
+    return run.done(families=[sorted(map(sorted, f)) for f in families])
 
 
 def _adversary_blocks(
@@ -516,15 +579,6 @@ def _adversary_blocks(
     images are pairwise distinct (then they exhaust the pivot's four colors).
     """
     n = len(residuals)
-    # Two profiles differing in exactly one coordinate cannot both be
-    # blocked: their other images coincide, so the remaining color is the
-    # same, forcing one injection to repeat a value.  Reject cheaply.
-    for a in range(len(profiles)):
-        pa = profiles[a]
-        for b in range(a + 1, len(profiles)):
-            pb = profiles[b]
-            if sum(1 for x, y in zip(pa, pb) if x != y) == 1:
-                return None
     # variables (i, c): the image of color c at neighbor i.  Constraints are
     # all binary inequalities: same-neighbor variables differ (injectivity)
     # and each profile's four variables differ (its images then exhaust the
@@ -578,146 +632,72 @@ def _adversary_blocks(
     return out
 
 
-def _check_eliminate(cfg: Configuration, budget: Optional[int],
-                     split: Optional[tuple[int, int]] = None) -> Verdict:
+def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
+    """Remove a full-floor degree-4 pivot and let its edge maps fight back.
+
+    Grouped by the pivot's neighbors, a leaf row lists the neighbor-color
+    profiles that extend to the rest of the graph.  The instance fails iff
+    maps on the pivot edges can send every live profile onto all four
+    pivot colors.
+    """
     import numpy as np
 
     z = cfg.pivot
-    assert z is not None
+    if z is None:
+        raise ValueError("eliminate strategy needs a pivot")
     if cfg.floors[z] != K:
         raise ValueError("eliminate strategy needs a full-floor pivot")
     nbrs = sorted(cfg.graph.adjacency[z])
     if len(nbrs) != K:
         raise ValueError("eliminate strategy needs a degree-4 pivot")
-    others = [v for v in range(cfg.graph.n) if v != z]
-    non_nbrs = [v for v in others if v not in nbrs]
-    if len(non_nbrs) != len(others) - K:
-        raise AssertionError
-    # candidate index order: pivot neighbors outermost, non-neighbors
-    # innermost, so candidates grouped by neighbor-color profile
-    cand_order = nbrs + non_nbrs
-    straight = [e for e in cfg.tree]
-    free = _free_edges(cfg, exclude_vertex=z)
-    if any(z in e for e in straight):
+    if any(z in e for e in cfg.tree):
         raise ValueError("straightened forest must avoid the pivot")
-    t0 = time.monotonic()
-    enumerated = 0
-    adversary_cache: dict = {}
-    for ri, residuals in enumerate(residual_choices(cfg, skip=(z,))):
-        if split is not None and ri % split[1] != split[0]:
+    rest = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
+    for leaf in run.leaves(residual_choices(cfg, skip=(z,)), nbrs, rest,
+                           cfg.tree, _free_edges(cfg, exclude_vertex=z),
+                           run.split):
+        alive = leaf.alive
+        res = [leaf.residuals[v] for v in nbrs]
+        # No pivot maps block more than 4! = 24 profiles.  Two live profiles
+        # differing in exactly one coordinate cannot both be blocked: their
+        # other images coincide, so the remaining color is the same, forcing
+        # one injection to repeat a value.  Such pairs share a line of the
+        # profile grid along one neighbor's axis.
+        n, shape = len(alive), [len(r) for r in res]
+        ok = np.count_nonzero(alive, axis=1) <= 24
+        for axis, size in enumerate(shape):
+            line = alive.reshape(n, math.prod(shape[:axis]), size, -1)
+            seen = line[:, :, 0]
+            for i in range(1, size):
+                ok &= ~(seen & line[:, :, i]).reshape(n, -1).any(axis=1)
+                seen = seen | line[:, :, i]
+        rows = np.flatnonzero(ok)
+        if not rows.size:
             continue
-        domains = [sorted(residuals[v]) for v in cand_order]
-        sizes = [len(d) for d in domains]
-        ncand = 1
-        for s in sizes:
-            ncand *= s
-        # per-candidate color arrays
-        grids = np.meshgrid(*[np.array(d) for d in domains], indexing="ij")
-        color = {v: g.reshape(-1) for v, g in zip(cand_order, grids)}
-        base = np.ones(ncand, dtype=bool)
-        for u, v in straight:
-            base &= color[u] != color[v]
-        # profile grouping: non-neighbor vertices vary fastest
-        group = 1
-        for v in non_nbrs:
-            group *= len(residuals[v])
-        nprof = ncand // group
-        starts = np.arange(0, ncand, group)
-        prof_residuals = [residuals[v] for v in nbrs]
-        prof_table = [
-            combo for combo in itertools.product(
-                *(sorted(residuals[v]) for v in nbrs))
-        ]
-        assert len(prof_table) == nprof
-        res_key = tuple(tuple(sorted(r)) for r in prof_residuals)
-
-        def edge_mask(e, m) -> np.ndarray:
-            u, v = e
-            mu = np.array([m.get(c, 0) for c in domains[cand_order.index(u)]])
-            return mu[_axis_index(e)] != color[v]
-
-        def _axis_index(e):
-            # index of u's color within its domain, per candidate
-            u = e[0]
-            ax = cand_order.index(u)
-            reps_after = 1
-            for s in sizes[ax + 1:]:
-                reps_after *= s
-            idx = (np.arange(ncand) // reps_after) % sizes[ax]
-            return idx
-
-        masks = []
-        for e in free:
-            u, v = e
-            opts = maximal_injections(residuals[u], residuals[v])
-            arr = np.empty((len(opts), ncand), dtype=bool)
-            for i, m in enumerate(opts):
-                arr[i] = edge_mask(e, m)
-            masks.append((e, opts, arr))
-        # vectorize over the edge with the most options
-        masks.sort(key=lambda t: len(t[1]))
-        outer, last = masks[:-1], masks[-1] if masks else None
-
-        def handle(prof_alive: np.ndarray, chosen_maps: dict) -> Optional[Verdict]:
-            nonlocal enumerated
-            enumerated += 1
-            if budget is not None and enumerated > budget:
-                return Verdict(INCONCLUSIVE, stats={
-                    "enumerated": enumerated, "reason": "budget exhausted",
-                    "seconds": time.monotonic() - t0})
-            if int(prof_alive.sum()) > 24:
-                return None  # more live profiles than any pivot maps can block
-            profiles = [prof_table[pid] for pid in np.nonzero(prof_alive)[0]]
-            key = (res_key, frozenset(profiles))
-            if key in adversary_cache:
-                fs = adversary_cache[key]
-            else:
-                fs = _adversary_blocks(profiles, prof_residuals)
-                adversary_cache[key] = fs
+        table = list(itertools.product(*map(sorted, res)))
+        for j in rows[_first_rows(alive[rows])]:
+            profiles = [table[p] for p in np.flatnonzero(alive[j])]
+            fs = _adversary_blocks(profiles, res)
             if fs is None:
-                return None
+                continue
             pivot_maps = {
-                edge_key(nb, z): (f if edge_key(nb, z) == (nb, z)
+                edge_key(nb, z): (f if nb < z
                                   else {img: c for c, img in f.items()})
                 for nb, f in zip(nbrs, fs)
             }
-            witness = build_witness(cfg, residuals, chosen_maps | pivot_maps)
-            return Verdict(NOT_REDUCIBLE, witness, {
-                "enumerated": enumerated,
-                "profiles": sorted(profiles),
-                "seconds": time.monotonic() - t0})
+            return run.stop(
+                leaf, j, build_witness(cfg, leaf.residuals,
+                                       leaf.maps(j) | pivot_maps),
+                profiles=sorted(profiles))
+    return run.done()
 
-        if last is None:
-            v = handle(np.logical_or.reduceat(base, starts), {})
-            if v is not None:
-                return v
-            continue
-        le, lopts, larr = last
 
-        def recurse(i: int, acc: np.ndarray, chosen: dict) -> Optional[Verdict]:
-            if i == len(outer):
-                alive = larr & acc[None, :]
-                prof = np.logical_or.reduceat(alive, starts, axis=1)
-                counts = prof.sum(axis=1)
-                for j in np.nonzero(counts <= 24)[0]:
-                    v = handle(prof[j], chosen | {le: lopts[j]})
-                    if v is not None:
-                        return v
-                nonlocal enumerated
-                enumerated += int((counts > 24).sum())
-                return None
-            e, opts, arr = outer[i]
-            for j, m in enumerate(opts):
-                v = recurse(i + 1, acc & arr[j], chosen | {e: m})
-                if v is not None:
-                    return v
-            return None
-
-        v = recurse(0, base, {})
-        if v is not None:
-            return v
-    return Verdict(REDUCIBLE, stats={
-        "enumerated": enumerated, "seconds": time.monotonic() - t0})
+_STRATEGIES = {
+    "product": _check_product,
+    "margin": _check_margin,
+    "condition": _check_condition,
+    "eliminate": _check_eliminate,
+}
 
 
 def _check_sampled(cfg: Configuration, seed: int, count: int) -> Verdict:
@@ -728,7 +708,7 @@ def _check_sampled(cfg: Configuration, seed: int, count: int) -> Verdict:
     straight = _straight_constraints(cfg)
     free = _free_edges(cfg)
     t0 = time.monotonic()
-    for _ in range(count):
+    for checked in range(1, count + 1):
         residuals = {
             v: frozenset(rng.sample(range(1, K + 1), cfg.floors[v]))
             for v in verts
@@ -742,7 +722,7 @@ def _check_sampled(cfg: Configuration, seed: int, count: int) -> Verdict:
         if local_solve(verts, residuals, cons) is None:
             witness = build_witness(cfg, residuals, maps)
             return Verdict(NOT_REDUCIBLE, witness, {
-                "enumerated": count, "seconds": time.monotonic() - t0})
+                "enumerated": checked, "seconds": time.monotonic() - t0})
     return Verdict(INCONCLUSIVE, stats={
         "enumerated": count, "reason": "sampled run found no counterexample",
         "seconds": time.monotonic() - t0})
@@ -756,21 +736,19 @@ def check_reducible(
     budget: Optional[int] = None,
     split: Optional[tuple[int, int]] = None,
 ) -> Verdict:
-    """Exhaustive (mode='full') or seeded-sample (mode='sampled') check."""
+    """Exhaustive (mode='full') or seeded-sample (mode='sampled') check.
+
+    split=(i, n) checks the i-th of n disjoint shares of a full run: the
+    whole run is REDUCIBLE iff every share is, and the shares' `enumerated`
+    counts add up to the whole run's.
+    """
     if mode == "sampled":
         return _check_sampled(cfg, seed, count)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    if cfg.strategy == "product":
-        verdict = _check_product(cfg, budget, split)
-    elif cfg.strategy == "condition":
-        verdict = _check_condition(cfg, budget)
-    elif cfg.strategy == "eliminate":
-        verdict = _check_eliminate(cfg, budget, split)
-    elif cfg.strategy == "margin":
-        verdict = _check_margin(cfg, budget)
-    else:
+    if cfg.strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget, split))
     if verdict.status == NOT_REDUCIBLE:
         assert verdict.witness is not None
         if not verify_witness(verdict.witness):

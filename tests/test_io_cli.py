@@ -258,6 +258,37 @@ class TestCli:
         for key in ("status", "enumerated"):
             assert ra[key] == rb[key]
 
+    @pytest.mark.parametrize("label", ["L5-special5", "L6-precolor"])
+    def test_workers_honoured_for_every_strategy(self, capsys, label):
+        _, solo = run_cli(capsys, "reduce-check", "--lemma", label)
+        _, multi = run_cli(capsys, "reduce-check", "--lemma", label,
+                           "--workers", "2")
+        ra, rb = json.loads(solo), json.loads(multi)
+        assert (ra["workers"], rb["workers"]) == (1, 2)
+        for key in ("status", "enumerated", "worst_bad_colors"):
+            assert ra.get(key) == rb.get(key)
+        assert "pruned" not in rb
+
+    def test_workers_share_the_budget(self, capsys):
+        _, out = run_cli(capsys, "reduce-check", "--lemma", "L7-555",
+                         "--budget", "1001", "--workers", "2")
+        rep = json.loads(out)
+        assert rep["status"] == "INCONCLUSIVE"
+        assert rep["enumerated"] == 1001
+
+    def test_combined_verdict_keeps_worst_and_reason(self):
+        parts = [
+            ("REDUCIBLE", None, {"enumerated": 5, "worst_bad_colors": 1,
+                                 "seconds": 0.1}),
+            ("INCONCLUSIVE", None, {"enumerated": 3, "worst_bad_colors": 0,
+                                    "reason": "budget exhausted",
+                                    "seconds": 0.2}),
+        ]
+        status, witness, stats = cli._combine_verdicts(parts)
+        assert status == "INCONCLUSIVE" and witness is None
+        assert stats == {"enumerated": 8, "seconds": 0.2,
+                         "worst_bad_colors": 1, "reason": "budget exhausted"}
+
     def test_text_format(self, capsys):
         code, out = run_cli(
             capsys, "detect", str(ASSETS / "cluster_01.json"),

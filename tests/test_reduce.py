@@ -3,11 +3,14 @@
 import itertools
 from pathlib import Path
 
+import oracle
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpcolor.cover import CoverInstance, find_transversal
 from dpcolor.graphs import Graph
-from dpcolor.io import parse_cover_file
+from dpcolor.io import cover_to_dict, parse_cover_file
 from dpcolor.patterns import builtin_assets_dir
 from dpcolor.reduce import (
     INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration,
@@ -207,3 +210,201 @@ class TestWitnessContract:
     def test_expectations_recorded(self):
         assert CATALOG["CE-6"].expect == NOT_REDUCIBLE
         assert CATALOG["L8-556"].expect == REDUCIBLE
+
+
+# ---------------------------------------------------------------------------
+# the mask kernel against the naive oracle, counters, budget and split
+
+ORACLE_LIMIT = 20000  # instances the oracle solves per example
+
+
+def _grow_edges(draw, floors, required, optional, canonical):
+    """The required edges, then each optional one that a coin admits and
+    that keeps the oracle within ORACLE_LIMIT instances."""
+    edges = list(required)
+    assume(oracle.instance_count(floors, edges, canonical) <= ORACLE_LIMIT)
+    for e in draw(st.permutations(optional)):
+        if draw(st.booleans()) and oracle.instance_count(
+                floors, edges + [e], canonical) <= ORACLE_LIMIT:
+            edges.append(e)
+    return sorted(edges)
+
+
+def _draw_forest(draw, edges):
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    tree = []
+    for u, v in edges:
+        if find(u) != find(v) and draw(st.booleans()):
+            parent[find(u)] = find(v)
+            tree.append((u, v))
+    return tuple(tree)
+
+
+def _config(n, edges, floors, tree, strategy, **roles):
+    return Configuration(
+        f"random-{strategy}", Graph.from_edges(n, edges),
+        {str(v): v for v in range(n)}, tuple(floors), tree, strategy,
+        **roles)
+
+
+# Each strategy draws (configuration, canonical): canonical oracle runs fix
+# every list, which leaves room for more edges within ORACLE_LIMIT.
+
+@st.composite
+def product_configs(draw):
+    canonical = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    floors = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    edges = _grow_edges(draw, floors, [],
+                        list(itertools.combinations(range(n), 2)), canonical)
+    cfg = _config(n, edges, floors, _draw_forest(draw, edges), "product")
+    return cfg, canonical
+
+
+@st.composite
+def margin_configs(draw):
+    canonical = draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    floors = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    v = draw(st.integers(0, n - 1))
+    floors[v] = draw(st.integers(2, 4))
+    edges = _grow_edges(draw, floors, [],
+                        list(itertools.combinations(range(n), 2)), canonical)
+    cfg = _config(n, edges, floors, _draw_forest(draw, edges), "margin",
+                  margin_vertex=v)
+    return cfg, canonical
+
+
+@st.composite
+def condition_configs(draw):
+    # cut vertex 0; sides {1..a} and {a+1..n-1}, each a path
+    canonical = draw(st.booleans())
+    a = draw(st.integers(1, 2))
+    n = a + 1 + draw(st.integers(1, 2))
+    sides = [list(range(1, a + 1)), list(range(a + 1, n))]
+    floors = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    floors[0] = draw(st.integers(1, 4))
+    paths = [(s[i], s[i + 1]) for s in sides for i in range(len(s) - 1)]
+    spokes = [(0, w) for s in sides for w in s]
+    edges = _grow_edges(
+        draw, floors, paths + [(0, s[0]) for s in sides],
+        [e for e in spokes if e[1] not in (sides[0][0], sides[1][0])],
+        canonical)
+    return _config(n, edges, floors, (), "condition", cut=0), canonical
+
+
+@st.composite
+def eliminate_configs(draw):
+    # pivot 4 and its four neighbors 0..3; with every list free, the pivot
+    # edges alone would pass ORACLE_LIMIT
+    floors = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4)) + [4]
+    edges = _grow_edges(draw, floors, [(v, 4) for v in range(4)],
+                        list(itertools.combinations(range(4), 2)), True)
+    tree = _draw_forest(draw, [e for e in edges if 4 not in e])
+    return _config(5, edges, floors, tree, "eliminate", pivot=4), True
+
+
+def _agrees_with_oracle(case):
+    cfg, canonical = case
+    v = check_reducible(cfg)
+    status, worst = oracle.verdict(cfg, canonical)
+    assert v.status == status, v.stats
+    if cfg.strategy == "margin" and status == REDUCIBLE:
+        assert v.stats["worst_bad_colors"] == worst
+    if v.status == NOT_REDUCIBLE:
+        assert verify_witness(v.witness)
+        sizes = list(map(len, v.witness.available))
+        if cfg.strategy == "margin":
+            # a margin witness keeps only the bad precolors
+            sizes[cfg.margin_vertex] = cfg.floors[cfg.margin_vertex]
+            assert len(v.stats["bad_colors"]) > 1
+        assert tuple(sizes) == cfg.floors
+
+
+class TestOracleAgreement:
+    @given(product_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, case):
+        _agrees_with_oracle(case)
+
+    @given(margin_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_margin(self, case):
+        _agrees_with_oracle(case)
+
+    @given(condition_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_condition(self, case):
+        _agrees_with_oracle(case)
+
+    @given(eliminate_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_eliminate(self, case):
+        _agrees_with_oracle(case)
+
+
+ENUMERATED = {
+    "L2": 1, "L4-diamond": 7776, "L5-special5": 15552,
+    "L6-precolor": 124416, "L7-555": 41472, "L8-556": 1327104,
+    "CE-6": 4, "CE-7": 1729,
+}
+# product (L4-diamond) has its budget and split tests above
+OTHER_STRATEGIES = ["L5-special5", "L6-precolor", "L7-555"]
+
+
+class TestKernelCounters:
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_enumerated_is_pinned(self, label):
+        v = check_reducible(CATALOG[label])
+        assert v.status == CATALOG[label].expect
+        assert v.stats["enumerated"] == ENUMERATED[label]
+
+    @pytest.mark.parametrize("label,name", [("CE-6", "ce6.json"),
+                                            ("CE-7", "ce7.json")])
+    def test_witness_equals_frozen_asset(self, label, name):
+        v = check_reducible(CATALOG[label])
+        frozen = parse_cover_file(ASSETS / name)
+        assert cover_to_dict(v.witness) == cover_to_dict(frozen)
+
+    @pytest.mark.parametrize("label", OTHER_STRATEGIES + ["L8-556"])
+    def test_budget_stops_the_enumeration(self, label):
+        budget = ENUMERATED[label] // 3
+        v = check_reducible(CATALOG[label], budget=budget)
+        assert v.status == INCONCLUSIVE
+        assert v.stats["reason"] == "budget exhausted"
+        assert v.stats["enumerated"] == budget
+
+    @pytest.mark.parametrize("label", OTHER_STRATEGIES)
+    def test_budget_at_the_total_is_enough(self, label):
+        v = check_reducible(CATALOG[label], budget=ENUMERATED[label])
+        assert v.status == REDUCIBLE
+        assert v.stats["enumerated"] == ENUMERATED[label]
+
+    @pytest.mark.parametrize("label", OTHER_STRATEGIES)
+    def test_split_shares_sum_to_the_whole(self, label):
+        parts = [check_reducible(CATALOG[label], split=(i, 3))
+                 for i in range(3)]
+        assert [p.status for p in parts] == [REDUCIBLE] * 3
+        assert sum(p.stats["enumerated"] for p in parts) == ENUMERATED[label]
+
+    def test_split_share_finds_counterexample(self):
+        parts = [check_reducible(CATALOG["CE-7"], split=(i, 2))
+                 for i in range(2)]
+        assert NOT_REDUCIBLE in [p.status for p in parts]
+
+    def test_sampled_counts_instances_checked(self):
+        # one edge between single-color lists: no instance has a transversal
+        cfg = Configuration("clash", Graph.from_edges(2, [(0, 1)]),
+                            {"a": 0, "b": 1}, (1, 1), (), "product")
+        v = check_reducible(cfg, mode="sampled", seed=3, count=50)
+        assert v.status == NOT_REDUCIBLE
+        assert v.stats["enumerated"] == 1
+        v = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=3,
+                            count=50)
+        assert v.status == INCONCLUSIVE and v.stats["enumerated"] == 50
