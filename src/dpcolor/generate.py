@@ -6,25 +6,40 @@ boundary vertices of that face.  Each insertion updates the rotation system
 directly, so the embedding stays valid by construction.  Insertions that
 create a forbidden substructure (a 7-cycle or a butterfly) are rolled back,
 which makes it cheap to sample members of the restricted class.
+
+The forbidden-pattern check is rooted at the new vertex.  The graph before
+an insertion is free of every forbidden pattern (the triangle is, and each
+accepted insertion was checked), and an insertion only adds edges at the new
+vertex, so any new copy of a pattern uses that vertex.  Searching only
+through it is therefore exact, and it runs on the adjacency bitsets the
+builder keeps, so a PlaneGraph is built only once per accepted insertion.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .graphs import Graph, PlaneGraph, has_cycle_of_length
+from .graphs import Graph, PlaneGraph, find_cycle_of_length
 from .patterns import contains_butterfly
 
 
 @dataclass
 class PlaneBuilder:
-    """Grows a plane graph with outer walk (0, 1, 2) by vertex insertion."""
+    """Grows a plane graph with outer walk (0, 1, 2) by vertex insertion.
+
+    Alongside the rotation it keeps the adjacency as bitsets (`masks`, as on
+    Graph), so the cycle and pattern searches run on the builder itself.
+    """
 
     rotation: list[list[int]] = field(
         default_factory=lambda: [[1, 2], [2, 0], [0, 1]]
     )
+    masks: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.masks = [sum(1 << u for u in rot) for rot in self.rotation]
 
     @property
     def n(self) -> int:
@@ -69,14 +84,16 @@ class PlaneBuilder:
             pred = walk[(start + j - 1) % d]
             rot = self.rotation[w]
             rot.insert(rot.index(pred) + 1, z)
+            self.masks[w] |= 1 << z
+        self.masks.append(sum(1 << w for w in window))
 
-
-def _forbidden(g: Graph, forbid: Sequence[str]) -> bool:
-    if "7-cycle" in forbid and has_cycle_of_length(g, 7):
-        return True
-    if "butterfly" in forbid and contains_butterfly(g) is not None:
-        return True
-    return False
+    def remove_last_vertex(self) -> None:
+        """Undo the last insert_vertex: the rotation is restored exactly."""
+        z = self.n - 1
+        for w in self.rotation.pop():
+            self.rotation[w].remove(z)
+            self.masks[w] ^= 1 << z
+        self.masks.pop()
 
 
 def random_plane_graph(
@@ -87,28 +104,30 @@ def random_plane_graph(
 ) -> PlaneGraph:
     """A plane graph with triangular outer face and about target_n vertices.
 
-    Grown by seeded random vertex insertions; insertions creating a forbidden
-    substructure are rolled back.  Returns early if max_tries rejected
-    insertions accumulate before the target size is reached.
+    Grown by seeded random vertex insertions.  An insertion that creates a
+    forbidden substructure ("7-cycle", "butterfly") is rolled back; the
+    check searches only through the new vertex, which is exact because the
+    graph before the insertion has none.  Returns early if max_tries
+    rejected insertions in a row accumulate before the target size.
     """
     rng = random.Random(seed)
     builder = PlaneBuilder()
+    pg = builder.plane()
+    sites = builder.insertion_sites(pg)
     tries = 0
-    while builder.n < target_n and tries < max_tries:
-        pg = builder.plane()
-        sites = builder.insertion_sites(pg)
-        if not sites:
-            break
+    while builder.n < target_n and tries < max_tries and sites:
         face_id, start, arity = rng.choice(sites)
-        saved = [list(r) for r in builder.rotation]
         builder.insert_vertex(pg, face_id, start, arity)
-        cand = builder.plane()
-        if _forbidden(cand.graph, forbid):
-            builder.rotation = saved
+        z = builder.n - 1
+        seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
+        if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
+            builder.remove_last_vertex()
             tries += 1
             continue
         tries = 0
-    return builder.plane()
+        pg = builder.plane()
+        sites = builder.insertion_sites(pg)
+    return pg
 
 
 def generate_corpus(

@@ -9,9 +9,10 @@ is accepted as a plane embedding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -58,6 +59,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency as bitsets: bit w of masks[v] is set iff vw is an edge."""
+        return tuple(sum(1 << w for w in a) for a in self.adjacency)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -76,16 +82,6 @@ class Graph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.n
-
-    def subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; vertices are relabeled 0..len-1 in given order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        es = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph.from_edges(len(vertices), es)
 
 
 @dataclass(frozen=True)
@@ -194,79 +190,108 @@ class PlaneGraph:
         """Ids of the faces on the two sides of edge uv (equal for a bridge)."""
         return self._edge_faces[edge_key(u, v)]
 
-    def faces_at_vertex(self, v: int) -> set[int]:
-        out = set()
-        for f in self.faces:
-            if v in f.walk:
-                out.add(f.id)
-        return out
-
     def interior_faces(self) -> list[Face]:
         return [f for f in self.faces if f.id != self.outer_face]
-
-
-def faces_from_rotation(pg: PlaneGraph) -> tuple[Face, ...]:
-    """Faces of the embedding (already traced at construction)."""
-    return pg.faces
 
 
 def has_cycle_of_length(g: Graph, length: int) -> bool:
     return find_cycle_of_length(g, length) is not None
 
 
-def find_cycle_of_length(g: Graph, length: int) -> Optional[list[int]]:
+def find_cycle_of_length(
+    g: Graph, length: int, through: Optional[int] = None
+) -> Optional[list[int]]:
     """A cycle on exactly `length` distinct vertices, or None.
 
-    DFS over paths anchored at their minimum vertex; not necessarily induced
-    cycles.  Exact and exhaustive; fine for the small graphs handled here.
+    Not necessarily induced; exact and exhaustive.  Without `through` the
+    cycle found starts at its minimum vertex: the search runs from each
+    anchor s in turn over the vertices above s.  With `through` it runs once
+    from that vertex over all others, and the cycle starts there.  Paths
+    grow lowest neighbour first, so the result is the lexicographically
+    smallest such vertex sequence.
+
+    `g` is a Graph or anything else with `n` and adjacency bitsets `masks`
+    (the generator passes its builder).
     """
     if length < 3:
         raise ValueError("cycle length must be >= 3")
     if length > g.n:
         return None
-    adj = g.adjacency
-
-    def extend(path: list[int], on_path: set[int]) -> Optional[list[int]]:
-        if len(path) == length:
-            return path[:] if path[0] in adj[path[-1]] else None
-        for w in sorted(adj[path[-1]]):
-            # anchor: path[0] is the smallest vertex on the cycle
-            if w <= path[0] or w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            found = extend(path, on_path)
-            if found:
-                return found
-            path.pop()
-            on_path.remove(w)
-        return None
-
-    for start in range(g.n):
-        found = extend([start], {start})
-        if found:
+    full = (1 << g.n) - 1
+    if through is not None:
+        return _cycle_from(g.masks, through, length, full)
+    for s in range(g.n - length + 1):
+        found = _cycle_from(g.masks, s, length, full ^ ((2 << s) - 1))
+        if found is not None:
             return found
     return None
 
 
+def _cycle_from(
+    masks: Sequence[int], s: int, length: int, allowed: int
+) -> Optional[list[int]]:
+    """First `length`-cycle through s whose other vertices lie in `allowed`.
+
+    Depth-first over paths from s, one bitset of untried next vertices per
+    depth; the last vertex is drawn from the neighbours of s.
+    """
+    within = [allowed] * (length - 1) + [allowed & masks[s]]
+    path = [s] * length
+    used = 1 << s
+    untried = [0] * length  # untried[d]: candidates left for position d
+    untried[1] = masks[s] & allowed
+    d = 1
+    while d:
+        cand = untried[d]
+        if not cand:
+            d -= 1
+            used ^= 1 << path[d]
+            continue
+        low = cand & -cand
+        untried[d] = cand ^ low
+        w = path[d] = low.bit_length() - 1
+        if d == length - 1:
+            return path
+        used |= low
+        d += 1
+        untried[d] = masks[w] & within[d] & ~used
+    return None
+
+
 def contains_pattern(
-    g: Graph, pattern: Graph
+    g: Graph, pattern: Graph, through: Optional[int] = None
 ) -> Optional[dict[int, int]]:
     """Injective mapping carrying every pattern edge to an edge of g, or None.
 
     Subgraph (not induced-subgraph) containment.  Backtracking over pattern
-    vertices in a connectivity-friendly order with degree pruning.
+    vertices in a connectivity-friendly order with degree pruning, from the
+    pattern vertex of maximum degree.  With `through`, only occurrences that
+    use that vertex of g count: each pattern vertex in turn is pinned to it
+    and the same backtracking places the rest.  `g` is as for
+    find_cycle_of_length.
     """
-    if pattern.n == 0:
-        return {}
     if pattern.n > g.n:
         return None
-    # order pattern vertices: start at max degree, then most-constrained-first
-    order: list[int] = []
-    placed: set[int] = set()
-    start = max(range(pattern.n), key=pattern.degree)
-    order.append(start)
-    placed.add(start)
+    if through is None:
+        if pattern.n == 0:
+            return {}
+        roots = [(max(range(pattern.n), key=pattern.degree), (1 << g.n) - 1)]
+    else:
+        roots = [(p, 1 << through) for p in range(pattern.n)]
+    for root, first in roots:
+        found = _embed(g.masks, pattern, root, first)
+        if found is not None:
+            return found
+    return None
+
+
+def _embed(
+    masks: Sequence[int], pattern: Graph, root: int, first: int
+) -> Optional[dict[int, int]]:
+    """Occurrence of `pattern` with `root` mapped into the bitset `first`."""
+    # order pattern vertices: root first, then most-constrained-first
+    order = [root]
+    placed = {root}
     while len(order) < pattern.n:
         best = max(
             (v for v in range(pattern.n) if v not in placed),
@@ -274,33 +299,32 @@ def contains_pattern(
         )
         order.append(best)
         placed.add(best)
-
+    everything = (1 << len(masks)) - 1
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
-    def assign(i: int) -> bool:
+    def assign(i: int, used: int) -> bool:
         if i == len(order):
             return True
         p = order[i]
-        anchors = [q for q in pattern.adjacency[p] if q in mapping]
-        if anchors:
-            candidates = set(g.adjacency[mapping[anchors[0]]])
-            for q in anchors[1:]:
-                candidates &= g.adjacency[mapping[q]]
-        else:
-            candidates = set(range(g.n))
-        for c in sorted(candidates):
-            if c in used or g.degree(c) < pattern.degree(p):
+        cand = first if i == 0 else everything
+        for q in pattern.adjacency[p]:
+            if q in mapping:
+                cand &= masks[mapping[q]]
+        cand &= ~used
+        need = pattern.degree(p)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            if masks[c].bit_count() < need:
                 continue
             mapping[p] = c
-            used.add(c)
-            if assign(i + 1):
+            if assign(i + 1, used | low):
                 return True
             del mapping[p]
-            used.remove(c)
         return False
 
-    return dict(mapping) if assign(0) else None
+    return dict(mapping) if assign(0, 0) else None
 
 
 def all_injection_pattern_oracle(g: Graph, pattern: Graph) -> bool:

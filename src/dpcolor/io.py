@@ -258,7 +258,7 @@ def ingest_corpus(
     """
     from .clusters import has_good_outer_triangle  # local import: avoid cycle
     from .graphs import has_cycle_of_length
-    from .patterns import butterfly_graph, contains_butterfly
+    from .patterns import contains_butterfly
 
     known = {"no-7-cycles", "no-butterfly", "has-good-triangle"}
     bad = set(filters) - known

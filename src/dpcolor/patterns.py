@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .graphs import Graph, PlaneGraph, edge_key
+from .graphs import Graph, PlaneGraph, contains_pattern
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,6 @@ class LabeledPattern:
     @property
     def graph(self) -> Graph:
         return self.plane.graph
-
-    def vertex_role(self, v: int) -> str:
-        for lbl, w in self.labels.items():
-            if w == v:
-                return lbl
-        raise KeyError(v)
 
 
 def plane_from_coords(
@@ -84,15 +78,12 @@ def butterfly_pattern() -> LabeledPattern:
     return _pattern("butterfly", 0, coords, edges, outer)
 
 
-def butterfly_graph() -> Graph:
-    return butterfly_pattern().graph
+def contains_butterfly(g: Graph, through: Optional[int] = None):
+    """Witness mapping if g contains the butterfly as a subgraph, else None.
 
-
-def contains_butterfly(g: Graph):
-    """Witness mapping if g contains the butterfly as a subgraph, else None."""
-    from .graphs import contains_pattern
-
-    return contains_pattern(g, butterfly_graph())
+    With `through`, only copies that use that vertex of g count.
+    """
+    return contains_pattern(g, _BUTTERFLY, through)
 
 
 def c7_pattern() -> LabeledPattern:
@@ -231,7 +222,14 @@ def cluster_pattern(code: int) -> LabeledPattern:
 
 
 def catalog() -> dict[int, LabeledPattern]:
-    return {code: cluster_pattern(code) for code in range(1, 12)}
+    """The 11 catalog shapes by code, in a fresh dict over shared patterns."""
+    return dict(_CATALOG)
+
+
+# Built once at import: the classifier asks for the catalog per cluster and
+# the generator checks for the butterfly per insertion.
+_BUTTERFLY = butterfly_pattern().graph
+_CATALOG = {code: cluster_pattern(code) for code in range(1, 12)}
 
 
 def pattern_from_dict(data: Mapping) -> LabeledPattern:

@@ -1,4 +1,6 @@
-"""Naive reducibility oracle: every instance, one `local_solve` each.
+"""Naive oracles: reducibility by exhaustion, and rooted graph searches.
+
+Reducibility: every instance, one `local_solve` each.
 
 The oracle uses none of the checker's reductions: no straightened forest,
 no decomposition at a cut vertex or pivot, no mask kernel.  An instance is
@@ -10,6 +12,10 @@ floor-sized list.  That loses no instance up to renaming, because the oracle
 straightens nothing: renaming the colors at a vertex maps the maximal
 injections on its edges onto each other.  It keeps configurations with a
 full-floor pivot small enough to enumerate.
+
+Graph searches: brute force over vertex permutations for "some cycle or
+pattern occurrence uses vertex v", and a recursive whole-graph cycle search
+that fixes which cycle `find_cycle_of_length` must return.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from dpcolor.graphs import Graph
 from dpcolor.reduce import (
     K, NOT_REDUCIBLE, REDUCIBLE, Configuration, local_solve,
     maximal_injections,
@@ -74,3 +81,55 @@ def verdict(cfg: Configuration, canonical: bool = False):
         if local_solve(verts, avail, cons) is None:
             return NOT_REDUCIBLE, None
     return REDUCIBLE, None
+
+
+def cycle_through(g: Graph, length: int, v: int) -> bool:
+    """Whether some cycle on `length` distinct vertices passes through v."""
+    others = [u for u in range(g.n) if u != v]
+    for rest in itertools.permutations(others, length - 1):
+        cyc = (v, *rest)
+        if all(g.has_edge(cyc[i], cyc[(i + 1) % length])
+               for i in range(length)):
+            return True
+    return False
+
+
+def pattern_through(g: Graph, pattern: Graph, v: int) -> bool:
+    """Whether some occurrence of `pattern` in g maps a vertex onto v."""
+    for image in itertools.permutations(range(g.n), pattern.n):
+        if v in image and all(g.has_edge(image[a], image[b])
+                              for a, b in pattern.edges):
+            return True
+    return False
+
+
+def first_cycle(g: Graph, length: int):
+    """The recursive whole-graph cycle search, kept as the reference.
+
+    DFS over paths anchored at their minimum vertex, neighbours in
+    ascending order; the first closed path of `length` vertices wins.
+    """
+    if length > g.n:
+        return None
+    adj = g.adjacency
+
+    def extend(path: list[int], on_path: set[int]):
+        if len(path) == length:
+            return path[:] if path[0] in adj[path[-1]] else None
+        for w in sorted(adj[path[-1]]):
+            if w <= path[0] or w in on_path:
+                continue
+            path.append(w)
+            on_path.add(w)
+            found = extend(path, on_path)
+            if found:
+                return found
+            path.pop()
+            on_path.remove(w)
+        return None
+
+    for start in range(g.n):
+        found = extend([start], {start})
+        if found:
+            return found
+    return None
