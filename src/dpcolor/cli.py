@@ -21,7 +21,7 @@ from . import discharge as dc
 from . import io as dio
 from . import patterns as pt
 from . import reduce as rd
-from .cover import CoverInstance, extend_precoloring, find_transversal
+from .cover import CoverInstance, find_transversal
 from .graphs import Graph, PlaneGraph, contains_pattern, find_cycle_of_length
 
 WORKERS_ENV = "DPCOLOR_WORKERS"
@@ -116,7 +116,7 @@ def cmd_solve(args) -> dict:
         inst = CoverInstance.straight(graph, args.k)
     pre = _parse_precolor(args.precolor)
     t0 = time.monotonic()
-    found = extend_precoloring(inst, pre) if pre else find_transversal(inst)
+    found = find_transversal(inst, pre)
     return {
         "verdict": "FOUND" if found is not None else "NONE",
         "assignment": None if found is None else {
@@ -138,25 +138,15 @@ def cmd_detect(args) -> dict:
     if isinstance(g, PlaneGraph):
         report["faces"] = len(g.faces)
         report["euler_ok"] = g.euler_check()
-        outer_walk = set(g.faces[g.outer_face].walk)
-        internal = [v not in outer_walk for v in range(graph.n)]
-        rows = []
-        for c in cl.extract_clusters(g):
-            cls = cl.classify_cluster(g, c)
-            special, _ = (
-                dc.classify_special_cluster(c, g, internal)
-                if cls.code else (False, {})
-            )
-            rows.append({
-                "cluster": c.id,
-                "faces": c.k,
-                "code": cls.code,
-                "special": special,
-                "roles": ",".join(
-                    f"{r}={v}" for r, v in sorted(cls.roles.items())),
-                "note": cls.reason,
-            })
-        report["clusters"] = rows
+        report["clusters"] = [{
+            "cluster": info.cluster.id,
+            "faces": info.cluster.k,
+            "code": info.classification.code,
+            "special": info.special,
+            "roles": ",".join(f"{r}={v}" for r, v in
+                              sorted(info.classification.roles.items())),
+            "note": info.classification.reason,
+        } for info in dc.cluster_infos(g)]
         report["good_outer_triangle"] = cl.has_good_outer_triangle(g)
     if args.assets:
         found = {}

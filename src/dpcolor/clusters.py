@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, PlaneGraph, edge_key, interior_face_ids
+from .graphs import (
+    Graph, PlaneGraph, _vertex_sides, edge_key, interior_face_ids,
+)
 from .patterns import LabeledPattern, catalog
 
 UNCLASSIFIED = 0
@@ -172,10 +174,8 @@ def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
     for i in range(3):
         if not pg.graph.has_edge(cycle[i], cycle[(i + 1) % 3]):
             raise ValueError("cycle vertices are not mutually adjacent")
-    from .graphs import cycle_vertex_sides
-
-    interior, exterior = cycle_vertex_sides(pg, cycle)
     inner_faces = interior_face_ids(pg, cycle)
+    interior, exterior = _vertex_sides(pg, cycle, inner_faces)
     bad = False
     if inner_faces and all(pg.faces[fid].degree == 3 for fid in inner_faces):
         if len(inner_faces) == 7 and _edge_connected(pg, inner_faces):

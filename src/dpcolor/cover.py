@@ -10,8 +10,8 @@ availability sets matters for transversals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph, edge_key
 
@@ -183,9 +183,9 @@ def find_transversal(
 ) -> Optional[dict[int, int]]:
     """Complete independent transversal extending `partial`, or None.
 
-    Deterministic: MRV vertex order (ties by id), colors ascending.  Vertices
-    whose residual exceeds their count of undecided neighbors are deferred and
-    colored greedily at the end (degeneracy preprocessing).
+    Vertices whose residual exceeds their count of undecided neighbors are
+    deferred and colored greedily at the end (degeneracy preprocessing); the
+    rest go to `_search`.
     """
     assignment: dict[int, int] = dict(partial) if partial else {}
     if not is_independent(inst, assignment):
@@ -205,28 +205,7 @@ def find_transversal(
                 deferred.append(v)
                 changed = True
 
-    order_pool = active
-
-    def solve() -> bool:
-        if not order_pool:
-            return True
-        v = min(
-            order_pool,
-            key=lambda x: (len(residual(inst, assignment, x)), x),
-        )
-        colors = sorted(residual(inst, assignment, v))
-        if not colors:
-            return False
-        order_pool.remove(v)
-        for c in colors:
-            assignment[v] = c
-            if solve():
-                return True
-            del assignment[v]
-        order_pool.add(v)
-        return False
-
-    if not solve():
+    if not _search(inst, assignment, active):
         return None
     for v in reversed(deferred):
         cs = residual(inst, assignment, v)
@@ -236,11 +215,29 @@ def find_transversal(
     return assignment
 
 
-def extend_precoloring(
-    inst: CoverInstance, precolored: Mapping[int, int]
-) -> Optional[dict[int, int]]:
-    """find_transversal seeded with an independent precoloring."""
-    return find_transversal(inst, precolored)
+def _search(inst: CoverInstance, assignment: dict[int, int],
+            pool: set[int]) -> bool:
+    """Extend `assignment` to every vertex of `pool`; False if impossible.
+
+    The one transversal search of the package.  Deterministic: MRV vertex
+    order (fewest residual colors, ties by id), colors ascending.  On
+    success `assignment` covers the pool, which is left empty; on failure
+    both are as they were.
+    """
+    if not pool:
+        return True
+    v = min(pool, key=lambda x: (len(residual(inst, assignment, x)), x))
+    colors = sorted(residual(inst, assignment, v))
+    if not colors:
+        return False
+    pool.remove(v)
+    for c in colors:
+        assignment[v] = c
+        if _search(inst, assignment, pool):
+            return True
+        del assignment[v]
+    pool.add(v)
+    return False
 
 
 def brute_force_transversal(inst: CoverInstance) -> Optional[dict[int, int]]:
@@ -255,38 +252,3 @@ def brute_force_transversal(inst: CoverInstance) -> Optional[dict[int, int]]:
             return assignment
     return None
 
-
-def enumerate_matchings(
-    g: Graph,
-    k: int,
-    fixed: Optional[Mapping[tuple[int, int], Sequence[int]]] = None,
-    split: Optional[tuple[int, int]] = None,
-) -> Iterator[dict[tuple[int, int], tuple[int, ...]]]:
-    """Stream every matching assignment agreeing with `fixed`, each once.
-
-    Deterministic order: edges sorted, bijections in lexicographic image
-    order.  `split=(index, total)` restricts to the sub-stream whose first
-    free edge's bijection index is congruent to `index` mod `total`, so
-    workers can consume disjoint shares.
-    """
-    fixed = {edge_key(*e): tuple(s) for e, s in (fixed or {}).items()}
-    for e in fixed:
-        if e not in g.edges:
-            raise CoverError(f"fixed edge {e} not in graph")
-    edges = sorted(g.edges)
-    bijections = [tuple(p) for p in itertools.permutations(range(1, k + 1))]
-    choices: list[list[tuple[int, ...]]] = []
-    first_free = None
-    for i, e in enumerate(edges):
-        if e in fixed:
-            choices.append([fixed[e]])
-        else:
-            choices.append(bijections)
-            if first_free is None:
-                first_free = i
-    for combo in itertools.product(*choices):
-        if split is not None and first_free is not None:
-            idx, total = split
-            if bijections.index(combo[first_free]) % total != idx:
-                continue
-        yield dict(zip(edges, combo))

@@ -61,9 +61,6 @@ class ChargeLedger:
     def total(self) -> int:
         return sum(self.accounts.values())
 
-    def history(self, element) -> list:
-        return [t for t in self.transfers if t[1] == element or t[2] == element]
-
 
 def fmt_quarters(q: int) -> str:
     return str(Fraction(q, 4))
@@ -102,13 +99,9 @@ class VertexTyping:
 
     pg: PlaneGraph
     clusters: list[ClusterInfo]
-    internal: list[bool]  # per vertex: not on the outer cycle
     i_type: dict  # (vertex, cluster id) -> number of cluster edges at vertex
     good: dict  # (vertex, cluster id) -> cluster is special
     special6: set  # special 6-vertices
-
-    def memberships(self, v: int) -> list[int]:
-        return sorted({h for (u, h) in self.i_type if u == v})
 
 
 def vertex_elem(v: int) -> tuple:
@@ -135,19 +128,14 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     return led
 
 
-def classify_special_cluster(c: Cluster, pg: PlaneGraph,
-                             internal: Optional[list[bool]] = None
-                             ) -> tuple[bool, dict]:
+def classify_special_cluster(c: Cluster, pg: PlaneGraph) -> tuple[bool, dict]:
     """Special: shape (7), (9), (10) or (11) whose x, y, z roles land on
     internal 4-vertices under some catalog matching."""
-    if internal is None:
-        outer_walk = set(pg.faces[pg.outer_face].walk)
-        internal = [v not in outer_walk for v in range(pg.graph.n)]
     for cls in classifications(pg, c):
         if cls.code not in (7, 9, 10, 11):
             return False, {}
         ok = all(
-            internal[cls.roles[r]] and pg.graph.degree(cls.roles[r]) == 4
+            pg.internal[cls.roles[r]] and pg.graph.degree(cls.roles[r]) == 4
             for r in ("x", "y", "z")
         )
         if ok:
@@ -156,8 +144,6 @@ def classify_special_cluster(c: Cluster, pg: PlaneGraph,
 
 
 def vertex_typing(pg: PlaneGraph, infos: list[ClusterInfo]) -> VertexTyping:
-    outer_walk = set(pg.faces[pg.outer_face].walk)
-    internal = [v not in outer_walk for v in range(pg.graph.n)]
     i_type: dict = {}
     good: dict = {}
     for info in infos:
@@ -168,7 +154,7 @@ def vertex_typing(pg: PlaneGraph, infos: list[ClusterInfo]) -> VertexTyping:
             good[(v, c.id)] = info.special
     special6: set = set()
     for v in range(pg.graph.n):
-        if not internal[v] or pg.graph.degree(v) != 6:
+        if not pg.internal[v] or pg.graph.degree(v) != 6:
             continue
         has_k1 = has_k2 = False
         for info in infos:
@@ -176,25 +162,23 @@ def vertex_typing(pg: PlaneGraph, infos: list[ClusterInfo]) -> VertexTyping:
             if v not in c.vertices or not info.special:
                 continue
             t = i_type[(v, c.id)]
-            cluster_internal = all(internal[u] for u in c.vertices)
+            cluster_internal = all(pg.internal[u] for u in c.vertices)
             if t == 4 and c.k in (6, 7) and cluster_internal:
                 has_k1 = True
             if t == 2 and c.k in (4, 5):
                 has_k2 = True
         if has_k1 and has_k2:
             special6.add(v)
-    return VertexTyping(pg, infos, internal, i_type, good, special6)
+    return VertexTyping(pg, infos, i_type, good, special6)
 
 
 def cluster_infos(pg: PlaneGraph) -> list[ClusterInfo]:
-    outer_walk = set(pg.faces[pg.outer_face].walk)
-    internal = [v not in outer_walk for v in range(pg.graph.n)]
     out = []
     for c in extract_clusters(pg):
         cls = classify_cluster(pg, c)
         special, roles = (False, {})
         if cls.code:
-            special, roles = classify_special_cluster(c, pg, internal)
+            special, roles = classify_special_cluster(c, pg)
         out.append(ClusterInfo(c, cls, special, roles))
     return out
 
@@ -220,7 +204,7 @@ def _apply_r5(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
     for v in sorted(set(outer_walk)):
         led.move("R5", vertex_elem(v), OUTER, led.accounts[vertex_elem(v)])
     for f in pg.interior_faces():
-        if f.degree == 3 and any(not typing.internal[v] for v in f.walk):
+        if f.degree == 3 and any(not pg.internal[v] for v in f.walk):
             led.move("R5", OUTER, cluster_elem(face_cluster[f.id]), 4)
 
 
@@ -242,12 +226,12 @@ def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
                          cluster_elem(face_cluster[other]), 2)
             else:
                 for end in (u, v):
-                    if typing.internal[end]:
+                    if pg.internal[end]:
                         led.move("R1a", face_elem(f.id), vertex_elem(end), 1)
                         r1a_income[end] += 1
     # pass-through: internal 4-vertices mostly inside one cluster
     for v in range(pg.graph.n):
-        if not typing.internal[v] or pg.graph.degree(v) != 4:
+        if not pg.internal[v] or pg.graph.degree(v) != 4:
             continue
         if r1a_income[v] == 0:
             continue
@@ -296,7 +280,7 @@ def _cluster_rule_amount(pg: PlaneGraph, typing: VertexTyping,
     if k == 6:
         three_type_fives = sum(
             1 for u in c.vertices
-            if typing.internal[u] and pg.graph.degree(u) == 5
+            if pg.internal[u] and pg.graph.degree(u) == 5
             and typing.i_type[(u, c.id)] == 3
         )
         if t == 3 and d == 5:
@@ -325,7 +309,7 @@ def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos, typing,
         if rule != which:
             continue
         for v in sorted(info.cluster.vertices):
-            if not typing.internal[v] or pg.graph.degree(v) < 5:
+            if not pg.internal[v] or pg.graph.degree(v) < 5:
                 continue
             q = _cluster_rule_amount(pg, typing, info, v, flags)
             led.move(rule, vertex_elem(v), cluster_elem(info.cluster.id), q)
@@ -393,12 +377,11 @@ def outer_identity(pg: PlaneGraph) -> dict:
 # preconditions and the audit
 
 
-def diamond_pattern_witness(pg: PlaneGraph,
-                            internal: list[bool]) -> Optional[dict]:
+def diamond_pattern_witness(pg: PlaneGraph) -> Optional[dict]:
     """Two internal all-4-vertex 3-faces sharing one edge, tips non-adjacent."""
     tris = [f for f in pg.interior_faces() if f.degree == 3]
     ok_face = {
-        f.id: all(internal[v] and pg.graph.degree(v) == 4 for v in f.walk)
+        f.id: all(pg.internal[v] and pg.graph.degree(v) == 4 for v in f.walk)
         for f in tris
     }
     for i, f in enumerate(tris):
@@ -436,7 +419,7 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
     )
     checks["outer-good-3-cycle"] = {"ok": good_outer, "witness": list(outer.walk)}
     low = [v for v in range(pg.graph.n)
-           if typing.internal[v] and pg.graph.degree(v) <= 3]
+           if pg.internal[v] and pg.graph.degree(v) <= 3]
     checks["internal-min-degree-4"] = {"ok": not low, "witness": low or None}
     seps = separating_good_triangles(pg)
     # the outer cycle itself is never separating here (its exterior is empty)
@@ -453,7 +436,7 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
             for info in infos if info.classification.code == 0
         } or None,
     }
-    dia = diamond_pattern_witness(pg, typing.internal)
+    dia = diamond_pattern_witness(pg)
     checks["no-glued-internal-444-faces"] = {"ok": dia is None, "witness": dia}
     # an internal 5-vertex on two special clusters
     owners: dict[int, list[int]] = {}
@@ -463,7 +446,7 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
                 owners.setdefault(v, []).append(info.cluster.id)
     double = [
         {"vertex": v, "clusters": hs} for v, hs in sorted(owners.items())
-        if len(hs) >= 2 and typing.internal[v] and pg.graph.degree(v) == 5
+        if len(hs) >= 2 and pg.internal[v] and pg.graph.degree(v) == 5
     ]
     checks["5-vertex-on-one-special-cluster"] = {
         "ok": not double, "witness": double or None}
@@ -489,11 +472,11 @@ def _l7_pattern_check(pg, infos, typing) -> dict:
     for info in infos:
         if not (info.special and info.cluster.k == 6):
             continue
-        if not all(typing.internal[v] for v in info.cluster.vertices):
+        if not all(pg.internal[v] for v in info.cluster.vertices):
             continue
         for cls in classifications(pg, info.cluster):
             r = cls.roles
-            if not all(typing.internal[r[t]] and pg.graph.degree(r[t]) == 4
+            if not all(pg.internal[r[t]] and pg.graph.degree(r[t]) == 4
                        for t in ("x", "y", "z")):
                 continue
             du, dw = pg.graph.degree(r["u"]), pg.graph.degree(r["w"])
@@ -514,7 +497,7 @@ def _l8_pattern_check(pg, infos, typing) -> dict:
         if info.classification.code != 11:
             continue
         c = info.cluster
-        if not all(typing.internal[v] for v in c.vertices):
+        if not all(pg.internal[v] for v in c.vertices):
             continue
         for cls in classifications(pg, c):
             r = cls.roles

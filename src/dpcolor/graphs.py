@@ -193,6 +193,12 @@ class PlaneGraph:
     def interior_faces(self) -> list[Face]:
         return [f for f in self.faces if f.id != self.outer_face]
 
+    @functools.cached_property
+    def internal(self) -> tuple[bool, ...]:
+        """Per vertex: True iff it is not on the outer face's boundary."""
+        outer = set(self.faces[self.outer_face].walk)
+        return tuple(v not in outer for v in range(self.graph.n))
+
 
 def has_cycle_of_length(g: Graph, length: int) -> bool:
     return find_cycle_of_length(g, length) is not None
@@ -340,42 +346,37 @@ def all_injection_pattern_oracle(g: Graph, pattern: Graph) -> bool:
 def cycle_vertex_sides(pg: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:
     """(interior, exterior) vertex sets of a cycle, from the embedding.
 
-    Faces are split by flooding the dual graph without crossing cycle edges;
-    the side containing the outer face is the exterior.
+    The faces are split by `interior_face_ids`.
     """
-    cyc_edges = {
-        edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    }
-    for u, v in cyc_edges:
+    for i in range(len(cycle)):
+        u, v = edge_key(cycle[i], cycle[(i + 1) % len(cycle)])
         if not pg.graph.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge of the graph")
-    # dual flood from the outer face
-    side = {pg.outer_face}
-    stack = [pg.outer_face]
-    while stack:
-        fid = stack.pop()
-        for e in pg.faces[fid].walk_edges():
-            if e in cyc_edges:
-                continue
-            for nf in pg.faces_of_edge(*e):
-                if nf not in side:
-                    side.add(nf)
-                    stack.append(nf)
+    return _vertex_sides(pg, cycle, interior_face_ids(pg, cycle))
+
+
+def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],
+                  inner: set[int]) -> tuple[set[int], set[int]]:
+    """(interior, exterior) vertex sets given the ids of the inner faces."""
     on_cycle = set(cycle)
     exterior: set[int] = set()
     interior: set[int] = set()
     for f in pg.faces:
         verts = set(f.walk) - on_cycle
-        if f.id in side:
-            exterior |= verts
-        else:
+        if f.id in inner:
             interior |= verts
+        else:
+            exterior |= verts
     # vertices seen on both sides would mean the "cycle" does not separate
     return interior - exterior, exterior
 
 
 def interior_face_ids(pg: PlaneGraph, cycle: Sequence[int]) -> set[int]:
-    """Ids of the faces strictly inside the cycle."""
+    """Ids of the faces strictly inside the cycle.
+
+    Faces are split by flooding the dual graph from the outer face without
+    crossing cycle edges; the faces not reached are inside.
+    """
     cyc_edges = {
         edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     }

@@ -43,7 +43,10 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
-from .cover import CoverInstance, find_transversal, identity
+from .cover import (
+    CoverInstance, _search, brute_force_transversal, find_transversal,
+    identity, residual,
+)
 from .graphs import Graph, edge_key
 from .patterns import cluster_pattern
 
@@ -254,49 +257,6 @@ def residual_choices(cfg: Configuration,
         yield choice
 
 
-def local_solve(
-    vertices: Sequence[int],
-    avail: Mapping[int, frozenset[int]],
-    constraints: Sequence[tuple[int, int, Mapping[int, int]]],
-) -> Optional[dict[int, int]]:
-    """Tiny exact solver: constraint (a, b, m) forbids m[t_a] == t_b.
-
-    Colors of a outside m's domain conflict with nothing across that edge.
-    """
-    order = sorted(vertices, key=lambda v: (len(avail[v]), v))
-    by_vertex: dict[int, list[tuple[int, int, Mapping[int, int], bool]]] = {
-        v: [] for v in order
-    }
-    for a, b, m in constraints:
-        by_vertex[a].append((a, b, m, True))
-        by_vertex[b].append((a, b, m, False))
-    assignment: dict[int, int] = {}
-
-    def ok(v: int, c: int) -> bool:
-        for a, b, m, forward in by_vertex[v]:
-            if forward:  # v == a
-                if b in assignment and m.get(c) == assignment[b]:
-                    return False
-            else:  # v == b
-                if a in assignment and m.get(assignment[a]) == c:
-                    return False
-        return True
-
-    def solve(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for c in sorted(avail[v]):
-            if ok(v, c):
-                assignment[v] = c
-                if solve(i + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    return dict(assignment) if solve(0) else None
-
-
 def build_witness(
     cfg: Configuration,
     residuals: Mapping[int, frozenset[int]],
@@ -325,11 +285,6 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
         e for e in sorted(cfg.graph.edges)
         if e not in tree and exclude_vertex not in e
     ]
-
-
-def _straight_constraints(cfg: Configuration) -> list:
-    ident = {c: c for c in range(1, K + 1)}
-    return [(u, v, ident) for u, v in cfg.tree]
 
 
 # ---------------------------------------------------------------------------
@@ -583,53 +538,21 @@ def _adversary_blocks(
     # all binary inequalities: same-neighbor variables differ (injectivity)
     # and each profile's four variables differ (its images then exhaust the
     # pivot's colors).  Blocking maps exist iff this conflict graph has a
-    # proper coloring with colors 1..4.
+    # proper coloring with colors 1..4: a transversal of its straight cover.
     variables = [(i, c) for i in range(n) for c in sorted(residuals[i])]
     index = {v: j for j, v in enumerate(variables)}
-    adj: list[set[int]] = [set() for _ in variables]
-
-    def link(a, b):
-        adj[index[a]].add(index[b])
-        adj[index[b]].add(index[a])
-
-    for i in range(n):
-        cs = sorted(residuals[i])
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                link((i, cs[a]), (i, cs[b]))
-    for p in profiles:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (a, p[a]) != (b, p[b]):
-                    link((a, p[a]), (b, p[b]))
+    # variables are numbered neighbor by neighbor, so each pair is (low, high)
+    links = {(index[(i, a)], index[(i, b)]) for i in range(n)
+             for a, b in itertools.combinations(sorted(residuals[i]), 2)}
+    links |= {(index[(a, p[a])], index[(b, p[b])]) for p in profiles
+              for a, b in itertools.combinations(range(n), 2)}
+    conflicts = CoverInstance.straight(
+        Graph.from_edges(len(variables), links), K)
     value: dict[int, int] = {}
-
-    def solve() -> bool:
-        best, best_dom = None, None
-        for j in range(len(variables)):
-            if j in value:
-                continue
-            dom = [c for c in range(1, K + 1)
-                   if all(value.get(nb) != c for nb in adj[j])]
-            if best_dom is None or len(dom) < len(best_dom):
-                best, best_dom = j, dom
-                if not dom:
-                    return False
-        if best is None:
-            return True
-        for c in best_dom:
-            value[best] = c
-            if solve():
-                return True
-            del value[best]
-        return False
-
-    if not solve():
+    if not _search(conflicts, value, set(range(len(variables)))):
         return None
-    out: list[dict[int, int]] = []
-    for i in range(n):
-        out.append({c: value[index[(i, c)]] for c in sorted(residuals[i])})
-    return out
+    return [{c: value[index[(i, c)]] for c in sorted(residuals[i])}
+            for i in range(n)]
 
 
 def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
@@ -704,23 +627,18 @@ def _check_sampled(cfg: Configuration, seed: int, count: int) -> Verdict:
     import random
 
     rng = random.Random(seed)
-    verts = list(range(cfg.graph.n))
-    straight = _straight_constraints(cfg)
     free = _free_edges(cfg)
     t0 = time.monotonic()
     for checked in range(1, count + 1):
         residuals = {
             v: frozenset(rng.sample(range(1, K + 1), cfg.floors[v]))
-            for v in verts
+            for v in range(cfg.graph.n)
         }
-        maps = {}
-        for e in free:
-            u, v = e
-            opts = maximal_injections(residuals[u], residuals[v])
-            maps[e] = rng.choice(opts)
-        cons = straight + [(u, v, m) for (u, v), m in maps.items()]
-        if local_solve(verts, residuals, cons) is None:
-            witness = build_witness(cfg, residuals, maps)
+        maps = {(u, v): rng.choice(maximal_injections(residuals[u],
+                                                      residuals[v]))
+                for u, v in free}
+        witness = build_witness(cfg, residuals, maps)
+        if find_transversal(witness) is None:
             return Verdict(NOT_REDUCIBLE, witness, {
                 "enumerated": checked, "seconds": time.monotonic() - t0})
     return Verdict(INCONCLUSIVE, stats={
@@ -743,12 +661,13 @@ def check_reducible(
     counts add up to the whole run's.
     """
     if mode == "sampled":
-        return _check_sampled(cfg, seed, count)
-    if mode != "full":
+        verdict = _check_sampled(cfg, seed, count)
+    elif mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    if cfg.strategy not in _STRATEGIES:
+    elif cfg.strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
-    verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget, split))
+    else:
+        verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget, split))
     if verdict.status == NOT_REDUCIBLE:
         assert verdict.witness is not None
         if not verify_witness(verdict.witness):
@@ -769,8 +688,6 @@ def check_greedy_certificate(
     then the remaining vertices, in `order`, must be colorable no matter
     which residual color each greedy step picks.
     """
-    verts = list(range(cfg.graph.n))
-    straight = _straight_constraints(cfg)
     free = _free_edges(cfg)
     order_ids = [cfg.vertex(r) for r in order]
     pivot_id = protected_id = None
@@ -778,59 +695,40 @@ def check_greedy_certificate(
     if pivot is not None:
         pivot_id, protected_id, threshold = (
             cfg.vertex(pivot[0]), cfg.vertex(pivot[1]), pivot[2])
-        if set(order_ids) | {pivot_id} != set(verts):
-            raise ValueError("order plus pivot must cover all vertices")
-    elif set(order_ids) != set(verts):
-        raise ValueError("order must cover all vertices")
+    if sorted(order_ids) != [v for v in range(cfg.graph.n) if v != pivot_id]:
+        raise ValueError("order must list every vertex but the pivot once")
 
-    def residual_of(v, assignment, residuals, cons):
-        out = set(residuals[v])
-        for a, b, m in cons:
-            if a == v and b in assignment:
-                out -= {c for c in out if m.get(c) == assignment[b]}
-            elif b == v and a in assignment:
-                out.discard(m.get(assignment[a]))
-        return out
-
-    def greedy_all_choices(i, assignment, residuals, cons) -> bool:
+    def greedy_all_choices(i, inst, assignment) -> bool:
         if i == len(order_ids):
             return True
         v = order_ids[i]
-        cs = residual_of(v, assignment, residuals, cons)
+        cs = residual(inst, assignment, v)
         if not cs:
             return False
         for c in cs:
             assignment[v] = c
-            if not greedy_all_choices(i + 1, assignment, residuals, cons):
-                del assignment[v]
-                return False
+            ok = greedy_all_choices(i + 1, inst, assignment)
             del assignment[v]
+            if not ok:
+                return False
         return True
 
     for residuals in residual_choices(cfg):
         options = [maximal_injections(residuals[u], residuals[v]) for u, v in free]
         for combo in itertools.product(*options):
-            cons = straight + [(u, v, m) for (u, v), m in zip(free, combo)]
+            inst = build_witness(cfg, residuals, dict(zip(free, combo)))
             if pivot_id is None:
-                if not greedy_all_choices(0, {}, residuals, cons):
-                    return False
-                continue
-            found = False
-            for c in sorted(residuals[pivot_id]):
-                assignment = {pivot_id: c}
-                if len(residual_of(protected_id, assignment, residuals,
-                                   cons)) < threshold:
-                    continue
-                if greedy_all_choices(0, assignment, residuals, cons):
-                    found = True
-                    break
-            if not found:
+                ok = greedy_all_choices(0, inst, {})
+            else:
+                ok = any(
+                    len(residual(inst, {pivot_id: c}, protected_id))
+                    >= threshold and greedy_all_choices(0, inst, {pivot_id: c})
+                    for c in sorted(residuals[pivot_id]))
+            if not ok:
                 return False
     return True
 
 
 def verify_witness(w: CoverInstance) -> bool:
     """True iff exhaustive search over complete assignments finds no transversal."""
-    from .cover import brute_force_transversal
-
     return brute_force_transversal(w) is None

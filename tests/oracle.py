@@ -3,8 +3,9 @@
 Reducibility: every instance, one `local_solve` each.
 
 The oracle uses none of the checker's reductions: no straightened forest,
-no decomposition at a cut vertex or pivot, no mask kernel.  An instance is
-one floor-sized list per vertex and one maximal injection per edge, and
+no decomposition at a cut vertex or pivot, no mask kernel, and not the
+package's transversal search: `local_solve` is its own solver.  An instance
+is one floor-sized list per vertex and one maximal injection per edge, and
 every one of them is solved on its own.
 
 With canonical=True every vertex gets the list {1..floor} instead of every
@@ -22,12 +23,56 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Mapping, Optional, Sequence
 
 from dpcolor.graphs import Graph
 from dpcolor.reduce import (
-    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, local_solve,
-    maximal_injections,
+    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, maximal_injections,
 )
+
+
+def local_solve(
+    vertices: Sequence[int],
+    avail: Mapping[int, frozenset[int]],
+    constraints: Sequence[tuple[int, int, Mapping[int, int]]],
+) -> Optional[dict[int, int]]:
+    """Tiny exact solver: constraint (a, b, m) forbids m[t_a] == t_b.
+
+    Colors of a outside m's domain conflict with nothing across that edge.
+    Vertices are tried in a fixed order (smallest list first), no MRV.
+    """
+    order = sorted(vertices, key=lambda v: (len(avail[v]), v))
+    by_vertex: dict[int, list[tuple[int, int, Mapping[int, int], bool]]] = {
+        v: [] for v in order
+    }
+    for a, b, m in constraints:
+        by_vertex[a].append((a, b, m, True))
+        by_vertex[b].append((a, b, m, False))
+    assignment: dict[int, int] = {}
+
+    def ok(v: int, c: int) -> bool:
+        for a, b, m, forward in by_vertex[v]:
+            if forward:  # v == a
+                if b in assignment and m.get(c) == assignment[b]:
+                    return False
+            else:  # v == b
+                if a in assignment and m.get(assignment[a]) == c:
+                    return False
+        return True
+
+    def solve(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for c in sorted(avail[v]):
+            if ok(v, c):
+                assignment[v] = c
+                if solve(i + 1):
+                    return True
+                del assignment[v]
+        return False
+
+    return dict(assignment) if solve(0) else None
 
 
 def floor_lists(floor: int, canonical: bool = False) -> list[frozenset[int]]:

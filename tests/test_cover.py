@@ -1,6 +1,5 @@
 """Cover semantics: bijections, straightening, residuals, the solver."""
 
-import itertools
 import random
 
 import pytest
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_cover, random_graph, random_sigma
 from dpcolor.cover import (
     CoverError, CoverInstance, brute_force_transversal, compose,
-    enumerate_matchings, extend_precoloring, find_transversal, identity,
-    invert, is_independent, is_straight, residual, straighten,
+    find_transversal, identity, invert, is_independent, is_straight,
+    residual, straighten,
 )
 from dpcolor.graphs import Graph
 
@@ -157,12 +156,12 @@ class TestSolver:
         g = Graph.from_edges(2, [(0, 1)])
         inst = CoverInstance.straight(g, 2)
         with pytest.raises(CoverError):
-            extend_precoloring(inst, {0: 1, 1: 1})
+            find_transversal(inst, {0: 1, 1: 1})
 
     def test_extends_partial(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         inst = CoverInstance.straight(g, 2)
-        t = extend_precoloring(inst, {1: 2})
+        t = find_transversal(inst, {1: 2})
         assert t is not None and t[1] == 2 and is_independent(inst, t)
 
     @given(st.integers(0, 10**6))
@@ -190,31 +189,3 @@ class TestSolver:
             set(a) | {rng.randint(1, 4)} for a in inst.available
         ])
         assert find_transversal(grown) is not None
-
-
-class TestEnumerateMatchings:
-    def test_count_and_uniqueness(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        all_sigma = [
-            tuple(sorted(m.items())) for m in enumerate_matchings(g, 3)
-        ]
-        assert len(all_sigma) == 36
-        assert len(set(all_sigma)) == 36
-
-    def test_fixed_edges_respected(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        fixed = {(0, 1): (2, 1, 3)}
-        seen = list(enumerate_matchings(g, 3, fixed=fixed))
-        assert len(seen) == 6
-        assert all(m[(0, 1)] == (2, 1, 3) for m in seen)
-
-    def test_split_partitions_stream(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        whole = [tuple(sorted(m.items())) for m in enumerate_matchings(g, 3)]
-        parts = []
-        for i in range(3):
-            parts += [
-                tuple(sorted(m.items()))
-                for m in enumerate_matchings(g, 3, split=(i, 3))
-            ]
-        assert sorted(parts) == sorted(whole)

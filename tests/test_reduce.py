@@ -12,8 +12,9 @@ from dpcolor.cover import CoverInstance, find_transversal
 from dpcolor.graphs import Graph
 from dpcolor.io import cover_to_dict, parse_cover_file
 from dpcolor.patterns import builtin_assets_dir
+from dpcolor import reduce
 from dpcolor.reduce import (
-    INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration,
+    INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
     check_greedy_certificate, check_reducible, config_catalog,
     extend_to_bijection, maximal_injections, residual_choices, verify_witness,
 )
@@ -210,6 +211,54 @@ class TestWitnessContract:
     def test_expectations_recorded(self):
         assert CATALOG["CE-6"].expect == NOT_REDUCIBLE
         assert CATALOG["L8-556"].expect == REDUCIBLE
+
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_every_not_reducible_witness_is_verified(self, mode,
+                                                     monkeypatch):
+        # one edge between single-color lists: no instance has a transversal
+        cfg = Configuration("clash", Graph.from_edges(2, [(0, 1)]),
+                            {"a": 0, "b": 1}, (1, 1), (), "product")
+        monkeypatch.setattr(reduce, "verify_witness", lambda w: False)
+        with pytest.raises(AssertionError, match="admits a transversal"):
+            check_reducible(cfg, mode=mode, seed=3, count=50)
+
+
+@st.composite
+def pivot_profiles(draw):
+    """Residuals of size 1-2 at four pivot neighbors and live profiles."""
+    residuals = draw(st.lists(
+        st.frozensets(st.integers(1, 4), min_size=1, max_size=2),
+        min_size=4, max_size=4))
+    grid = list(itertools.product(*map(sorted, residuals)))
+    profiles = draw(st.lists(st.sampled_from(grid), min_size=1,
+                             max_size=len(grid), unique=True))
+    return profiles, residuals
+
+
+def _blocks(maps, profiles) -> bool:
+    return all(len({f[c] for f, c in zip(maps, p)}) == 4 for p in profiles)
+
+
+class TestAdversary:
+    """The eliminate adversary against brute force over all pivot maps."""
+
+    @given(pivot_profiles())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_exactly_when_brute_force_does(self, case):
+        profiles, residuals = case
+        options = [
+            [dict(zip(sorted(r), images))
+             for images in itertools.permutations(range(1, 5), len(r))]
+            for r in residuals]  # at most 12 injective maps per neighbor
+        exists = any(_blocks(maps, profiles)
+                     for maps in itertools.product(*options))
+        found = _adversary_blocks(profiles, residuals)
+        assert (found is not None) == exists
+        if found is not None:
+            assert [set(f) for f in found] == [set(r) for r in residuals]
+            assert all(len(set(f.values())) == len(f) for f in found)
+            assert all(set(f.values()) <= {1, 2, 3, 4} for f in found)
+            assert _blocks(found, profiles)
 
 
 # ---------------------------------------------------------------------------
