@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import clusters as cl
@@ -22,37 +20,7 @@ from . import io as dio
 from . import patterns as pt
 from . import reduce as rd
 from .cover import CoverInstance, find_transversal
-from .graphs import Graph, PlaneGraph, contains_pattern, find_cycle_of_length
-
-WORKERS_ENV = "DPCOLOR_WORKERS"
-
-
-@dataclass
-class RunConfig:
-    verb: str
-    paths: list = field(default_factory=list)
-    k: int = 4
-    mode: str = "full"
-    seed: Optional[int] = None
-    workers: int = 1
-    budget: Optional[int] = None
-    count: int = 1000
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not 2 <= self.k <= 8:
-            raise ValueError(f"k must be in [2, 8], got {self.k}")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-        if self.mode == "sampled" and self.seed is None:
-            raise ValueError("sampled mode requires --seed")
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -184,7 +152,7 @@ def _combine_verdicts(parts: list[tuple]) -> tuple:
     return rd.REDUCIBLE, None, stats
 
 
-def cmd_reduce_check(args, run: RunConfig) -> dict:
+def cmd_reduce_check(args) -> dict:
     if args.config:
         cfg = dio.parse_config_file(args.config)
         src = (args.config, None)
@@ -196,16 +164,15 @@ def cmd_reduce_check(args, run: RunConfig) -> dict:
                 f"choices: {', '.join(sorted(catalog))}")
         cfg = catalog[args.lemma]
         src = (None, args.lemma)
-    # sampled runs draw one seeded sequence, so only full runs split
-    workers = run.workers if run.mode == "full" else 1
+    workers = args.workers
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the shares split the budget too, so the run stays within it
         payloads = [
-            (src[0], src[1], run.mode, run.seed, run.count,
-             None if run.budget is None
-             else run.budget // workers + (i < run.budget % workers),
+            (src[0], src[1], args.mode, args.seed, args.count,
+             None if args.budget is None
+             else args.budget // workers + (i < args.budget % workers),
              (i, workers))
             for i in range(workers)
         ]
@@ -213,8 +180,8 @@ def cmd_reduce_check(args, run: RunConfig) -> dict:
             parts = list(pool.map(_reduce_worker, payloads))
         status, witness, stats = _combine_verdicts(parts)
     else:
-        v = rd.check_reducible(cfg, mode=run.mode, seed=run.seed or 0,
-                               count=run.count, budget=run.budget)
+        v = rd.check_reducible(cfg, mode=args.mode, seed=args.seed or 0,
+                               count=args.count, budget=args.budget)
         status, witness, stats = v.status, v.witness, v.stats
     report = {
         "label": cfg.label,
@@ -282,14 +249,14 @@ def cmd_discharge(args) -> dict:
     }
 
 
-def cmd_corpus(args, run: RunConfig) -> dict:
+def cmd_corpus(args) -> dict:
     stats = dio.CorpusStats()
     rows = []
     for g in dio.ingest_corpus(args.input, tuple(args.filter or ()), stats):
         graph = g.graph if isinstance(g, PlaneGraph) else g
         row: dict = {"n": graph.n, "m": graph.m}
         if not args.no_solve:
-            inst = CoverInstance.straight(graph, run.k)
+            inst = CoverInstance.straight(graph, args.k)
             found = find_transversal(inst)
             row["solve"] = "FOUND" if found is not None else "NONE"
         if not args.no_audit and isinstance(g, PlaneGraph):
@@ -345,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--seed", type=int)
     rp.add_argument("--count", type=int, default=1000)
     rp.add_argument("--budget", type=int)
-    rp.add_argument("--workers", type=int, default=_default_workers())
+    rp.add_argument("--workers", type=int, default=1)
     rp.add_argument("--save-witness", help="write counterexample cover here")
 
     wp = sub.add_parser("witness-verify", parents=[common],
@@ -375,26 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        run = RunConfig(
-            verb=args.verb,
-            k=getattr(args, "k", 4),
-            mode=getattr(args, "mode", "full"),
-            seed=getattr(args, "seed", None),
-            workers=getattr(args, "workers", 1),
-            budget=getattr(args, "budget", None),
-            count=getattr(args, "count", 1000),
-            fmt=args.fmt,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if not 2 <= getattr(args, "k", 4) <= 8:
+        parser.error(f"--k must be in [2, 8], got {args.k}")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be >= 1")
+    if getattr(args, "mode", "full") == "sampled":
+        # sampled mode draws one seeded sequence of exactly --count instances
+        if args.seed is None:
+            parser.error("sampled mode requires --seed")
+        if args.workers > 1:
+            parser.error("--workers: sampled mode runs in one process")
+        if args.budget is not None:
+            parser.error("--budget: sampled mode draws exactly --count "
+                         "instances; limit the work with --count")
     try:
         if args.verb == "solve":
             report = cmd_solve(args)
         elif args.verb == "detect":
             report = cmd_detect(args)
         elif args.verb == "reduce-check":
-            report = cmd_reduce_check(args, run)
+            report = cmd_reduce_check(args)
         elif args.verb == "witness-verify":
             report = cmd_witness_verify(args)
         elif args.verb == "discharge":
@@ -402,13 +369,13 @@ def main(argv: Optional[list] = None) -> int:
                 parser.error("discharge explain requires --element")
             report = cmd_discharge(args)
         elif args.verb == "corpus":
-            report = cmd_corpus(args, run)
+            report = cmd_corpus(args)
         else:  # pragma: no cover - argparse enforces the verb set
             parser.error(f"unknown verb {args.verb}")
     except (dio.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, run.fmt)
+    _emit(report, args.fmt)
     return 0
 
 

@@ -8,10 +8,10 @@ plays each labeled role of the catalog drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
-    Graph, PlaneGraph, _vertex_sides, edge_key, interior_face_ids,
+    Graph, PlaneGraph, _embed, _vertex_sides, interior_face_ids,
 )
 from .patterns import LabeledPattern, catalog
 
@@ -80,45 +80,6 @@ def cluster_subgraph(c: Cluster) -> tuple[Graph, list[int]]:
     return g, order
 
 
-def all_isomorphisms(a: Graph, b: Graph) -> Iterator[dict[int, int]]:
-    """All edge-preserving bijections a -> b (graph isomorphisms)."""
-    if a.n != b.n or a.m != b.m:
-        return
-    deg_b: dict[int, list[int]] = {}
-    for v in range(b.n):
-        deg_b.setdefault(b.degree(v), []).append(v)
-    order = sorted(range(a.n), key=a.degree, reverse=True)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(i: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(mapping)
-            return
-        p = order[i]
-        for c in deg_b.get(a.degree(p), []):
-            if c in used:
-                continue
-            ok = True
-            for q in a.adjacency[p]:
-                if q in mapping and not b.has_edge(mapping[q], c):
-                    ok = False
-                    break
-            if ok:
-                for q in range(a.n):
-                    if q in mapping and not a.has_edge(p, q) and b.has_edge(mapping[q], c):
-                        ok = False
-                        break
-            if ok:
-                mapping[p] = c
-                used.add(c)
-                yield from assign(i + 1)
-                del mapping[p]
-                used.remove(c)
-
-    yield from assign(0)
-
-
 def _face_triples(pat: LabeledPattern) -> set[frozenset[int]]:
     return {
         frozenset(f.walk)
@@ -128,16 +89,31 @@ def _face_triples(pat: LabeledPattern) -> set[frozenset[int]]:
 
 
 def classifications(pg: PlaneGraph, c: Cluster) -> Iterator[Classification]:
-    """Every catalog match (code + role map); multiple for symmetric shapes."""
+    """Every catalog match (code + role map); multiple for symmetric shapes.
+
+    A match is an isomorphism from the shape onto the cluster that carries
+    the shape's 3-faces onto the cluster's.  Per code, matches come in the
+    order of the host vertices given to the shape's vertices taken by
+    descending degree (ties by vertex id).
+    """
     local, order = cluster_subgraph(c)
     cluster_faces = {
         frozenset(set(pg.faces[fid].walk)) for fid in c.face_ids
     }
     for code, pat in catalog().items():
+        shape = pat.graph
+        # equal vertex and edge counts make every edge-preserving
+        # injection an isomorphism
+        if (shape.n, shape.m) != (local.n, local.m):
+            continue
         pat_faces = _face_triples(pat)
         if len(pat_faces) != c.k:
             continue
-        for iso in all_isomorphisms(pat.graph, local):
+        by_degree = sorted(range(shape.n), key=shape.degree, reverse=True)
+        isos = sorted(
+            _embed(local.masks, shape, by_degree[0], (1 << local.n) - 1),
+            key=lambda iso: [iso[p] for p in by_degree])
+        for iso in isos:
             mapped_faces = {
                 frozenset(order[iso[v]] for v in tri) for tri in pat_faces
             }
@@ -146,11 +122,9 @@ def classifications(pg: PlaneGraph, c: Cluster) -> Iterator[Classification]:
                 yield Classification(code, roles)
 
 
-def classify_cluster(pg: PlaneGraph, c: Cluster) -> Classification:
-    for cls in classifications(pg, c):
-        return cls
-    local, order = cluster_subgraph(c)
-    if local.n == 4 and local.m == 6:
+def unclassified(c: Cluster) -> Classification:
+    """The UNCLASSIFIED result for a cluster no catalog shape matches."""
+    if len(c.vertices) == 4 and len(c.edges) == 6:
         reason = (
             "faces share vertices beyond glued edges (complete graph on 4 "
             "vertices); shape outside the distinct-vertex catalog"
@@ -160,6 +134,11 @@ def classify_cluster(pg: PlaneGraph, c: Cluster) -> Classification:
     else:
         reason = "no catalog shape matches the face-incidence structure"
     return Classification(UNCLASSIFIED, {}, reason)
+
+
+def classify_cluster(pg: PlaneGraph, c: Cluster) -> Classification:
+    """The first catalog match, or the unclassified result with its reason."""
+    return next(classifications(pg, c), None) or unclassified(c)
 
 
 def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .clusters import (
-    Classification, Cluster, classifications, classify_cluster,
-    cycle_predicates, extract_clusters, separating_good_triangles,
+    Classification, Cluster, classifications, extract_clusters,
+    has_good_outer_triangle, separating_good_triangles, unclassified,
 )
 from .graphs import PlaneGraph, find_cycle_of_length
 from .patterns import contains_butterfly
@@ -40,10 +40,6 @@ from .patterns import contains_butterfly
 OUTER = "OUTER"
 
 RULE_ORDER = ("R5", "R1", "R2", "R3", "R4")
-
-
-class AuditError(ValueError):
-    """Input violates a structural fact a rule relies on."""
 
 
 @dataclass
@@ -87,21 +83,15 @@ def parse_element(name: str):
 
 @dataclass
 class ClusterInfo:
+    """A cluster's facts, computed once and read by every rule and check."""
+
     cluster: Cluster
-    classification: Classification
+    classification: Classification  # the first match, or unclassified
+    matches: list  # every catalog match, in classifications() order
     special: bool
     special_roles: dict  # the role map under which x,y,z are internal 4-vertices
-
-
-@dataclass
-class VertexTyping:
-    """Incidence types and flags driving the cluster-directed rules."""
-
-    pg: PlaneGraph
-    clusters: list[ClusterInfo]
-    i_type: dict  # (vertex, cluster id) -> number of cluster edges at vertex
-    good: dict  # (vertex, cluster id) -> cluster is special
-    special6: set  # special 6-vertices
+    i_type: dict  # vertex -> number of cluster edges at it
+    four_faces: list  # interior 4-faces sharing an edge with the cluster
 
 
 def vertex_elem(v: int) -> tuple:
@@ -128,59 +118,55 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     return led
 
 
-def classify_special_cluster(c: Cluster, pg: PlaneGraph) -> tuple[bool, dict]:
+def _special_roles(pg: PlaneGraph, matches: list) -> dict:
     """Special: shape (7), (9), (10) or (11) whose x, y, z roles land on
-    internal 4-vertices under some catalog matching."""
-    for cls in classifications(pg, c):
-        if cls.code not in (7, 9, 10, 11):
-            return False, {}
-        ok = all(
+    internal 4-vertices under some catalog matching; that role map, or {}."""
+    for cls in matches:
+        if cls.code in (7, 9, 10, 11) and all(
             pg.internal[cls.roles[r]] and pg.graph.degree(cls.roles[r]) == 4
             for r in ("x", "y", "z")
-        )
-        if ok:
-            return True, cls.roles
-    return False, {}
-
-
-def vertex_typing(pg: PlaneGraph, infos: list[ClusterInfo]) -> VertexTyping:
-    i_type: dict = {}
-    good: dict = {}
-    for info in infos:
-        c = info.cluster
-        for v in c.vertices:
-            cnt = sum(1 for e in c.edges if v in e)
-            i_type[(v, c.id)] = cnt
-            good[(v, c.id)] = info.special
-    special6: set = set()
-    for v in range(pg.graph.n):
-        if not pg.internal[v] or pg.graph.degree(v) != 6:
-            continue
-        has_k1 = has_k2 = False
-        for info in infos:
-            c = info.cluster
-            if v not in c.vertices or not info.special:
-                continue
-            t = i_type[(v, c.id)]
-            cluster_internal = all(pg.internal[u] for u in c.vertices)
-            if t == 4 and c.k in (6, 7) and cluster_internal:
-                has_k1 = True
-            if t == 2 and c.k in (4, 5):
-                has_k2 = True
-        if has_k1 and has_k2:
-            special6.add(v)
-    return VertexTyping(pg, infos, i_type, good, special6)
+        ):
+            return cls.roles
+    return {}
 
 
 def cluster_infos(pg: PlaneGraph) -> list[ClusterInfo]:
+    """One ClusterInfo per cluster, in cluster id order."""
+    four = [f for f in pg.interior_faces() if f.degree == 4]
     out = []
     for c in extract_clusters(pg):
-        cls = classify_cluster(pg, c)
-        special, roles = (False, {})
-        if cls.code:
-            special, roles = classify_special_cluster(c, pg)
-        out.append(ClusterInfo(c, cls, special, roles))
+        matches = list(classifications(pg, c))
+        roles = _special_roles(pg, matches)
+        i_type = dict.fromkeys(c.vertices, 0)
+        for e in c.edges:
+            for v in e:
+                i_type[v] += 1
+        four_faces = [
+            f for f in four if any(e in c.edges for e in f.walk_edges())
+        ]
+        out.append(ClusterInfo(
+            c, matches[0] if matches else unclassified(c), matches,
+            bool(roles), roles, i_type, four_faces))
     return out
+
+
+def special6_vertices(pg: PlaneGraph, infos: list[ClusterInfo]) -> set:
+    """Internal 6-vertices that are 4-type on an all-internal special 6- or
+    7-cluster and 2-type on a special 4- or 5-cluster."""
+    four_type: set = set()
+    two_type: set = set()
+    for info in infos:
+        c = info.cluster
+        if not info.special:
+            continue
+        if c.k in (6, 7) and all(pg.internal[u] for u in c.vertices):
+            four_type |= {v for v, t in info.i_type.items() if t == 4}
+        if c.k in (4, 5):
+            two_type |= {v for v, t in info.i_type.items() if t == 2}
+    return {
+        v for v in four_type & two_type
+        if pg.internal[v] and pg.graph.degree(v) == 6
+    }
 
 
 def _fold_clusters(led: ChargeLedger, infos: list[ClusterInfo]) -> None:
@@ -192,15 +178,8 @@ def _fold_clusters(led: ChargeLedger, infos: list[ClusterInfo]) -> None:
                      led.accounts[face_elem(fid)])
 
 
-def _cluster_of_face(infos: list[ClusterInfo]) -> dict[int, int]:
-    return {
-        fid: info.cluster.id for info in infos for fid in info.cluster.face_ids
-    }
-
-
-def _apply_r5(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
+def _apply_r5(pg: PlaneGraph, led: ChargeLedger, face_cluster) -> None:
     outer_walk = pg.faces[pg.outer_face].walk
-    face_cluster = _cluster_of_face(infos)
     for v in sorted(set(outer_walk)):
         led.move("R5", vertex_elem(v), OUTER, led.accounts[vertex_elem(v)])
     for f in pg.interior_faces():
@@ -208,8 +187,8 @@ def _apply_r5(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
             led.move("R5", OUTER, cluster_elem(face_cluster[f.id]), 4)
 
 
-def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
-    face_cluster = _cluster_of_face(infos)
+def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos,
+              face_cluster) -> None:
     r1a_income = [0] * pg.graph.n
     for f in pg.interior_faces():
         if f.degree < 5:
@@ -236,34 +215,23 @@ def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos, typing) -> None:
         if r1a_income[v] == 0:
             continue
         for info in infos:
-            if typing.i_type.get((v, info.cluster.id), 0) >= 3:
+            if info.i_type.get(v, 0) >= 3:
                 led.move("R1b", vertex_elem(v),
                          cluster_elem(info.cluster.id), r1a_income[v])
                 break
 
 
-def _adjacent_4face(pg: PlaneGraph, v: int, c: Cluster) -> bool:
-    """v lies on a 4-face sharing an edge with the cluster."""
-    for f in pg.interior_faces():
-        if f.degree != 4 or v not in f.walk:
-            continue
-        if any(e in c.edges for e in f.walk_edges()):
-            return True
-    return False
-
-
-def _cluster_rule_amount(pg: PlaneGraph, typing: VertexTyping,
-                         info: ClusterInfo, v: int,
-                         flags: list) -> int:
+def _cluster_rule_amount(pg: PlaneGraph, special6: set, info: ClusterInfo,
+                         v: int, flags: list) -> int:
     """Quarters v gives to the cluster under R2/R3/R4 (0 if none)."""
     c = info.cluster
     d = pg.graph.degree(v)
-    t = typing.i_type[(v, c.id)]
-    good = typing.good[(v, c.id)]
+    t = info.i_type[v]
+    good = info.special
     k = c.k
     if k <= 5:
         if t == 2:
-            on4 = _adjacent_4face(pg, v, c)
+            on4 = any(v in f.walk for f in info.four_faces)
             if on4 and not good:
                 flags.append({
                     "rule": "R2", "vertex": v, "cluster": c.id,
@@ -281,7 +249,7 @@ def _cluster_rule_amount(pg: PlaneGraph, typing: VertexTyping,
         three_type_fives = sum(
             1 for u in c.vertices
             if pg.internal[u] and pg.graph.degree(u) == 5
-            and typing.i_type[(u, c.id)] == 3
+            and info.i_type[u] == 3
         )
         if t == 3 and d == 5:
             return 4 if good else 2
@@ -291,7 +259,7 @@ def _cluster_rule_amount(pg: PlaneGraph, typing: VertexTyping,
             return 6
         return 0
     if k == 7:
-        if d == 5 or (d == 6 and v in typing.special6):
+        if d == 5 or (d == 6 and v in special6):
             return 6
         if d == 6:
             return 8
@@ -301,8 +269,8 @@ def _cluster_rule_amount(pg: PlaneGraph, typing: VertexTyping,
     return 0
 
 
-def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos, typing,
-                         which: str, flags: list) -> None:
+def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos,
+                         special6: set, which: str, flags: list) -> None:
     for info in infos:
         k = info.cluster.k
         rule = "R2" if k <= 5 else ("R3" if k == 6 else "R4")
@@ -311,30 +279,33 @@ def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos, typing,
         for v in sorted(info.cluster.vertices):
             if not pg.internal[v] or pg.graph.degree(v) < 5:
                 continue
-            q = _cluster_rule_amount(pg, typing, info, v, flags)
+            q = _cluster_rule_amount(pg, special6, info, v, flags)
             led.move(rule, vertex_elem(v), cluster_elem(info.cluster.id), q)
 
 
-def apply_rules(pg: PlaneGraph, infos: list[ClusterInfo],
-                typing: VertexTyping, led: ChargeLedger,
+def apply_rules(pg: PlaneGraph, infos: list[ClusterInfo], special6: set,
+                led: ChargeLedger,
                 order: tuple[str, ...] = RULE_ORDER) -> list:
     """Run the discharging rules; returns report flags.  Mutates the ledger."""
     _fold_clusters(led, infos)
+    face_cluster = {
+        fid: info.cluster.id for info in infos for fid in info.cluster.face_ids
+    }
     flags: list = []
     for rule in order:
         if rule == "R5":
-            _apply_r5(pg, led, infos, typing)
+            _apply_r5(pg, led, face_cluster)
         elif rule == "R1":
-            _apply_r1(pg, led, infos, typing)
+            _apply_r1(pg, led, infos, face_cluster)
         elif rule in ("R2", "R3", "R4"):
-            _apply_cluster_rules(pg, led, infos, typing, rule, flags)
+            _apply_cluster_rules(pg, led, infos, special6, rule, flags)
         else:
             raise ValueError(f"unknown rule {rule!r}")
     return flags
 
 
 def credit_caps_ok(pg: PlaneGraph, led: ChargeLedger,
-                   typing: VertexTyping) -> list:
+                   infos: list[ClusterInfo]) -> list:
     """Per (vertex, cluster) ceilings on R2-R4 credits; returns violations."""
     totals: dict = {}
     for rule, frm, to, q in led.transfers:
@@ -343,7 +314,7 @@ def credit_caps_ok(pg: PlaneGraph, led: ChargeLedger,
     bad = []
     for (v, h), q in totals.items():
         d = pg.graph.degree(v)
-        t = typing.i_type[(v, h)]
+        t = infos[h].i_type[v]  # cluster ids are positions in infos
         if t == 2:
             cap = 2
         elif t == 3 and d == 5:
@@ -402,7 +373,7 @@ def diamond_pattern_witness(pg: PlaneGraph) -> Optional[dict]:
 
 
 def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
-                        typing: VertexTyping) -> dict:
+                        special6: set) -> dict:
     """Structural hypotheses the charge bounds rely on; each with a witness."""
     checks: dict = {}
     seven = find_cycle_of_length(pg.graph, 7)
@@ -412,12 +383,9 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
         "ok": bf is None,
         "witness": None if bf is None else sorted(bf.values()),
     }
-    outer = pg.faces[pg.outer_face]
-    good_outer = (
-        outer.degree == 3 and len(set(outer.walk)) == 3
-        and cycle_predicates(pg, list(outer.walk))["good"]
-    )
-    checks["outer-good-3-cycle"] = {"ok": good_outer, "witness": list(outer.walk)}
+    checks["outer-good-3-cycle"] = {
+        "ok": has_good_outer_triangle(pg),
+        "witness": list(pg.faces[pg.outer_face].walk)}
     low = [v for v in range(pg.graph.n)
            if pg.internal[v] and pg.graph.degree(v) <= 3]
     checks["internal-min-degree-4"] = {"ok": not low, "witness": low or None}
@@ -425,12 +393,12 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
     # the outer cycle itself is never separating here (its exterior is empty)
     checks["no-separating-good-3-cycle"] = {
         "ok": not seps, "witness": seps or None}
-    unclassified = [
+    unmatched = [
         info.cluster.id for info in infos if info.classification.code == 0
     ]
     checks["clusters-in-catalog"] = {
-        "ok": not unclassified,
-        "witness": unclassified or None,
+        "ok": not unmatched,
+        "witness": unmatched or None,
         "reasons": {
             info.cluster.id: info.classification.reason
             for info in infos if info.classification.code == 0
@@ -450,22 +418,20 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
     ]
     checks["5-vertex-on-one-special-cluster"] = {
         "ok": not double, "witness": double or None}
-    checks["tight-6-cluster-pattern-absent"] = _l7_pattern_check(pg, infos, typing)
-    checks["tight-7-cluster-pattern-absent"] = _l8_pattern_check(pg, infos, typing)
-    four_face_adj = []
-    for info in infos:
-        if info.cluster.k < 3:
-            continue
-        for f in pg.interior_faces():
-            if f.degree == 4 and any(e in info.cluster.edges
-                                     for e in f.walk_edges()):
-                four_face_adj.append({"cluster": info.cluster.id, "face": f.id})
+    checks["tight-6-cluster-pattern-absent"] = _l7_pattern_check(
+        pg, infos, special6)
+    checks["tight-7-cluster-pattern-absent"] = _l8_pattern_check(
+        pg, infos, special6)
+    four_face_adj = [
+        {"cluster": info.cluster.id, "face": f.id}
+        for info in infos if info.cluster.k >= 3 for f in info.four_faces
+    ]
     checks["no-4-face-on-big-cluster"] = {
         "ok": not four_face_adj, "witness": four_face_adj or None}
     return checks
 
 
-def _l7_pattern_check(pg, infos, typing) -> dict:
+def _l7_pattern_check(pg, infos, special6) -> dict:
     """Internal special 6-cluster with two tight boundary 5-vertices must not
     carry a low third boundary vertex."""
     bad = []
@@ -474,7 +440,7 @@ def _l7_pattern_check(pg, infos, typing) -> dict:
             continue
         if not all(pg.internal[v] for v in info.cluster.vertices):
             continue
-        for cls in classifications(pg, info.cluster):
+        for cls in info.matches:
             r = cls.roles
             if not all(pg.internal[r[t]] and pg.graph.degree(r[t]) == 4
                        for t in ("x", "y", "z")):
@@ -482,14 +448,14 @@ def _l7_pattern_check(pg, infos, typing) -> dict:
             du, dw = pg.graph.degree(r["u"]), pg.graph.degree(r["w"])
             dv = pg.graph.degree(r["v"])
             if du == 5 and dw == 5 and (
-                dv <= 5 or r["v"] in typing.special6
+                dv <= 5 or r["v"] in special6
             ):
                 bad.append({"cluster": info.cluster.id, "roles": dict(r)})
                 break
     return {"ok": not bad, "witness": bad or None}
 
 
-def _l8_pattern_check(pg, infos, typing) -> dict:
+def _l8_pattern_check(pg, infos, special6) -> dict:
     """An internal 7-cluster with all boundary degrees <= 6 carries at most
     one 5-vertex or special 6-vertex."""
     bad = []
@@ -499,13 +465,13 @@ def _l8_pattern_check(pg, infos, typing) -> dict:
         c = info.cluster
         if not all(pg.internal[v] for v in c.vertices):
             continue
-        for cls in classifications(pg, c):
+        for cls in info.matches:
             r = cls.roles
             if max(pg.graph.degree(r[t]) for t in ("u", "v", "w")) > 6:
                 continue
             low = [
                 v for v in sorted(c.vertices)
-                if pg.graph.degree(v) == 5 or v in typing.special6
+                if pg.graph.degree(v) == 5 or v in special6
             ]
             if len(low) >= 2:
                 bad.append({"cluster": c.id, "vertices": low})
@@ -565,17 +531,17 @@ def audit(pg: PlaneGraph, force_rules: bool = False,
     the ledger arithmetic, not the nonnegativity claim.
     """
     infos = cluster_infos(pg)
-    typing = vertex_typing(pg, infos)
-    pre = precondition_report(pg, infos, typing)
+    special6 = special6_vertices(pg, infos)
+    pre = precondition_report(pg, infos, special6)
     ok = all(c["ok"] for c in pre.values())
     if not ok and not force_rules:
         return AuditReport(pre, False, verdict="preconditions-violated")
     led = initial_charges(pg)
     before = led.total()
-    flags = apply_rules(pg, infos, typing, led, order)
+    flags = apply_rules(pg, infos, special6, led, order)
     after = led.total()
     ident = outer_identity(pg)
-    caps = credit_caps_ok(pg, led, typing)
+    caps = credit_caps_ok(pg, led, infos)
     negative = []
     for k, q in led.accounts.items():
         if k == OUTER:
@@ -590,10 +556,9 @@ def audit(pg: PlaneGraph, force_rules: bool = False,
         verdict = "outer-identity-violated"
     elif not ok:
         verdict = "forced-run-arithmetic-ok"
-    elif negative or caps or led.accounts[OUTER] <= 0:
-        verdict = "charge-deficit"
     else:
-        verdict = "all-nonnegative"
+        # the ledger sums to zero, so OUTER > 0 puts another account below 0
+        verdict = "charge-deficit"
     return AuditReport(
         pre, ok, dict(led.accounts), list(led.transfers), ident, flags,
         caps, negative, verdict, forced=not ok,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -285,7 +285,7 @@ def contains_pattern(
     else:
         roots = [(p, 1 << through) for p in range(pattern.n)]
     for root, first in roots:
-        found = _embed(g.masks, pattern, root, first)
+        found = next(_embed(g.masks, pattern, root, first), None)
         if found is not None:
             return found
     return None
@@ -293,8 +293,11 @@ def contains_pattern(
 
 def _embed(
     masks: Sequence[int], pattern: Graph, root: int, first: int
-) -> Optional[dict[int, int]]:
-    """Occurrence of `pattern` with `root` mapped into the bitset `first`."""
+) -> Iterator[dict[int, int]]:
+    """Every occurrence of `pattern` with `root` mapped into the bitset `first`.
+
+    Occurrences come lowest host vertex first at each placed pattern vertex.
+    """
     # order pattern vertices: root first, then most-constrained-first
     order = [root]
     placed = {root}
@@ -308,9 +311,10 @@ def _embed(
     everything = (1 << len(masks)) - 1
     mapping: dict[int, int] = {}
 
-    def assign(i: int, used: int) -> bool:
+    def assign(i: int, used: int) -> Iterator[dict[int, int]]:
         if i == len(order):
-            return True
+            yield dict(mapping)
+            return
         p = order[i]
         cand = first if i == 0 else everything
         for q in pattern.adjacency[p]:
@@ -325,12 +329,10 @@ def _embed(
             if masks[c].bit_count() < need:
                 continue
             mapping[p] = c
-            if assign(i + 1, used | low):
-                return True
+            yield from assign(i + 1, used | low)
             del mapping[p]
-        return False
 
-    return dict(mapping) if assign(0, 0) else None
+    return assign(0, 0)
 
 
 def all_injection_pattern_oracle(g: Graph, pattern: Graph) -> bool:

@@ -1,4 +1,4 @@
-"""Shared helpers: random graphs, covers, and instance builders."""
+"""Shared helpers: random graphs, covers, instance builders, plane hosts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import itertools
 import random
 
 from dpcolor.cover import CoverInstance
-from dpcolor.graphs import Graph
+from dpcolor.generate import PlaneBuilder, generate_corpus
+from dpcolor.graphs import Graph, PlaneGraph
+from dpcolor.patterns import catalog, plane_from_coords
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -45,3 +47,117 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+# Hosts that embed special clusters.  Each draws catalog shapes inside an
+# enclosing triangle A, B, C (indices 0, 1, 2) and leaves the x, y, z roles
+# with degree 4, so they become internal 4-vertices.
+
+
+def special_seven_host():
+    """Three-ear cluster inside an enclosing triangle; its three central
+    vertices become internal 4-vertices, which makes the cluster special."""
+    coords = {
+        "u": (0, 3.0), "v": (-2.6, -1.5), "w": (2.6, -1.5),
+        "x": (0, -1.0), "y": (0.87, 0.5), "z": (-0.87, 0.5),
+        "A": (0, 8.0), "B": (-7.0, -4.5), "C": (7.0, -4.5),
+    }
+    edges = [
+        ("x", "y"), ("y", "z"), ("z", "x"),
+        ("u", "y"), ("u", "z"), ("v", "x"), ("v", "z"),
+        ("w", "x"), ("w", "y"),
+        ("A", "B"), ("B", "C"), ("C", "A"),
+        ("A", "u"), ("B", "v"), ("C", "w"),
+    ]
+    return plane_from_coords(coords, edges, ["A", "B", "C"])
+
+
+def shared_vertex_host(boundary: bool = False):
+    """An octahedron cluster (shape 11, roles u..z) and a three-ear cluster
+    (shape 7, roles U..Z) meeting at v = U.  Both are special, and v is
+    4-type on the first and 2-type on the second: a special 6-vertex.
+
+    With boundary=True the octahedron's u is the corner B, so the shape (11)
+    cluster touches the outer face and v is no longer special.
+    """
+    u = "B" if boundary else "u"
+    coords = {
+        u: (-2.2, -1.6), "v": (2.2, -1.6), "w": (0, 2.6),
+        "x": (-0.7, -0.1), "z": (0.7, -0.1), "y": (0, -0.8),
+        "V": (6.7, -4.2), "W": (6.7, 1.0), "X": (6.2, -1.6),
+        "Y": (4.7, -0.73), "Z": (4.7, -2.47),
+        "A": (0.0, 10.0), "C": (16.0, -8.0),
+    }
+    edges = [
+        (u, "v"), ("v", "w"), ("w", u), ("x", "y"), ("y", "z"),
+        ("z", "x"), (u, "x"), (u, "y"), ("v", "y"), ("v", "z"),
+        ("w", "x"), ("w", "z"),
+        ("X", "Y"), ("Y", "Z"), ("Z", "X"), ("v", "Y"), ("v", "Z"),
+        ("V", "X"), ("V", "Z"), ("W", "X"), ("W", "Y"),
+        ("A", "B"), ("B", "C"), ("C", "A"), ("W", "A"), ("V", "C"),
+    ]
+    if not boundary:
+        coords["B"] = (-9.0, -8.0)
+        edges += [("u", "B"), ("w", "A")]
+    return plane_from_coords(coords, edges, ["A", "B", "C"])
+
+
+def tight_six_host():
+    """Shape (10) with u, v, w of degree 5: the pattern that the
+    tight-6-cluster precondition excludes."""
+    coords = {
+        "v": (-2, 0), "u": (0, 2), "x": (2, 0), "w": (0, -2),
+        "y": (0, 0.7), "z": (0, -0.7),
+        "A": (0.0, 10.0), "B": (-9.0, -6.0), "C": (9.0, -6.0),
+        "P": (-1.5, 4.0), "Q": (-1.5, -4.0), "R": (1.5, -4.0),
+    }
+    edges = [
+        ("v", "u"), ("u", "x"), ("x", "w"), ("w", "v"), ("y", "z"),
+        ("y", "v"), ("y", "u"), ("y", "x"), ("z", "v"), ("z", "x"),
+        ("z", "w"),
+        ("A", "B"), ("B", "C"), ("C", "A"), ("u", "A"), ("v", "B"),
+        ("P", "u"), ("P", "A"), ("P", "B"), ("Q", "w"), ("Q", "B"),
+        ("R", "w"), ("R", "C"), ("Q", "R"),
+    ]
+    return plane_from_coords(coords, edges, ["A", "B", "C"])
+
+
+def grown(pg: PlaneGraph, keep: set, seed: int, steps: int) -> PlaneGraph:
+    """pg after `steps` seeded vertex insertions, none joined to `keep`."""
+    builder = PlaneBuilder(rotation=[list(r) for r in pg.rotation])
+    rng = random.Random(seed)
+    pg = builder.plane()
+    for _ in range(steps):
+        sites = []
+        for face_id, start, arity in builder.insertion_sites(pg):
+            walk = pg.faces[face_id].walk
+            window = {walk[(start + j) % len(walk)] for j in range(arity)}
+            if not window & keep:
+                sites.append((face_id, start, arity))
+        builder.insert_vertex(pg, *rng.choice(sites))
+        pg = builder.plane()
+    return pg
+
+
+def audit_corpus() -> list[PlaneGraph]:
+    """Seeded plane graphs that reach every audit branch.
+
+    In-class and unrestricted generated graphs, the catalog drawings, and
+    the special-cluster hosts grown around their x, y, z roles (and the
+    shared vertex), so special clusters, special 6-vertices and both
+    tight-cluster patterns occur.
+    """
+    out = generate_corpus(40, seed=20260823, min_n=6, max_n=14)
+    out += generate_corpus(20, seed=5, min_n=8, max_n=24, forbid=())
+    out += [pat.plane for pat in catalog().values()]
+    hosts = (
+        (special_seven_host, "xyz"),
+        (shared_vertex_host, "xyzvXYZ"),
+        (lambda: shared_vertex_host(boundary=True), "xyzvXYZ"),
+        (tight_six_host, "xyz"),
+    )
+    for host, keep in hosts:
+        pg, idx = host()
+        out += [grown(pg, {idx[r] for r in keep}, seed, seed % 7)
+                for seed in range(12)]
+    return out

@@ -17,6 +17,9 @@ full-floor pivot small enough to enumerate.
 Graph searches: brute force over vertex permutations for "some cycle or
 pattern occurrence uses vertex v", and a recursive whole-graph cycle search
 that fixes which cycle `find_cycle_of_length` must return.
+
+Catalog matching: every catalog match of a cluster by brute force over
+vertex permutations, filtered by the shape's edges and 3-faces.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import itertools
 import math
 from typing import Mapping, Optional, Sequence
 
-from dpcolor.graphs import Graph
+from dpcolor.clusters import Classification, Cluster
+from dpcolor.graphs import Graph, PlaneGraph, edge_key
+from dpcolor.patterns import catalog
 from dpcolor.reduce import (
     K, NOT_REDUCIBLE, REDUCIBLE, Configuration, maximal_injections,
 )
@@ -178,3 +183,36 @@ def first_cycle(g: Graph, length: int):
         if found:
             return found
     return None
+
+
+def catalog_matches(pg: PlaneGraph, c: Cluster) -> list[Classification]:
+    """Every catalog match of the cluster, by trying every vertex bijection.
+
+    A bijection matches when it carries each edge of the shape onto a
+    cluster edge (with equal edge counts, an isomorphism) and the shape's
+    3-faces onto the cluster's.  Order: catalog code, then the host
+    vertices given to the shape's vertices taken by descending degree, ties
+    by vertex id.
+    """
+    faces = {frozenset(pg.faces[fid].walk) for fid in c.face_ids}
+    hosts = sorted(c.vertices)
+    out = []
+    for code, pat in catalog().items():
+        shape = pat.graph
+        if (shape.n, shape.m) != (len(hosts), len(c.edges)):
+            continue
+        tris = [f.walk for f in pat.plane.interior_faces() if f.degree == 3]
+        by_degree = sorted(range(shape.n), key=shape.degree, reverse=True)
+        images = [
+            image for image in itertools.permutations(hosts)
+            if all(edge_key(image[a], image[b]) in c.edges
+                   for a, b in shape.edges)
+            and {frozenset(image[v] for v in t) for t in tris} == faces
+        ]
+        images.sort(key=lambda image: [image[p] for p in by_degree])
+        out += [
+            Classification(code, {lbl: image[v]
+                                  for lbl, v in pat.labels.items()})
+            for image in images
+        ]
+    return out

@@ -5,16 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from conftest import audit_corpus
 from dpcolor.clusters import (
     UNCLASSIFIED, classify_cluster, classifications, cycle_predicates,
     extract_clusters, has_good_outer_triangle, separating_good_triangles,
 )
+from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import parse_graph_file
 from dpcolor.patterns import (
     builtin_assets_dir, butterfly_pattern, catalog, cluster_pattern,
     contains_butterfly, load_assets_dir, pattern_from_dict,
 )
+from oracle import catalog_matches
 
 ASSETS = Path(builtin_assets_dir())
 
@@ -75,6 +78,27 @@ class TestClassification:
         assert pat.code == code
         cs = extract_clusters(pat.plane)
         assert classify_cluster(pat.plane, cs[0]).code == code
+
+
+class TestClassificationOracle:
+    """classifications yields exactly the brute-force matches, in order."""
+
+    @pytest.mark.parametrize("code", range(1, 12))
+    def test_catalog_shape(self, code):
+        pg = cluster_pattern(code).plane
+        (c,) = extract_clusters(pg)
+        assert list(classifications(pg, c)) == catalog_matches(pg, c)
+
+    def test_generated_clusters(self):
+        graphs = audit_corpus() + generate_corpus(
+            30, seed=77, min_n=10, max_n=40, forbid=("butterfly",))
+        codes = set()
+        for pg in graphs:
+            for c in extract_clusters(pg):
+                expected = catalog_matches(pg, c)
+                assert list(classifications(pg, c)) == expected
+                codes |= {cls.code for cls in expected}
+        assert codes == set(range(1, 12))
 
 
 class TestTrianglePredicates:

@@ -6,21 +6,24 @@ counting rules out), so exactness is exercised with force_rules on arbitrary
 inputs and the precondition checks are tested for faithful reporting.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
+import dpcolor.discharge
+from conftest import (
+    audit_corpus, shared_vertex_host, special_seven_host, tight_six_host,
+)
 from dpcolor.clusters import extract_clusters
 from dpcolor.discharge import (
-    OUTER, RULE_ORDER, apply_rules, audit, classify_special_cluster,
-    cluster_infos, element_name, fmt_quarters, initial_charges,
-    outer_identity, parse_element, vertex_typing,
+    OUTER, RULE_ORDER, audit, cluster_infos, element_name, fmt_quarters,
+    initial_charges, outer_identity, parse_element, special6_vertices,
 )
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
-from dpcolor.patterns import (
-    butterfly_pattern, c7_pattern, cluster_pattern, plane_from_coords,
-)
+from dpcolor.patterns import butterfly_pattern, c7_pattern, cluster_pattern
 
 CORPUS = generate_corpus(40, seed=20260823, min_n=6, max_n=14)
 
@@ -29,25 +32,6 @@ def k4_plane():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1), (3, 2)])
     return PlaneGraph(g, [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]],
                       [0, 2, 1])
-
-
-def special_seven_host():
-    """Three-ear cluster inside an enclosing triangle; its three central
-    vertices become internal 4-vertices, which makes the cluster special."""
-    coords = {
-        "u": (0, 3.0), "v": (-2.6, -1.5), "w": (2.6, -1.5),
-        "x": (0, -1.0), "y": (0.87, 0.5), "z": (-0.87, 0.5),
-        "A": (0, 8.0), "B": (-7.0, -4.5), "C": (7.0, -4.5),
-    }
-    edges = [
-        ("x", "y"), ("y", "z"), ("z", "x"),
-        ("u", "y"), ("u", "z"), ("v", "x"), ("v", "z"),
-        ("w", "x"), ("w", "y"),
-        ("A", "B"), ("B", "C"), ("C", "A"),
-        ("A", "u"), ("B", "v"), ("C", "w"),
-    ]
-    pg, idx = plane_from_coords(coords, edges, ["A", "B", "C"])
-    return pg, idx
 
 
 class TestInitialCharges:
@@ -121,12 +105,63 @@ class TestSpecialClusters:
 
     def test_typing_counts_cluster_edges(self):
         pg, idx = special_seven_host()
+        info = cluster_infos(pg)[0]
+        assert info.i_type[idx["u"]] == 2
+        assert info.i_type[idx["x"]] == 4
+        assert info.four_faces == []
+
+    @pytest.mark.parametrize("boundary,special6,r4", [
+        (False, True, 6), (True, False, 8)])
+    def test_shared_vertex_is_special_6_vertex(self, boundary, special6, r4):
+        # with the shape (11) cluster on the outer face, v is not special
+        pg, idx = shared_vertex_host(boundary)
         infos = cluster_infos(pg)
-        typing = vertex_typing(pg, infos)
-        h = infos[0].cluster.id
-        assert typing.i_type[(idx["u"], h)] == 2
-        assert typing.i_type[(idx["x"], h)] == 4
-        assert typing.good[(idx["u"], h)]
+        assert sorted(info.classification.code for info in infos) == [7, 11]
+        assert all(info.special for info in infos)
+        assert special6_vertices(pg, infos) == ({idx["v"]} if special6
+                                                else set())
+        rep = audit(pg, force_rules=True)
+        # R4: a special 6-vertex pays the shape (11) cluster 6, others 8
+        h = next(info.cluster.id for info in infos
+                 if info.classification.code == 11)
+        paid = [q for rule, frm, to, q in rep.transfers
+                if rule == "R4" and frm == ("v", idx["v"]) and to == ("H", h)]
+        assert paid == [r4]
+
+    def test_tight_six_cluster_pattern_reported(self):
+        pg, idx = tight_six_host()
+        chk = audit(pg).preconditions["tight-6-cluster-pattern-absent"]
+        assert not chk["ok"]
+        assert chk["witness"][0]["roles"] == {
+            r: idx[r] for r in ("u", "v", "w", "x", "y", "z")}
+
+
+class TestClusterFactsOnce:
+    def test_classifications_run_once_per_cluster(self, monkeypatch):
+        calls = []
+        real = dpcolor.discharge.classifications
+
+        def counted(pg, c):
+            calls.append(c.id)
+            return real(pg, c)
+
+        monkeypatch.setattr(dpcolor.discharge, "classifications", counted)
+        for host in (special_seven_host, shared_vertex_host, tight_six_host):
+            pg, _ = host()
+            for force in (False, True):
+                calls.clear()
+                audit(pg, force_rules=force)
+                assert sorted(calls) == [c.id for c in extract_clusters(pg)]
+
+    def test_pinned_audit_reports(self):
+        # sha256 of every report, forced and not: a refactor of the rules or
+        # the cluster facts must not change a single transfer or witness
+        reports = [[audit(pg).to_json(), audit(pg, force_rules=True).to_json()]
+                   for pg in audit_corpus()]
+        digest = hashlib.sha256(
+            json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "92df5640c7720539fbd299ee779c7447a34c992324f900f5ef70d73760c1dc0c")
 
 
 class TestRuleExactness:

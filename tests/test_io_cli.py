@@ -141,18 +141,41 @@ class TestCorpus:
             list(ingest_corpus(d, ("no-squares",)))
 
 
-class TestRunConfig:
-    def test_k_bounds(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig("solve", k=9)
+class TestUsageErrors:
+    """Flag values the run cannot honour end in exit code 2, naming the flag."""
 
-    def test_sampled_needs_seed(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig("reduce-check", mode="sampled")
+    def usage_error(self, capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        return capsys.readouterr().err
 
-    def test_workers_positive(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig("solve", workers=0)
+    def test_k_bounds(self, capsys):
+        err = self.usage_error(
+            capsys, "solve", str(ASSETS / "cluster_01.json"), "--k", "9")
+        assert "--k" in err
+
+    def test_sampled_needs_seed(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L2", "--mode", "sampled")
+        assert "--seed" in err
+
+    def test_workers_positive(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L2", "--workers", "0")
+        assert "--workers" in err
+
+    def test_sampled_rejects_workers(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
+            "sampled", "--seed", "1", "--workers", "2")
+        assert "--workers" in err
+
+    def test_sampled_rejects_budget(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
+            "sampled", "--seed", "1", "--budget", "5")
+        assert "--budget" in err
 
 
 def run_cli(capsys, *argv):
