@@ -4,7 +4,8 @@
 The gadgets are the tightness witnesses for the two largest reducible
 configurations: lowering one boundary floor from 3 to 2 admits a matching
 assignment with no transversal.  The exhaustive checker finds one; this
-script re-verifies it by brute force and writes assets/ce6.json / ce7.json.
+script re-verifies it with the complete transversal search (verify_witness)
+and writes assets/ce6.json / ce7.json.
 """
 
 from __future__ import annotations

@@ -63,8 +63,17 @@ def _parse_precolor(text: Optional[str]) -> dict[int, int]:
     if not text:
         return out
     for part in text.split(","):
-        v, c = part.split("=")
-        out[int(v)] = int(c)
+        v, _, c = part.partition("=")
+        try:
+            vertex, color = int(v), int(c)
+        except ValueError:
+            raise dio.FormatError(
+                f"--precolor: malformed entry {part!r}, expected v=c with "
+                f"integers v and c") from None
+        if vertex in out:
+            raise dio.FormatError(
+                f"--precolor: vertex {vertex} is precolored twice")
+        out[vertex] = color
     return out
 
 

@@ -9,6 +9,7 @@ availability sets matters for transversals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -185,34 +186,108 @@ def find_transversal(
 
     Vertices whose residual exceeds their count of undecided neighbors are
     deferred and colored greedily at the end (degeneracy preprocessing); the
-    rest go to `_search`.
+    rest go to the search.  Raises CoverError naming the vertex or color
+    when `partial` is not a precoloring of the cover.
     """
     assignment: dict[int, int] = dict(partial) if partial else {}
-    if not is_independent(inst, assignment):
-        raise CoverError("partial assignment is not independent")
-    undecided = [v for v in range(inst.graph.n) if v not in assignment]
+    n = inst.graph.n
+    for v, c in assignment.items():
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise CoverError(
+                f"precolored vertex {v!r} is not a vertex (0..{n - 1})")
+        if c not in inst.available[v]:
+            raise CoverError(f"precolor {c!r} of vertex {v} is not in its "
+                             f"list {sorted(inst.available[v])}")
+    nbrs, res, state = _prepare(inst, assignment)
+    for v, c in assignment.items():
+        it = iter(nbrs[v])
+        for u, t in zip(it, it):
+            if u in assignment and t[c - 1] == 1 << (assignment[u] - 1):
+                raise CoverError(f"precolored vertices {min(u, v)} and "
+                                 f"{max(u, v)} conflict")
 
-    # degeneracy preprocessing: peel vertices that can always be colored last
+    # degeneracy preprocessing: peel vertices that can always be colored
+    # last, in ascending-id sweeps until a sweep removes nothing
+    adjacency = inst.graph.adjacency
+    active = [v for v in range(n) if state[v] == _OUT]
+    live = [len(adj) for adj in adjacency]
+    for v in assignment:
+        for u in adjacency[v]:
+            live[u] -= 1
     deferred: list[int] = []
-    active = set(undecided)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(active):
-            live_nbrs = sum(1 for u in inst.graph.adjacency[v] if u in active and u != v)
-            if len(residual(inst, assignment, v)) > live_nbrs:
-                active.remove(v)
+    while True:
+        keep = []
+        for v in active:
+            if res[v].bit_count() > live[v]:
                 deferred.append(v)
-                changed = True
+                for u in adjacency[v]:
+                    live[u] -= 1
+            else:
+                keep.append(v)
+        if len(keep) == len(active):
+            break
+        active = keep
 
-    if not _search(inst, assignment, active):
+    if not _extend(inst.k, nbrs, res, state, assignment, active):
         return None
     for v in reversed(deferred):
-        cs = residual(inst, assignment, v)
-        if not cs:
+        if not res[v]:
             return None  # cannot happen by the peeling invariant
-        assignment[v] = min(cs)
+        c = (res[v] & -res[v]).bit_length()
+        assignment[v] = c
+        state[v] = _SET
+        it = iter(nbrs[v])
+        for u, t in zip(it, it):
+            if state[u] != _SET:
+                res[u] &= ~t[c - 1]
     return assignment
+
+
+# Search states of a vertex: unassigned outside the pool (deferred), in the
+# pool, assigned.
+_OUT, _POOL, _SET = 0, 1, 2
+
+
+def _prepare(inst: CoverInstance, assignment: Mapping[int, int],
+             ) -> tuple[list[list], list[int], bytearray]:
+    """The search's tables, residual masks and states under `assignment`.
+
+    Tables: per vertex v, the flat list [u, table, u', table', ...] of its
+    neighbors, each followed by the color table of the edge (see
+    `_color_bits`).  Masks: per vertex, the residual (see `residual`) with
+    bit c - 1 for color c; fixed once the vertex is assigned.  States: _SET
+    if assigned, else _OUT.
+    """
+    nbrs: list[list] = [[] for _ in range(inst.graph.n)]
+    for (u, v), s in inst.sigma.items():
+        fwd, bwd = _color_bits(s)
+        nbrs[u] += (v, fwd)
+        nbrs[v] += (u, bwd)
+    state = bytearray(inst.graph.n)
+    for v in assignment:
+        state[v] = _SET
+    res = [_color_mask(av) for av in inst.available]
+    for v, c in assignment.items():
+        it = iter(nbrs[v])
+        for u, t in zip(it, it):
+            if state[u] != _SET:
+                res[u] &= ~t[c - 1]
+    return nbrs, res, state
+
+
+# Cached across instances: there are only k! bijections and 2^k lists, and
+# building their tables on every call would cost more than a small search.
+@functools.lru_cache(maxsize=4096)
+def _color_bits(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The color tables of an edge u < v with bijection s, from u and from
+    v: entry c - 1 is the bit 1 << (d - 1) of the color d matched to c."""
+    return tuple(tuple(1 << (d - 1) for d in p) for p in (s, invert(s)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _color_mask(colors: frozenset[int]) -> int:
+    """Bitmask of a color list: bit c - 1 for color c."""
+    return sum(1 << (c - 1) for c in colors)
 
 
 def _search(inst: CoverInstance, assignment: dict[int, int],
@@ -224,20 +299,90 @@ def _search(inst: CoverInstance, assignment: dict[int, int],
     success `assignment` covers the pool, which is left empty; on failure
     both are as they were.
     """
-    if not pool:
-        return True
-    v = min(pool, key=lambda x: (len(residual(inst, assignment, x)), x))
-    colors = sorted(residual(inst, assignment, v))
-    if not colors:
+    if not _extend(inst.k, *_prepare(inst, assignment), assignment, pool):
         return False
-    pool.remove(v)
-    for c in colors:
+    pool.clear()
+    return True
+
+
+def _extend(k: int, nbrs: Sequence[tuple], res: list[int],
+            state: bytearray, assignment: dict[int, int],
+            pool: Iterable[int]) -> bool:
+    """`_search` on `_prepare`'s tables, masks and states, without
+    recursion.
+
+    Assigning (v, c) clears one bit in the mask of each unassigned neighbor
+    (pool or not) and pushes it onto one shared undo trail after a marker;
+    backtracking pops the trail back to the marker.  The MRV vertex is the
+    lowest vertex of the lowest nonempty bucket, where buckets[s] is the
+    bitset of the pool vertices with s residual colors.  The masks of
+    assigned vertices stay fixed, so a vertex's untried colors are the bits
+    of its mask above its color.  `res` and `state` are kept current for
+    every vertex, and are as they were after a failure, except that the
+    pool's vertices stay marked _POOL.
+    """
+    buckets = [0] * (k + 1)
+    todo = 0
+    for v in pool:
+        state[v] = _POOL
+        buckets[res[v].bit_count()] |= 1 << v
+        todo += 1
+    trail: list[int] = []  # per assignment: -1, then (vertex, cleared bit)s
+    stack: list[int] = []  # the assigned pool vertices, in order
+    while todo:
+        s = 0
+        while not buckets[s]:
+            s += 1
+        if s:
+            low = buckets[s] & -buckets[s]
+            buckets[s] ^= low
+            v = low.bit_length() - 1
+            todo -= 1
+            stack.append(v)
+            left = res[v]
+        else:
+            # a pool vertex has no color left: back up to the deepest
+            # vertex with an untried color
+            while True:
+                if not stack:
+                    return False
+                v = stack[-1]
+                bit = trail.pop()
+                while bit > 0:
+                    u = trail.pop()
+                    r = res[u]
+                    res[u] = r | bit
+                    if state[u] == _POOL:
+                        s = r.bit_count()
+                        buckets[s] ^= 1 << u
+                        buckets[s + 1] |= 1 << u
+                    bit = trail.pop()
+                c = assignment.pop(v)
+                left = res[v] >> c << c
+                if left:
+                    break
+                stack.pop()
+                state[v] = _POOL
+                todo += 1
+                buckets[res[v].bit_count()] |= 1 << v
+        # give v its lowest untried color
+        c = (left & -left).bit_length()
         assignment[v] = c
-        if _search(inst, assignment, pool):
-            return True
-        del assignment[v]
-    pool.add(v)
-    return False
+        state[v] = _SET
+        trail.append(-1)
+        it = iter(nbrs[v])
+        for u, t in zip(it, it):
+            bit = t[c - 1]
+            r = res[u]
+            if r & bit and state[u] != _SET:
+                res[u] = r ^ bit
+                trail.append(u)
+                trail.append(bit)
+                if state[u] == _POOL:
+                    s = r.bit_count()
+                    buckets[s] ^= 1 << u
+                    buckets[s - 1] |= 1 << u
+    return True
 
 
 def brute_force_transversal(inst: CoverInstance) -> Optional[dict[int, int]]:

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .cover import (
-    CoverInstance, _search, brute_force_transversal, find_transversal,
-    identity, residual,
+    CoverInstance, _search, find_transversal, identity, residual,
 )
 from .graphs import Graph, edge_key
 from .patterns import cluster_pattern
@@ -74,6 +73,37 @@ class Configuration:
     margin_vertex: Optional[int] = None  # margin: the precolored vertex
     expect: str = REDUCIBLE
     note: str = ""
+
+    def __post_init__(self):
+        n = self.graph.n
+
+        def is_vertex(v) -> bool:
+            return type(v) is int and 0 <= v < n
+
+        if len(self.floors) != n:
+            raise ValueError(f"floors: {len(self.floors)} entries for "
+                             f"{n} vertices")
+        for v, f in enumerate(self.floors):
+            if type(f) is not int or not 0 <= f <= K:
+                raise ValueError(f"floors[{v}] = {f!r} is not in 0..{K}")
+        for role in ("pivot", "cut", "margin_vertex"):
+            v = getattr(self, role)
+            if v is not None and not is_vertex(v):
+                raise ValueError(f"{role}: {v!r} is not a vertex id in "
+                                 f"0..{n - 1}")
+        for role, v in self.names.items():
+            if not is_vertex(v):
+                raise ValueError(f"names[{role!r}]: {v!r} is not a vertex id "
+                                 f"in 0..{n - 1}")
+        for e in self.tree:
+            if tuple(e) not in self.graph.edges:
+                raise ValueError(f"tree: {tuple(e)} is not a graph edge "
+                                 f"(u, v) with u < v")
+        if len(_components(n, self.tree)) != n - len(self.tree):
+            raise ValueError("tree: the edges contain a cycle")
+        if self.strategy not in _STRATEGIES:
+            raise ValueError(f"strategy: unknown {self.strategy!r}; choices: "
+                             f"{', '.join(sorted(_STRATEGIES))}")
 
     def vertex(self, name: str) -> int:
         return self.names[name]
@@ -664,8 +694,6 @@ def check_reducible(
         verdict = _check_sampled(cfg, seed, count)
     elif mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    elif cfg.strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
     else:
         verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget, split))
     if verdict.status == NOT_REDUCIBLE:
@@ -730,5 +758,5 @@ def check_greedy_certificate(
 
 
 def verify_witness(w: CoverInstance) -> bool:
-    """True iff exhaustive search over complete assignments finds no transversal."""
-    return brute_force_transversal(w) is None
+    """True iff the complete transversal search finds no transversal."""
+    return find_transversal(w) is None

@@ -42,6 +42,17 @@ def random_cover(rng: random.Random, g: Graph, k: int,
     return CoverInstance(g, k, avail, sigma)
 
 
+def torus_graph(side: int) -> Graph:
+    """The side x side 4-regular torus grid, vertex r * side + c."""
+    edges = set()
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            for w in (r * side + (c + 1) % side, (r + 1) % side * side + c):
+                edges.add((min(v, w), max(v, w)))
+    return Graph.from_edges(side * side, sorted(edges))
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

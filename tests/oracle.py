@@ -14,6 +14,10 @@ straightens nothing: renaming the colors at a vertex maps the maximal
 injections on its edges onto each other.  It keeps configurations with a
 full-floor pivot small enough to enumerate.
 
+Transversal search: the recursive MRV search and the sweep peel that
+`cover.find_transversal` replaced, kept as the reference for its output:
+the same vertex order, color order and deferred colors give the same dict.
+
 Graph searches: brute force over vertex permutations for "some cycle or
 pattern occurrence uses vertex v", and a recursive whole-graph cycle search
 that fixes which cycle `find_cycle_of_length` must return.
@@ -29,6 +33,7 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from dpcolor.clusters import Classification, Cluster
+from dpcolor.cover import CoverInstance, is_independent, residual
 from dpcolor.graphs import Graph, PlaneGraph, edge_key
 from dpcolor.patterns import catalog
 from dpcolor.reduce import (
@@ -131,6 +136,55 @@ def verdict(cfg: Configuration, canonical: bool = False):
         if local_solve(verts, avail, cons) is None:
             return NOT_REDUCIBLE, None
     return REDUCIBLE, None
+
+
+def find_transversal(
+    inst: CoverInstance, partial: Optional[Mapping[int, int]] = None
+) -> Optional[dict[int, int]]:
+    """The reference transversal search: sweep peel, then `search`.
+
+    Vertices whose residual exceeds their count of undecided neighbors are
+    deferred, in ascending-id sweeps repeated until one removes nothing, and
+    colored greedily (lowest residual color) in reverse order at the end.
+    """
+    assignment: dict[int, int] = dict(partial) if partial else {}
+    assert is_independent(inst, assignment)
+    active = {v for v in range(inst.graph.n) if v not in assignment}
+    deferred: list[int] = []
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(active):
+            live = sum(1 for u in inst.graph.adjacency[v] if u in active)
+            if len(residual(inst, assignment, v)) > live:
+                active.remove(v)
+                deferred.append(v)
+                changed = True
+    if not search(inst, assignment, active):
+        return None
+    for v in reversed(deferred):
+        assignment[v] = min(residual(inst, assignment, v))
+    return assignment
+
+
+def search(inst: CoverInstance, assignment: dict[int, int],
+           pool: set[int]) -> bool:
+    """The recursive MRV search: fewest residual colors, ties by id, colors
+    ascending; one recursion level per vertex, residuals recomputed."""
+    if not pool:
+        return True
+    v = min(pool, key=lambda x: (len(residual(inst, assignment, x)), x))
+    colors = sorted(residual(inst, assignment, v))
+    if not colors:
+        return False
+    pool.remove(v)
+    for c in colors:
+        assignment[v] = c
+        if search(inst, assignment, pool):
+            return True
+        del assignment[v]
+    pool.add(v)
+    return False
 
 
 def cycle_through(g: Graph, length: int, v: int) -> bool:

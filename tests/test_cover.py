@@ -1,14 +1,17 @@
 """Cover semantics: bijections, straightening, residuals, the solver."""
 
 import random
+import sys
+import time
 
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cover, random_graph, random_sigma
+from conftest import random_cover, random_graph, random_sigma, torus_graph
 from dpcolor.cover import (
-    CoverError, CoverInstance, brute_force_transversal, compose,
+    CoverError, CoverInstance, _search, brute_force_transversal, compose,
     find_transversal, identity, invert, is_independent, is_straight,
     residual, straighten,
 )
@@ -155,8 +158,20 @@ class TestSolver:
     def test_precolor_must_be_independent(self):
         g = Graph.from_edges(2, [(0, 1)])
         inst = CoverInstance.straight(g, 2)
-        with pytest.raises(CoverError):
+        with pytest.raises(CoverError, match="0 and 1 conflict"):
             find_transversal(inst, {0: 1, 1: 1})
+
+    def test_precolor_vertex_must_exist(self):
+        inst = CoverInstance.straight(Graph.from_edges(2, [(0, 1)]), 2)
+        for v in (2, -1):
+            with pytest.raises(CoverError, match=f"vertex {v} is not"):
+                find_transversal(inst, {v: 1})
+
+    def test_precolor_must_be_in_list(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        inst = CoverInstance.straight(g, 3).with_available([{1, 2}, {1}])
+        with pytest.raises(CoverError, match="precolor 3 of vertex 0"):
+            find_transversal(inst, {0: 3})
 
     def test_extends_partial(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -189,3 +204,79 @@ class TestSolver:
             set(a) | {rng.randint(1, 4)} for a in inst.available
         ])
         assert find_transversal(grown) is not None
+
+
+def _random_precoloring(rng, inst):
+    """Up to three precolored vertices, each kept only if independent."""
+    pre = {}
+    n = inst.graph.n
+    for v in rng.sample(range(n), rng.randint(0, min(3, n))):
+        if inst.available[v]:
+            c = rng.choice(sorted(inst.available[v]))
+            if is_independent(inst, {**pre, v: c}):
+                pre[v] = c
+    return pre
+
+
+def _items(t):
+    return None if t is None else list(t.items())
+
+
+class TestReferenceSearch:
+    """The iterative search against the recursive search it replaced
+    (tests/oracle.py): the same dict, in the same insertion order, not only
+    the same verdict."""
+
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_transversal_as_reference(self, seed, precolor):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        inst = random_cover(rng, g, rng.randint(2, 4),
+                            full_lists=rng.random() < 0.3)
+        pre = _random_precoloring(rng, inst) if precolor else {}
+        assert _items(find_transversal(inst, pre)) == _items(
+            oracle.find_transversal(inst, pre))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_failed_search_leaves_its_arguments(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        inst = random_cover(rng, g, rng.randint(2, 4))
+        pre = _random_precoloring(rng, inst)
+        assignment = dict(pre)
+        pool = {v for v in range(g.n) if v not in pre}
+        expect = oracle.search(inst, dict(pre), set(pool))
+        assert _search(inst, assignment, pool) == expect
+        if expect:
+            assert not pool and len(assignment) == g.n
+            assert is_independent(inst, assignment)
+        else:
+            assert assignment == pre
+            assert pool == {v for v in range(g.n) if v not in pre}
+
+
+class TestNoRecursion:
+    """The search keeps no stack of Python frames, so instance size is not
+    capped by the recursion limit."""
+
+    def test_straight_torus_10000(self):
+        inst = CoverInstance.straight(torus_graph(100), 4)
+        t0 = time.monotonic()
+        t = find_transversal(inst)
+        assert time.monotonic() - t0 < 2.0
+        assert t is not None and len(t) == inst.graph.n
+        assert is_independent(inst, t)
+
+    def test_torus_1600_under_recursion_limit_200(self):
+        inst = random_cover(random.Random(1600), torus_graph(40), 4,
+                            full_lists=True)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            t = find_transversal(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert t is not None and len(t) == inst.graph.n
+        assert is_independent(inst, t)

@@ -321,3 +321,48 @@ class TestCli:
     def test_unreadable_input_is_operational_error(self, capsys):
         code = cli.main(["solve", "/does/not/exist.json"])
         assert code == 1
+
+
+class TestInputErrors:
+    """Bad precolorings and configurations end in exit code 1 with the bad
+    part named, not in a traceback."""
+
+    @pytest.mark.parametrize("precolor,named", [
+        ("9=1", "vertex 9"),  # no such vertex
+        ("0=9", "precolor 9 of vertex 0"),  # color not in the list
+        ("0", "'0'"),  # no color
+        ("0=a", "'0=a'"),  # color not an integer
+    ])
+    def test_solve_bad_precolor(self, capsys, precolor, named):
+        code = cli.main(["solve", str(ASSETS / "cluster_01.json"), "--k", "4",
+                         "--precolor", precolor])
+        err = capsys.readouterr().err
+        assert code == 1 and named in err and "Traceback" not in err
+
+    PATH_CONFIG = {"label": "path", "n": 3, "edges": [[0, 1], [1, 2]],
+                   "floors": [2, 2, 2], "strategy": "product"}
+
+    @pytest.mark.parametrize("change,named", [
+        ({"floors": [2, 2]}, "floors"),
+        ({"floors": [2, 5, 2]}, "floors[1]"),
+        ({"pivot": "0"}, "pivot"),
+        ({"cut": 3}, "cut"),
+        ({"margin_vertex": -1}, "margin_vertex"),
+        ({"names": {"u": 7}}, "names['u']"),
+        ({"tree": [[0, 2]]}, "tree: (0, 2) is not a graph edge"),
+        ({"edges": [[0, 1], [1, 2], [0, 2]],
+          "tree": [[0, 1], [1, 2], [0, 2]]}, "tree: the edges contain a cycle"),
+        ({"strategy": "greedy"}, "strategy"),
+    ])
+    def test_reduce_check_bad_config(self, capsys, tmp_path, change, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.PATH_CONFIG, **change}))
+        code = cli.main(["reduce-check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1 and named in err and "Traceback" not in err
+
+    def test_reduce_check_path_config_is_fine(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.PATH_CONFIG, "tree": [[0, 1]]}))
+        code, out = run_cli(capsys, "reduce-check", "--config", str(path))
+        assert code == 0 and json.loads(out)["status"] == "REDUCIBLE"

@@ -1,14 +1,19 @@
 """Reducibility checker: strategies, golden verdicts, proof-structure facts."""
 
 import itertools
+import random
 from pathlib import Path
+from unittest import mock
 
 import oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpcolor.cover import CoverInstance, find_transversal
+from conftest import random_cover, random_graph
+from dpcolor.cover import (
+    CoverInstance, brute_force_transversal, find_transversal,
+)
 from dpcolor.graphs import Graph
 from dpcolor.io import cover_to_dict, parse_cover_file
 from dpcolor.patterns import builtin_assets_dir
@@ -208,6 +213,22 @@ class TestWitnessContract:
         assert v.witness is not None
         assert verify_witness(v.witness)
 
+    @pytest.mark.parametrize("name", ["ce6.json", "ce7.json"])
+    def test_verify_agrees_with_brute_force_on_gadgets(self, name):
+        w = parse_cover_file(ASSETS / name)
+        assert verify_witness(w)
+        assert brute_force_transversal(w) is None
+
+    def test_verify_agrees_with_brute_force_on_random_covers(self):
+        confirmed = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_graph(rng, rng.randint(1, 6), 0.6)
+            w = random_cover(rng, g, rng.randint(2, 4))
+            assert verify_witness(w) == (brute_force_transversal(w) is None)
+            confirmed += verify_witness(w)
+        assert 0 < confirmed < 300  # both outcomes are exercised
+
     def test_expectations_recorded(self):
         assert CATALOG["CE-6"].expect == NOT_REDUCIBLE
         assert CATALOG["L8-556"].expect == REDUCIBLE
@@ -224,10 +245,11 @@ class TestWitnessContract:
 
 
 @st.composite
-def pivot_profiles(draw):
-    """Residuals of size 1-2 at four pivot neighbors and live profiles."""
+def pivot_profiles(draw, max_size=2):
+    """Residuals of size 1..max_size at four pivot neighbors and live
+    profiles."""
     residuals = draw(st.lists(
-        st.frozensets(st.integers(1, 4), min_size=1, max_size=2),
+        st.frozensets(st.integers(1, 4), min_size=1, max_size=max_size),
         min_size=4, max_size=4))
     grid = list(itertools.product(*map(sorted, residuals)))
     profiles = draw(st.lists(st.sampled_from(grid), min_size=1,
@@ -259,6 +281,14 @@ class TestAdversary:
             assert all(len(set(f.values())) == len(f) for f in found)
             assert all(set(f.values()) <= {1, 2, 3, 4} for f in found)
             assert _blocks(found, profiles)
+
+    @given(pivot_profiles(max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_maps_as_reference_search(self, case):
+        profiles, residuals = case
+        found = _adversary_blocks(profiles, residuals)
+        with mock.patch.object(reduce, "_search", oracle.search):
+            assert found == _adversary_blocks(profiles, residuals)
 
 
 # ---------------------------------------------------------------------------
