@@ -10,7 +10,6 @@ is accepted as a plane embedding.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -333,16 +332,6 @@ def _embed(
             del mapping[p]
 
     return assign(0, 0)
-
-
-def all_injection_pattern_oracle(g: Graph, pattern: Graph) -> bool:
-    """Naive all-injections subgraph containment; oracle for contains_pattern."""
-    if pattern.n > g.n:
-        return False
-    for image in itertools.permutations(range(g.n), pattern.n):
-        if all(g.has_edge(image[u], image[v]) for u, v in pattern.edges):
-            return True
-    return False
 
 
 def cycle_vertex_sides(pg: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:

@@ -34,11 +34,25 @@ def _load_json(path: Union[str, Path]) -> dict:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
+def _int(value, field: str, source: str) -> int:
+    """A JSON integer, or a string of one; a bool, a float or any other
+    string is rejected with the field named, not truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise FormatError(f"{source}: field {field}: {value!r} is not an integer")
+
+
 def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGraph]:
     try:
-        n = int(data["n"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _int(data["n"], "n", source)
+        edges = [[_int(u, f"edges[{i}]", source) for u in e]
+                 for i, e in enumerate(data["edges"])]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"{source}: missing or malformed field: {exc}")
     try:
         g = Graph.from_edges(n, edges)
@@ -48,7 +62,8 @@ def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGra
     if rotation is None:
         return g
     try:
-        rot = [list(map(int, rotation[str(v)])) for v in range(n)]
+        rot = [[_int(u, f"rotation['{v}']", source) for u in rotation[str(v)]]
+               for v in range(n)]
     except KeyError as exc:
         raise FormatError(f"{source}: field 'rotation': missing vertex {exc}")
     try:
@@ -85,9 +100,9 @@ def write_graph_file(path: Union[str, Path], g: Union[Graph, PlaneGraph],
 
 def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[int, dict]:
     try:
-        k = int(data["k"])
+        k = _int(data["k"], "k", source)
         raw = data["sigma"]
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"{source}: missing field {exc}")
     sigma = {}
     for key, images in raw.items():
@@ -97,7 +112,8 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
             raise FormatError(f"{source}: sigma key {key!r} is not 'u-v'")
         if (u, v) != edge_key(u, v):
             raise FormatError(f"{source}: sigma key {key!r} must have u < v")
-        sigma[(u, v)] = tuple(int(c) for c in images)
+        sigma[(u, v)] = tuple(_int(c, f"sigma[{key!r}]", source)
+                              for c in images)
     missing = set(graph.edges) - set(sigma)
     if missing:
         raise FormatError(f"{source}: sigma missing edges {sorted(missing)}")
@@ -114,7 +130,8 @@ def parse_cover_file(path: Union[str, Path]) -> CoverInstance:
         avail = tuple(frozenset(range(1, k + 1)) for _ in range(graph.n))
     else:
         avail = tuple(
-            frozenset(int(c) for c in avail_raw.get(str(v), range(1, k + 1)))
+            frozenset(_int(c, f"available['{v}']", str(path))
+                      for c in avail_raw.get(str(v), range(1, k + 1)))
             for v in range(graph.n)
         )
     return CoverInstance(graph, k, avail, sigma)
@@ -145,17 +162,21 @@ def parse_config_file(path: Union[str, Path]):
     """
     from .reduce import Configuration, REDUCIBLE
 
+    src = str(path)
     data = _load_json(path)
-    g = graph_from_dict(data, str(path))
+    g = graph_from_dict(data, src)
     graph = g.graph if isinstance(g, PlaneGraph) else g
     try:
         return Configuration(
             label=str(data.get("label", Path(path).stem)),
             graph=graph,
-            names={str(r): int(v) for r, v in data.get("names", {}).items()},
-            floors=tuple(int(x) for x in data["floors"]),
-            tree=tuple(edge_key(int(e[0]), int(e[1]))
-                       for e in data.get("tree", [])),
+            names={str(r): _int(v, f"names[{r!r}]", src)
+                   for r, v in data.get("names", {}).items()},
+            floors=tuple(_int(x, f"floors[{i}]", src)
+                         for i, x in enumerate(data["floors"])),
+            tree=tuple(edge_key(_int(e[0], f"tree[{i}]", src),
+                                _int(e[1], f"tree[{i}]", src))
+                       for i, e in enumerate(data.get("tree", []))),
             strategy=str(data["strategy"]),
             pivot=data.get("pivot"),
             cut=data.get("cut"),
@@ -163,6 +184,8 @@ def parse_config_file(path: Union[str, Path]):
             expect=str(data.get("expect", REDUCIBLE)),
             note=str(data.get("note", "")),
         )
+    except FormatError:
+        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: bad configuration: {exc}")
 

@@ -22,10 +22,10 @@ residual choice the candidate color assignments form a grid, one axis per
 vertex, with the strategy's grouping vertices outermost; each free edge has
 one boolean mask row per maximal injection, and an instance is the AND of
 one row per edge.  The kernel walks the outer edges ANDing rows, vectorizes
-the last one or two edges as an instances x candidates block, and ORs each
-instance over the non-grouping axes.  It also counts instances, stops on the
-budget and keeps the split=(i, n) share.  Each strategy is one reduction of
-those blocks:
+the rest as instances x candidates blocks filled up to a cell cap, and ORs
+each instance over the non-grouping axes.  It also counts instances and
+blocks, stops on the budget and keeps the split=(i, n) share.  Each strategy
+is one reduction of those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
 * "margin" (the precolored vertex): more than one dead precolor fails;
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .cover import (
-    CoverInstance, _search, find_transversal, identity, residual,
+    CoverInstance, _search, find_transversal, identity,
 )
 from .graphs import Graph, edge_key
 from .patterns import cluster_pattern
@@ -320,8 +320,10 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 # ---------------------------------------------------------------------------
 # the mask kernel
 
-# Largest rows x candidates block the kernel builds when it vectorizes the
-# last two edges; larger ones vectorize only the last edge.
+# Cells (instances x candidates) that one kernel block fills up to: the last
+# two edges are vectorized in every block when their rows fit together, else
+# the last one, and the edge before them contributes as many options to each
+# block as the rest of the cap holds (at least one).
 _BLOCK_CELLS = 1 << 20
 
 
@@ -349,7 +351,9 @@ class _Run:
 
     `enumerated` counts instances, one maximal injection per free edge and
     residual choice, in every strategy.  The budget caps it: the kernel stops
-    as soon as the next block would pass it.
+    as soon as the next block would pass it.  `blocks` counts the leaf
+    blocks this share evaluated; `walked` also counts those it left to the
+    other shares.
     """
 
     def __init__(self, budget: Optional[int],
@@ -359,11 +363,13 @@ class _Run:
         self.enumerated = 0
         self.exhausted = False
         self.blocks = 0
+        self.walked = 0
         self.t0 = time.monotonic()
 
     def verdict(self, status: str, witness: Optional[CoverInstance] = None,
                 **stats) -> Verdict:
-        stats = {"enumerated": self.enumerated, **stats}
+        stats = {"enumerated": self.enumerated, "blocks": self.blocks,
+                 **stats}
         if status == INCONCLUSIVE:
             stats["reason"] = "budget exhausted"
         stats["seconds"] = time.monotonic() - self.t0
@@ -388,8 +394,11 @@ class _Run:
         The candidate assignments of group + rest form a grid, group
         outermost.  Straightened edges mask out equal colors; each free edge
         has one mask row per maximal injection.  The walk ANDs rows edge by
-        edge, fewest options first, and vectorizes the last one or two
-        edges; a leaf's `alive` ORs each instance over the `rest` axes.
+        edge, fewest options first.  Every block vectorizes the tail edges
+        (see _BLOCK_CELLS) and one slice of the options of the last walked
+        edge, sized to fill the block to _BLOCK_CELLS; that slice heads the
+        leaf's `inner`, so instances keep the lexicographic order of the
+        edges.  A leaf's `alive` ORs each instance over the `rest` axes.
         split=(i, n) keeps the leaf blocks whose index is i modulo n.
         """
         import numpy as np  # loaded by checks only, not by every verb
@@ -416,6 +425,13 @@ class _Run:
                     >= len(edges[-1][1]) * len(edges[-2][1]) * base.size):
                 tail = 2
             outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
+            heads = [[]]
+            if outer:
+                e, opts, rows = outer.pop()
+                step = max(1, _BLOCK_CELLS // math.prod(
+                    [base.size, *(len(t[1]) for t in inner)]))
+                heads = [[(e, opts[lo:lo + step], rows[lo:lo + step])]
+                         for lo in range(0, len(opts), step)]
 
             def walk(acc, path):
                 if len(path) < len(outer):
@@ -425,23 +441,28 @@ class _Run:
                         if self.exhausted:
                             return
                     return
-                self.blocks += 1
-                if split and (self.blocks - 1) % split[1] != split[0]:
-                    return
-                block = acc[None, :]
-                for _, _, rows in inner:
-                    block = (block[:, None, :] & rows[None, :, :]).reshape(
-                        -1, acc.size)
-                if self.budget is not None and \
-                        self.enumerated + len(block) > self.budget:
-                    block = block[:self.budget - self.enumerated]
-                    self.exhausted = True
-                first = self.enumerated
-                self.enumerated += len(block)
-                if len(block):
-                    alive = block.reshape(len(block), -1, width).any(axis=2)
-                    yield _Leaf(residuals, alive, first, path,
-                                [(e, opts) for e, opts, _ in inner])
+                for head in heads:
+                    self.walked += 1
+                    if split and (self.walked - 1) % split[1] != split[0]:
+                        continue
+                    block = acc[None, :]
+                    for _, _, rows in head + inner:
+                        block = (block[:, None, :] & rows[None, :, :]
+                                 ).reshape(-1, acc.size)
+                    if self.budget is not None and \
+                            self.enumerated + len(block) > self.budget:
+                        block = block[:self.budget - self.enumerated]
+                        self.exhausted = True
+                    first = self.enumerated
+                    self.enumerated += len(block)
+                    if len(block):
+                        self.blocks += 1
+                        alive = block.reshape(len(block), -1, width).any(
+                            axis=2)
+                        yield _Leaf(residuals, alive, first, path,
+                                    [(e, opts) for e, opts, _ in head + inner])
+                    if self.exhausted:
+                        return
 
             yield from walk(base, [])
             if self.exhausted:
@@ -585,6 +606,32 @@ def _adversary_blocks(
             for i in range(n)]
 
 
+def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """The rows of `alive` whose live profiles pivot maps might block.
+
+    No pivot maps block more than 4! = 24 profiles.  Two live profiles
+    differing in exactly one coordinate cannot both be blocked: their other
+    images coincide, so the remaining color is the same, forcing one
+    injection to repeat a value.  Such pairs share a line of the profile
+    grid (`shape`, one axis per neighbor) along one axis.  The axes are
+    tested largest first, each on the rows that passed the ones before, and
+    the count last.
+    """
+    import numpy as np
+
+    rows = np.arange(len(alive))
+    for axis in sorted(range(len(shape)), key=lambda a: -shape[a]):
+        lines = alive.reshape(len(rows), math.prod(shape[:axis]), shape[axis],
+                              math.prod(shape[axis + 1:]))
+        ok = np.ones(len(rows), dtype=bool)
+        seen = lines[:, :, 0]
+        for i in range(1, shape[axis]):
+            ok &= ~(seen & lines[:, :, i]).any(axis=(1, 2))
+            seen = seen | lines[:, :, i]
+        rows, alive = rows[ok], alive[ok]
+    return rows[np.count_nonzero(alive, axis=1) <= 24]
+
+
 def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     """Remove a full-floor degree-4 pivot and let its edge maps fight back.
 
@@ -611,20 +658,7 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
                            run.split):
         alive = leaf.alive
         res = [leaf.residuals[v] for v in nbrs]
-        # No pivot maps block more than 4! = 24 profiles.  Two live profiles
-        # differing in exactly one coordinate cannot both be blocked: their
-        # other images coincide, so the remaining color is the same, forcing
-        # one injection to repeat a value.  Such pairs share a line of the
-        # profile grid along one neighbor's axis.
-        n, shape = len(alive), [len(r) for r in res]
-        ok = np.count_nonzero(alive, axis=1) <= 24
-        for axis, size in enumerate(shape):
-            line = alive.reshape(n, math.prod(shape[:axis]), size, -1)
-            seen = line[:, :, 0]
-            for i in range(1, size):
-                ok &= ~(seen & line[:, :, i]).reshape(n, -1).any(axis=1)
-                seen = seen | line[:, :, i]
-        rows = np.flatnonzero(ok)
+        rows = _line_test(alive, [len(r) for r in res])
         if not rows.size:
             continue
         table = list(itertools.product(*map(sorted, res)))
@@ -702,59 +736,6 @@ def check_reducible(
             raise AssertionError(
                 "internal error: counterexample witness admits a transversal")
     return verdict
-
-
-def check_greedy_certificate(
-    cfg: Configuration,
-    order: Sequence[str],
-    pivot: Optional[tuple[str, str, int]] = None,
-) -> bool:
-    """Validate a 'color ... in order' proof step over the full enumeration.
-
-    pivot = (pivot_role, protected_role, threshold): first choose a pivot
-    color leaving the protected vertex at least `threshold` residual colors;
-    then the remaining vertices, in `order`, must be colorable no matter
-    which residual color each greedy step picks.
-    """
-    free = _free_edges(cfg)
-    order_ids = [cfg.vertex(r) for r in order]
-    pivot_id = protected_id = None
-    threshold = 0
-    if pivot is not None:
-        pivot_id, protected_id, threshold = (
-            cfg.vertex(pivot[0]), cfg.vertex(pivot[1]), pivot[2])
-    if sorted(order_ids) != [v for v in range(cfg.graph.n) if v != pivot_id]:
-        raise ValueError("order must list every vertex but the pivot once")
-
-    def greedy_all_choices(i, inst, assignment) -> bool:
-        if i == len(order_ids):
-            return True
-        v = order_ids[i]
-        cs = residual(inst, assignment, v)
-        if not cs:
-            return False
-        for c in cs:
-            assignment[v] = c
-            ok = greedy_all_choices(i + 1, inst, assignment)
-            del assignment[v]
-            if not ok:
-                return False
-        return True
-
-    for residuals in residual_choices(cfg):
-        options = [maximal_injections(residuals[u], residuals[v]) for u, v in free]
-        for combo in itertools.product(*options):
-            inst = build_witness(cfg, residuals, dict(zip(free, combo)))
-            if pivot_id is None:
-                ok = greedy_all_choices(0, inst, {})
-            else:
-                ok = any(
-                    len(residual(inst, {pivot_id: c}, protected_id))
-                    >= threshold and greedy_all_choices(0, inst, {pivot_id: c})
-                    for c in sorted(residuals[pivot_id]))
-            if not ok:
-                return False
-    return True
 
 
 def verify_witness(w: CoverInstance) -> bool:

@@ -18,9 +18,16 @@ Transversal search: the recursive MRV search and the sweep peel that
 `cover.find_transversal` replaced, kept as the reference for its output:
 the same vertex order, color order and deferred colors give the same dict.
 
+Eliminate line test: the rows of a pivot-profile table that no pivot maps
+can block, found pair by pair of live profiles.
+
+Greedy certificates: a 'color ... in order' proof step, checked on every
+instance of the symmetry-reduced enumeration by trying every greedy choice.
+
 Graph searches: brute force over vertex permutations for "some cycle or
-pattern occurrence uses vertex v", and a recursive whole-graph cycle search
-that fixes which cycle `find_cycle_of_length` must return.
+pattern occurrence uses vertex v" and for pattern containment anywhere, and
+a recursive whole-graph cycle search that fixes which cycle
+`find_cycle_of_length` must return.
 
 Catalog matching: every catalog match of a cluster by brute force over
 vertex permutations, filtered by the shape's edges and 3-faces.
@@ -37,7 +44,8 @@ from dpcolor.cover import CoverInstance, is_independent, residual
 from dpcolor.graphs import Graph, PlaneGraph, edge_key
 from dpcolor.patterns import catalog
 from dpcolor.reduce import (
-    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, maximal_injections,
+    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, build_witness,
+    maximal_injections, residual_choices,
 )
 
 
@@ -138,6 +146,79 @@ def verdict(cfg: Configuration, canonical: bool = False):
     return REDUCIBLE, None
 
 
+def line_test_rows(alive, shape: Sequence[int]) -> list[int]:
+    """The rows of a [row, profile] table that the eliminate line test keeps.
+
+    Profiles index the grid `shape` in row-major order.  A row is dropped
+    when more than 4! = 24 profiles are live, or when two live profiles
+    differ in exactly one coordinate.
+    """
+    grid = list(itertools.product(*map(range, shape)))
+    kept = []
+    for j, row in enumerate(alive):
+        live = [p for p, on in zip(grid, row) if on]
+        if len(live) <= 24 and not any(
+                sum(a != b for a, b in zip(p, q)) == 1
+                for p, q in itertools.combinations(live, 2)):
+            kept.append(j)
+    return kept
+
+
+def check_greedy_certificate(
+    cfg: Configuration,
+    order: Sequence[str],
+    pivot: Optional[tuple[str, str, int]] = None,
+) -> bool:
+    """Validate a 'color ... in order' proof step over the full enumeration.
+
+    pivot = (pivot_role, protected_role, threshold): first choose a pivot
+    color leaving the protected vertex at least `threshold` residual colors;
+    then the remaining vertices, in `order`, must be colorable no matter
+    which residual color each greedy step picks.
+    """
+    tree = set(cfg.tree)
+    free = [e for e in sorted(cfg.graph.edges) if e not in tree]
+    order_ids = [cfg.vertex(r) for r in order]
+    pivot_id = protected_id = None
+    threshold = 0
+    if pivot is not None:
+        pivot_id, protected_id, threshold = (
+            cfg.vertex(pivot[0]), cfg.vertex(pivot[1]), pivot[2])
+    if sorted(order_ids) != [v for v in range(cfg.graph.n) if v != pivot_id]:
+        raise ValueError("order must list every vertex but the pivot once")
+
+    def greedy_all_choices(i, inst, assignment) -> bool:
+        if i == len(order_ids):
+            return True
+        v = order_ids[i]
+        cs = residual(inst, assignment, v)
+        if not cs:
+            return False
+        for c in cs:
+            assignment[v] = c
+            ok = greedy_all_choices(i + 1, inst, assignment)
+            del assignment[v]
+            if not ok:
+                return False
+        return True
+
+    for residuals in residual_choices(cfg):
+        options = [maximal_injections(residuals[u], residuals[v])
+                   for u, v in free]
+        for combo in itertools.product(*options):
+            inst = build_witness(cfg, residuals, dict(zip(free, combo)))
+            if pivot_id is None:
+                ok = greedy_all_choices(0, inst, {})
+            else:
+                ok = any(
+                    len(residual(inst, {pivot_id: c}, protected_id))
+                    >= threshold and greedy_all_choices(0, inst, {pivot_id: c})
+                    for c in sorted(residuals[pivot_id]))
+            if not ok:
+                return False
+    return True
+
+
 def find_transversal(
     inst: CoverInstance, partial: Optional[Mapping[int, int]] = None
 ) -> Optional[dict[int, int]]:
@@ -203,6 +284,15 @@ def pattern_through(g: Graph, pattern: Graph, v: int) -> bool:
     for image in itertools.permutations(range(g.n), pattern.n):
         if v in image and all(g.has_edge(image[a], image[b])
                               for a, b in pattern.edges):
+            return True
+    return False
+
+
+def contains_pattern(g: Graph, pattern: Graph) -> bool:
+    """Whether some injection of the pattern's vertices carries every
+    pattern edge onto an edge of g."""
+    for image in itertools.permutations(range(g.n), pattern.n):
+        if all(g.has_edge(image[u], image[v]) for u, v in pattern.edges):
             return True
     return False
 

@@ -278,7 +278,7 @@ class TestCli:
         _, multi = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond",
                            "--workers", "2")
         ra, rb = json.loads(solo), json.loads(multi)
-        for key in ("status", "enumerated"):
+        for key in ("status", "enumerated", "blocks"):
             assert ra[key] == rb[key]
 
     @pytest.mark.parametrize("label", ["L5-special5", "L6-precolor"])
@@ -288,7 +288,7 @@ class TestCli:
                            "--workers", "2")
         ra, rb = json.loads(solo), json.loads(multi)
         assert (ra["workers"], rb["workers"]) == (1, 2)
-        for key in ("status", "enumerated", "worst_bad_colors"):
+        for key in ("status", "enumerated", "blocks", "worst_bad_colors"):
             assert ra.get(key) == rb.get(key)
         assert "pruned" not in rb
 
@@ -301,15 +301,16 @@ class TestCli:
 
     def test_combined_verdict_keeps_worst_and_reason(self):
         parts = [
-            ("REDUCIBLE", None, {"enumerated": 5, "worst_bad_colors": 1,
-                                 "seconds": 0.1}),
-            ("INCONCLUSIVE", None, {"enumerated": 3, "worst_bad_colors": 0,
+            ("REDUCIBLE", None, {"enumerated": 5, "blocks": 2,
+                                 "worst_bad_colors": 1, "seconds": 0.1}),
+            ("INCONCLUSIVE", None, {"enumerated": 3, "blocks": 1,
+                                    "worst_bad_colors": 0,
                                     "reason": "budget exhausted",
                                     "seconds": 0.2}),
         ]
         status, witness, stats = cli._combine_verdicts(parts)
         assert status == "INCONCLUSIVE" and witness is None
-        assert stats == {"enumerated": 8, "seconds": 0.2,
+        assert stats == {"enumerated": 8, "blocks": 3, "seconds": 0.2,
                          "worst_bad_colors": 1, "reason": "budget exhausted"}
 
     def test_text_format(self, capsys):
@@ -360,6 +361,46 @@ class TestInputErrors:
         code = cli.main(["reduce-check", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 1 and named in err and "Traceback" not in err
+
+    EDGE = {"n": 2, "edges": [[0, 1]]}
+    COVER = {**EDGE, "k": 2, "sigma": {"0-1": [2, 1]}}
+
+    @pytest.mark.parametrize("argv,data,named", [
+        # graph files
+        (["solve", "{}", "--k", "4"], {**EDGE, "n": 2.0}, "field n: 2.0"),
+        (["solve", "{}", "--k", "4"], {**EDGE, "edges": [[0, True]]},
+         "field edges[0]: True"),
+        (["solve", "{}", "--k", "4"],
+         {**EDGE, "rotation": {"0": [1], "1": [0.5]}},
+         "field rotation['1']: 0.5"),
+        # cover files
+        (["solve", "{}"], {**COVER, "k": True}, "field k: True"),
+        (["solve", "{}"], {**COVER, "sigma": {"0-1": [2, 1.0]}},
+         "field sigma['0-1']: 1.0"),
+        (["solve", "{}"], {**COVER, "available": {"1": ["1.5"]}},
+         "field available['1']: '1.5'"),
+        # configuration files
+        (["reduce-check", "--config", "{}"],
+         {**PATH_CONFIG, "floors": [2.7, 2, 2]}, "field floors[0]: 2.7"),
+        (["reduce-check", "--config", "{}"],
+         {**PATH_CONFIG, "names": {"u": 1.0}}, "field names['u']: 1.0"),
+        (["reduce-check", "--config", "{}"],
+         {**PATH_CONFIG, "tree": [[0, "one"]]}, "field tree[0]: 'one'"),
+    ])
+    def test_non_integer_values_are_rejected(self, capsys, tmp_path, argv,
+                                             data, named):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = cli.main([a.format(path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and named in err and "Traceback" not in err
+
+    def test_integer_strings_are_read_as_integers(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.PATH_CONFIG, "n": "3",
+                                    "floors": ["2", 2, 2]}))
+        code, out = run_cli(capsys, "reduce-check", "--config", str(path))
+        assert code == 0 and json.loads(out)["status"] == "REDUCIBLE"
 
     def test_reduce_check_path_config_is_fine(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from dpcolor.patterns import builtin_assets_dir
 from dpcolor import reduce
 from dpcolor.reduce import (
     INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
-    check_greedy_certificate, check_reducible, config_catalog,
+    check_reducible, config_catalog,
     extend_to_bijection, maximal_injections, residual_choices, verify_witness,
 )
 
@@ -127,24 +128,24 @@ class TestCounterexampleGadgets:
 
 class TestGreedyCertificate:
     def test_positive_single_vertex(self):
-        assert check_greedy_certificate(CATALOG["L2"], ["v"])
+        assert oracle.check_greedy_certificate(CATALOG["L2"], ["v"])
 
     def test_positive_with_pivot(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         cfg = Configuration(
             "path-uvw", g, {"u": 0, "v": 1, "w": 2}, (2, 3, 2), (),
             "product")
-        assert check_greedy_certificate(
+        assert oracle.check_greedy_certificate(
             cfg, ["w", "u"], pivot=("v", "u", 2))
 
     def test_negative_bad_order(self):
         # coloring the floor-3 pair first can strand a floor-2 tip
-        assert not check_greedy_certificate(
+        assert not oracle.check_greedy_certificate(
             CATALOG["L4-diamond"], ["u", "v", "x", "y"])
 
     def test_order_must_cover_vertices(self):
         with pytest.raises(ValueError):
-            check_greedy_certificate(CATALOG["L4-diamond"], ["u", "v"])
+            oracle.check_greedy_certificate(CATALOG["L4-diamond"], ["u", "v"])
 
 
 def _swap12(m):
@@ -487,3 +488,81 @@ class TestKernelCounters:
         v = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=3,
                             count=50)
         assert v.status == INCONCLUSIVE and v.stats["enumerated"] == 50
+
+
+def _outcome(v):
+    """A verdict without its time and its block count, which the cap sets."""
+    stats = {k: x for k, x in v.stats.items() if k not in ("seconds", "blocks")}
+    return v.status, stats, v.witness and cover_to_dict(v.witness)
+
+
+class TestBlockCap:
+    """Verdicts, counts and witnesses do not depend on how full the kernel
+    fills its blocks."""
+
+    LABELS = sorted(set(ENUMERATED) - {"L8-556"})
+
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_same_verdicts_and_shares(self, cap, monkeypatch):
+        default = {label: check_reducible(CATALOG[label])
+                   for label in self.LABELS}
+        monkeypatch.setattr(reduce, "_BLOCK_CELLS", cap)
+        more_blocks = False
+        for label in self.LABELS:
+            v = check_reducible(CATALOG[label])
+            assert _outcome(v) == _outcome(default[label]), label
+            more_blocks |= v.stats["blocks"] > default[label].stats["blocks"]
+            if v.status != REDUCIBLE:
+                continue
+            for n in (2, 3):
+                parts = [check_reducible(CATALOG[label], split=(i, n))
+                         for i in range(n)]
+                assert [p.status for p in parts] == [REDUCIBLE] * n
+                assert sum(p.stats["enumerated"] for p in parts) == \
+                    ENUMERATED[label]
+                assert sum(p.stats["blocks"] for p in parts) == \
+                    v.stats["blocks"]
+        assert more_blocks  # the smaller cap really cuts smaller blocks
+
+
+@st.composite
+def profile_tables(draw):
+    """A [row, profile] table over a grid of four axes of sizes 1..4.
+
+    Some rows are subsets of a code with no two profiles one coordinate
+    apart (coordinate sums fixed modulo the largest axis), so that rows
+    which pass every axis, and rows with more than 24 such profiles, occur.
+    """
+    shape = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    grid = list(itertools.product(*map(range, shape)))
+    table = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            r = draw(st.integers(0, max(shape) - 1))
+            code = [i for i, p in enumerate(grid) if sum(p) % max(shape) == r]
+            live = draw(st.sets(st.sampled_from(code))) if draw(
+                st.booleans()) else set(code)
+        else:
+            live = draw(st.sets(st.integers(0, len(grid) - 1), max_size=30))
+        table.append([i in live for i in range(len(grid))])
+    return np.array(table, dtype=bool).reshape(len(table), len(grid)), shape
+
+
+class TestLineTest:
+    @given(profile_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_as_pairwise_reference(self, case):
+        alive, shape = case
+        rows = reduce._line_test(alive, shape)
+        assert rows.tolist() == oracle.line_test_rows(alive, shape)
+
+    def test_count_bound_is_24(self):
+        # coordinate sums 0 mod 4: 64 profiles, no two one coordinate apart
+        shape = [4, 4, 4, 4]
+        code = [sum(p) % 4 == 0 for p in itertools.product(range(4), repeat=4)]
+        live = np.flatnonzero(code)
+        alive = np.zeros((3, len(code)), dtype=bool)
+        for row, count in zip(alive, (24, 25, 64)):
+            row[live[:count]] = True
+        assert reduce._line_test(alive, shape).tolist() == [0]
+        assert oracle.line_test_rows(alive, shape) == [0]
