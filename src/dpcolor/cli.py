@@ -147,6 +147,7 @@ def _combine_verdicts(parts: list[tuple]) -> tuple:
     statuses = [p[0] for p in parts]
     stats = {"enumerated": sum(p[2].get("enumerated", 0) for p in parts),
              "blocks": sum(p[2].get("blocks", 0) for p in parts),
+             "rows_built": sum(p[2].get("rows_built", 0) for p in parts),
              "seconds": max(p[2].get("seconds", 0.0) for p in parts)}
     worst = [p[2]["worst_bad_colors"] for p in parts
              if "worst_bad_colors" in p[2]]
@@ -200,7 +201,7 @@ def cmd_reduce_check(args) -> dict:
         "workers": workers,
         "seconds": round(stats.get("seconds", 0.0), 3),
     }
-    for key in ("blocks", "reason", "worst_bad_colors"):
+    for key in ("blocks", "rows_built", "reason", "worst_bad_colors"):
         if key in stats:
             report[key] = stats[key]
     if witness is not None:

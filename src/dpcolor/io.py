@@ -47,11 +47,30 @@ def _int(value, field: str, source: str) -> int:
     raise FormatError(f"{source}: field {field}: {value!r} is not an integer")
 
 
+def _list(value, field: str, source: str,
+          length: Optional[int] = None) -> list:
+    """A JSON array (of `length` entries, if given), else a FormatError
+    naming the field."""
+    if type(value) is not list or length is not None and len(value) != length:
+        shape = "an array" if length is None else "a pair [u, v]"
+        raise FormatError(f"{source}: field {field}: {value!r} is not {shape}")
+    return value
+
+
+def _object(value, field: str, source: str) -> dict:
+    """A JSON object, else a FormatError naming the field."""
+    if type(value) is not dict:
+        raise FormatError(f"{source}: field {field}: {value!r} is not an "
+                          f"object keyed by vertex or edge")
+    return value
+
+
 def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGraph]:
     try:
         n = _int(data["n"], "n", source)
-        edges = [[_int(u, f"edges[{i}]", source) for u in e]
-                 for i, e in enumerate(data["edges"])]
+        edges = [[_int(u, f"edges[{i}]", source)
+                  for u in _list(e, f"edges[{i}]", source, 2)]
+                 for i, e in enumerate(_list(data["edges"], "edges", source))]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{source}: missing or malformed field: {exc}")
     try:
@@ -61,8 +80,10 @@ def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGra
     rotation = data.get("rotation")
     if rotation is None:
         return g
+    rotation = _object(rotation, "rotation", source)
     try:
-        rot = [[_int(u, f"rotation['{v}']", source) for u in rotation[str(v)]]
+        rot = [[_int(u, f"rotation['{v}']", source)
+                for u in _list(rotation[str(v)], f"rotation['{v}']", source)]
                for v in range(n)]
     except KeyError as exc:
         raise FormatError(f"{source}: field 'rotation': missing vertex {exc}")
@@ -105,15 +126,16 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
     except KeyError as exc:
         raise FormatError(f"{source}: missing field {exc}")
     sigma = {}
-    for key, images in raw.items():
+    for key, images in _object(raw, "sigma", source).items():
         try:
             u, v = (int(x) for x in key.split("-"))
         except ValueError:
             raise FormatError(f"{source}: sigma key {key!r} is not 'u-v'")
         if (u, v) != edge_key(u, v):
             raise FormatError(f"{source}: sigma key {key!r} must have u < v")
-        sigma[(u, v)] = tuple(_int(c, f"sigma[{key!r}]", source)
-                              for c in images)
+        sigma[(u, v)] = tuple(
+            _int(c, f"sigma[{key!r}]", source)
+            for c in _list(images, f"sigma[{key!r}]", source))
     missing = set(graph.edges) - set(sigma)
     if missing:
         raise FormatError(f"{source}: sigma missing edges {sorted(missing)}")
@@ -129,9 +151,11 @@ def parse_cover_file(path: Union[str, Path]) -> CoverInstance:
     if avail_raw is None:
         avail = tuple(frozenset(range(1, k + 1)) for _ in range(graph.n))
     else:
+        avail_raw = _object(avail_raw, "available", str(path))
         avail = tuple(
             frozenset(_int(c, f"available['{v}']", str(path))
-                      for c in avail_raw.get(str(v), range(1, k + 1)))
+                      for c in _list(avail_raw.get(str(v), [*range(1, k + 1)]),
+                                     f"available['{v}']", str(path)))
             for v in range(graph.n)
         )
     return CoverInstance(graph, k, avail, sigma)
@@ -174,8 +198,8 @@ def parse_config_file(path: Union[str, Path]):
                    for r, v in data.get("names", {}).items()},
             floors=tuple(_int(x, f"floors[{i}]", src)
                          for i, x in enumerate(data["floors"])),
-            tree=tuple(edge_key(_int(e[0], f"tree[{i}]", src),
-                                _int(e[1], f"tree[{i}]", src))
+            tree=tuple(edge_key(*(_int(u, f"tree[{i}]", src)
+                                  for u in _list(e, f"tree[{i}]", src, 2)))
                        for i, e in enumerate(data.get("tree", []))),
             strategy=str(data["strategy"]),
             pivot=data.get("pivot"),

@@ -20,19 +20,25 @@ transversal exists.  Three sound reductions shrink the search:
 All four strategies run on one mask kernel (`_Run.leaves`).  For each
 residual choice the candidate color assignments form a grid, one axis per
 vertex, with the strategy's grouping vertices outermost; each free edge has
-one boolean mask row per maximal injection, and an instance is the AND of
-one row per edge.  The kernel walks the outer edges ANDing rows, vectorizes
-the rest as instances x candidates blocks filled up to a cell cap, and ORs
-each instance over the non-grouping axes.  It also counts instances and
-blocks, stops on the budget and keeps the split=(i, n) share.  Each strategy
-is one reduction of those blocks:
+one boolean mask per maximal injection, and an instance is the AND of one
+mask per edge.  The kernel walks the outer edges ANDing masks and
+vectorizes the rest in blocks sized to a cell cap.  Each block comes as two
+factors over the grouping vertices' assignments: the early factor ANDs the
+edges that touch a non-grouping vertex and ORs each instance over the
+non-grouping axes; the late factor ANDs the edges between two grouping
+vertices (only eliminate has any), which cannot see the non-grouping axes.
+An instance's row is the AND of one row of each.  The kernel also counts
+instances, blocks and built rows, stops on the budget and keeps the
+split=(i, n) share.  Each strategy is one reduction of those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
 * "margin" (the precolored vertex): more than one dead precolor fails;
 * "condition" (the cut vertex, one side at a time): the families of blocked
   cut colors, combined across the two sides;
 * "eliminate" (the neighbors of a removed full-floor pivot): the live
-  neighbor-color profiles, which maps on the pivot edges try to block.
+  neighbor-color profiles, which maps on the pivot edges try to block.  Its
+  line test runs on the factors first, and only the instances that pass it
+  there get a row.
 """
 
 from __future__ import annotations
@@ -320,27 +326,77 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 # ---------------------------------------------------------------------------
 # the mask kernel
 
-# Cells (instances x candidates) that one kernel block fills up to: the last
+# Cells (instances x candidates) that one kernel block is sized to: the last
 # two edges are vectorized in every block when their rows fit together, else
 # the last one, and the edge before them contributes as many options to each
-# block as the rest of the cap holds (at least one).
+# block as the rest of the cap holds (at least one).  Block sizes count every
+# edge over the whole candidate grid, so the early cube (its early edges
+# only) and any table built from the factors (group axes only) stay within
+# the cap.
 _BLOCK_CELLS = 1 << 20
 
 
 @dataclass
 class _Leaf:
-    """One kernel block: instances x assignments of the grouping vertices."""
+    """One kernel block, as two factors over the group assignments.
 
+    An instance of the block takes one option of each vectorized edge.  The
+    options of the early edges (those touching a non-grouping vertex) pick a
+    row of `early`: the group assignments that extend to the `rest` axes,
+    ANDed with the late edges fixed on the walk.  The options of the late
+    edges (both ends grouping vertices) pick a row of `late`, which depends
+    only on the group axes of the vertices in `touched`.  The instance's
+    table row is the AND of the two.  Both factors and every table that
+    `table` builds are profile-major (column-major): each group assignment's
+    column is contiguous over the rows.
+    """
+
+    run: _Run
     residuals: Mapping[int, frozenset[int]]
-    alive: np.ndarray  # [j, g]: group assignment g extends in instance j
+    early: np.ndarray  # [e, g]
+    late: np.ndarray  # [l, g]
+    count: int  # instances of the block within the budget
     first: int  # instances enumerated before this block
     path: list  # (edge, map) fixed by the walk down to this block
-    inner: list  # (edge, maps) vectorized, the first one outermost
+    inner: list  # (edge, maps, late) vectorized, the first one outermost
+
+    @property
+    def touched(self) -> set:
+        """The grouping vertices of the vectorized late edges."""
+        return {v for e, _, late in self.inner if late for v in e}
+
+    def table(self, keep: Optional[np.ndarray] = None):
+        """(j, alive): the block's instance numbers j in ascending order,
+        of every (early, late) pair that `keep[e, l]` admits (all by
+        default), and their rows alive[i] = early[e] & late[l]."""
+        import numpy as np
+
+        # one axis per vectorized edge; each factor spans its own edges'
+        # axes, in the mixed radix that numbers the instances
+        digits = [len(opts) for _, opts, _ in self.inner]
+        spans = [[n if late == side else 1
+                  for n, (_, _, late) in zip(digits, self.inner)]
+                 for side in (False, True)]
+        factors = [self.early.T, self.late.T]  # [g, row]
+        if keep is None:
+            j = np.arange(self.count)
+            alive = (factors[0].reshape(-1, *spans[0])
+                     & factors[1].reshape(-1, *spans[1])).reshape(
+                len(factors[0]), -1)[:, :self.count]
+        else:
+            e, l = (np.broadcast_to(np.arange(f.shape[1]).reshape(span),
+                                    digits).ravel()[:self.count]
+                    for f, span in zip(factors, spans))
+            j = np.flatnonzero(keep[e, l])
+            alive = np.take(factors[0], e[j], axis=1) \
+                & np.take(factors[1], l[j], axis=1)
+        self.run.rows_built += len(j)
+        return j, alive.T
 
     def maps(self, j: int) -> dict:
         """The edge maps of the block's j-th instance."""
         out = dict(self.path)
-        for e, opts in reversed(self.inner):
+        for e, opts, _ in reversed(self.inner):
             j, r = divmod(j, len(opts))
             out[e] = opts[r]
         return out
@@ -353,7 +409,9 @@ class _Run:
     residual choice, in every strategy.  The budget caps it: the kernel stops
     as soon as the next block would pass it.  `blocks` counts the leaf
     blocks this share evaluated; `walked` also counts those it left to the
-    other shares.
+    other shares.  `rows_built` counts the instance rows built from the
+    factors (all of them, except where eliminate's line test rejects an
+    instance on the factors).
     """
 
     def __init__(self, budget: Optional[int],
@@ -364,12 +422,13 @@ class _Run:
         self.exhausted = False
         self.blocks = 0
         self.walked = 0
+        self.rows_built = 0
         self.t0 = time.monotonic()
 
     def verdict(self, status: str, witness: Optional[CoverInstance] = None,
                 **stats) -> Verdict:
         stats = {"enumerated": self.enumerated, "blocks": self.blocks,
-                 **stats}
+                 "rows_built": self.rows_built, **stats}
         if status == INCONCLUSIVE:
             stats["reason"] = "budget exhausted"
         stats["seconds"] = time.monotonic() - self.t0
@@ -392,14 +451,24 @@ class _Run:
         """Yield the instances of every residual choice, block by block.
 
         The candidate assignments of group + rest form a grid, group
-        outermost.  Straightened edges mask out equal colors; each free edge
-        has one mask row per maximal injection.  The walk ANDs rows edge by
-        edge, fewest options first.  Every block vectorizes the tail edges
-        (see _BLOCK_CELLS) and one slice of the options of the last walked
-        edge, sized to fill the block to _BLOCK_CELLS; that slice heads the
-        leaf's `inner`, so instances keep the lexicographic order of the
-        edges.  A leaf's `alive` ORs each instance over the `rest` axes.
-        split=(i, n) keeps the leaf blocks whose index is i modulo n.
+        outermost.  Straightened edges mask out equal colors.  Each free
+        edge has one mask column per maximal injection: over the whole grid
+        for an early edge (one touching a `rest` vertex), over the group
+        grid only for a late edge (both ends in `group`).  Masks are
+        cell-major ([cell, option]), so reductions over cells run along
+        contiguous instances.
+
+        The walk fixes one option per edge, fewest options first, and ANDs
+        early columns into the candidate mask, late ones into the group
+        mask.  Every block vectorizes the tail edges (see _BLOCK_CELLS) and
+        one slice of the options of the last walked edge, sized to fill the
+        block to _BLOCK_CELLS; that slice heads the leaf's `inner`, so
+        instances keep the lexicographic order of the edges wherever the
+        late edges sort.  A leaf's early factor ANDs the vectorized early
+        edges into the candidate mask, ORs each instance over the `rest`
+        axes and ANDs in the group mask; its late factor ANDs the vectorized
+        late edges over the group grid.  split=(i, n) keeps the leaf blocks
+        whose index is i modulo n.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
@@ -409,6 +478,8 @@ class _Run:
             grid = np.meshgrid(*domains, indexing="ij")
             color = {v: g.ravel() for v, g in zip(order, grid)}
             width = math.prod(len(residuals[v]) for v in rest)
+            # the group grid: the grid's cells whose rest colors come first
+            group_color = {v: color[v][::width] for v in group}
             base = np.ones(math.prod(map(len, domains)), dtype=bool)
             for u, v in straight:
                 base &= color[u] != color[v]
@@ -418,7 +489,10 @@ class _Run:
                 image = np.zeros((len(opts), K + 1), dtype=np.int64)
                 for row, m in zip(image, opts):
                     row[list(m)] = list(m.values())
-                edges.append(((u, v), opts, image[:, color[u]] != color[v]))
+                late = u in group_color and v in group_color
+                c = group_color if late else color
+                edges.append(((u, v), opts,
+                              image.T[c[u]] != c[v][:, None], late))
             edges.sort(key=lambda t: len(t[1]))
             tail = min(len(edges), 1)
             if (len(edges) >= 2 and _BLOCK_CELLS
@@ -427,17 +501,26 @@ class _Run:
             outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
             heads = [[]]
             if outer:
-                e, opts, rows = outer.pop()
+                e, opts, rows, late = outer.pop()
                 step = max(1, _BLOCK_CELLS // math.prod(
                     [base.size, *(len(t[1]) for t in inner)]))
-                heads = [[(e, opts[lo:lo + step], rows[lo:lo + step])]
+                heads = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
                          for lo in range(0, len(opts), step)]
+            # [early, late]: the candidate and the group masks of the walk,
+            # and the [cell, option tuple] ANDs of the tail's edges, the same
+            # in every block of this residual choice
+            masks = [base, np.ones(base.size // width, dtype=bool)]
+            tails = [np.ones((m.size, 1), dtype=bool) for m in masks]
+            for _, _, rows, late in inner:
+                tails[late] = _and_each(tails[late], rows)
 
-            def walk(acc, path):
+            def walk(masks, path):
                 if len(path) < len(outer):
-                    e, opts, rows = outer[len(path)]
-                    for m, row in zip(opts, rows):
-                        yield from walk(acc & row, path + [(e, m)])
+                    e, opts, rows, late = outer[len(path)]
+                    for m, row in zip(opts, rows.T):
+                        fixed = list(masks)
+                        fixed[late] = masks[late] & row
+                        yield from walk(fixed, path + [(e, m)])
                         if self.exhausted:
                             return
                     return
@@ -445,28 +528,49 @@ class _Run:
                     self.walked += 1
                     if split and (self.walked - 1) % split[1] != split[0]:
                         continue
-                    block = acc[None, :]
-                    for _, _, rows in head + inner:
-                        block = (block[:, None, :] & rows[None, :, :]
-                                 ).reshape(-1, acc.size)
+                    vec = head + inner
+                    size = math.prod(len(t[1]) for t in vec)
+                    count = size
                     if self.budget is not None and \
-                            self.enumerated + len(block) > self.budget:
-                        block = block[:self.budget - self.enumerated]
+                            self.enumerated + size > self.budget:
+                        count = self.budget - self.enumerated
                         self.exhausted = True
                     first = self.enumerated
-                    self.enumerated += len(block)
-                    if len(block):
+                    self.enumerated += count
+                    if count:
                         self.blocks += 1
-                        alive = block.reshape(len(block), -1, width).any(
-                            axis=2)
-                        yield _Leaf(residuals, alive, first, path,
-                                    [(e, opts) for e, opts, _ in head + inner])
+                        yield self._leaf(residuals, masks, width, head,
+                                         tails, vec, count, first, path)
                     if self.exhausted:
                         return
 
-            yield from walk(base, [])
+            yield from walk(masks, [])
             if self.exhausted:
                 return
+
+    def _leaf(self, residuals, masks, width, head, tails, vec, count, first,
+              path) -> _Leaf:
+        """The two factors of one block, from the [candidate, group] masks
+        of the walk, the head slice and the [early, late] tail products;
+        `vec` lists the block's vectorized edges, the first one outermost.
+        """
+        tables = []
+        for side, (mask, tail) in enumerate(zip(masks, tails)):
+            table = mask[:, None]
+            for _, _, rows, late in head:
+                if late == side:
+                    table = table & rows
+            tables.append(_and_each(table, tail))
+        early = tables[0].reshape(masks[1].size, width, -1).any(axis=1)
+        early &= masks[1][:, None]
+        return _Leaf(self, residuals, early.T, tables[1].T, count, first,
+                     path, [(e, opts, late) for e, opts, _, late in vec])
+
+
+def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every column of a ANDed with every column of b, a's outermost:
+    out[cell, i * b.shape[1] + k] = a[cell, i] & b[cell, k]."""
+    return (a[:, :, None] & b[:, None, :]).reshape(len(a), -1)
 
 
 def _first_rows(table: np.ndarray) -> np.ndarray:
@@ -488,9 +592,10 @@ def _check_product(cfg: Configuration, run: _Run) -> Verdict:
 
     for leaf in run.leaves(residual_choices(cfg), (), range(cfg.graph.n),
                            cfg.tree, _free_edges(cfg), run.split):
-        dead = np.flatnonzero(~leaf.alive[:, 0])
+        at, alive = leaf.table()
+        dead = np.flatnonzero(~alive[:, 0])
         if dead.size:
-            j = dead[0]
+            j = at[dead[0]]
             return run.stop(leaf, j, build_witness(
                 cfg, leaf.residuals, leaf.maps(j)))
     return run.done()
@@ -507,12 +612,13 @@ def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     worst = 0
     for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
                            _free_edges(cfg), run.split):
-        nbad = leaf.alive.shape[1] - leaf.alive.sum(axis=1)
+        at, alive = leaf.table()
+        nbad = alive.shape[1] - alive.sum(axis=1)
         over = np.flatnonzero(nbad > 1)
         if over.size:
-            j = over[0]
+            j = at[over[0]]
             bad = [c for c, ok in zip(sorted(leaf.residuals[v]),
-                                      leaf.alive[j]) if not ok]
+                                      alive[over[0]]) if not ok]
             # the witness keeps only the bad precolors, so it has no
             # transversal at all
             residuals = {**leaf.residuals, v: frozenset(bad)}
@@ -558,10 +664,11 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
         edges = [e for e in sorted(cfg.graph.edges) if set(e) <= inside]
         family: dict[frozenset[int], dict] = {}
         for leaf in side_run.leaves([floors], [cut], side, (), edges, split):
-            blocked = ~leaf.alive
-            for j in _first_rows(blocked):
-                family.setdefault(frozenset(colors[blocked[j]].tolist()),
-                                  leaf.maps(j))
+            at, alive = leaf.table()
+            blocked = ~alive
+            for r in _first_rows(blocked):
+                family.setdefault(frozenset(colors[blocked[r]].tolist()),
+                                  leaf.maps(at[r]))
         if side_run.exhausted:
             return run.verdict(INCONCLUSIVE)
         families.append(family)
@@ -615,10 +722,12 @@ def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     injection to repeat a value.  Such pairs share a line of the profile
     grid (`shape`, one axis per neighbor) along one axis.  The axes are
     tested largest first, each on the rows that passed the ones before, and
-    the count last.
+    the count last.  The test runs on a profile-major (column-major) copy,
+    which the kernel's tables already are.
     """
     import numpy as np
 
+    alive = np.asfortranarray(alive)
     rows = np.arange(len(alive))
     for axis in sorted(range(len(shape)), key=lambda a: -shape[a]):
         lines = alive.reshape(len(rows), math.prod(shape[:axis]), shape[axis],
@@ -632,13 +741,44 @@ def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return rows[np.count_nonzero(alive, axis=1) <= 24]
 
 
+def _factored_line_test(early: np.ndarray, late: np.ndarray,
+                        shape: Sequence[int], axes) -> np.ndarray:
+    """keep[e, l]: whether the row early[e] & late[l] passes the line test
+    along each of `axes`.
+
+    Every late row must be constant along each of `axes`.  A line along
+    such an axis then holds two live profiles of the pair exactly when it
+    holds two of early[e] and is live in late[l].  Each factor row packs
+    one of these bits per line into a uint64 (with four neighbors and
+    K = 4 an axis has at most 4^3 = 64 lines), and a pair fails the axis
+    when its two words share a bit.
+    """
+    import numpy as np
+
+    both = np.concatenate([early.T, late.T], axis=1)  # [profile, row]
+    need = np.repeat(np.array([2, 1], dtype=np.uint8), [len(early), len(late)])
+    bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    keep = np.ones((len(early), len(late)), dtype=bool)
+    for axis in sorted(axes, key=lambda a: -shape[a]):
+        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        lines = both.reshape(pre, shape[axis], post, -1)
+        hit = np.add.reduce(lines, axis=1, dtype=np.uint8) >= need
+        words = np.dot(bit[:pre * post], hit.reshape(pre * post, -1))
+        keep &= (words[:len(early), None] & words[None, len(early):]) == 0
+        if not keep.any():
+            break
+    return keep
+
+
 def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     """Remove a full-floor degree-4 pivot and let its edge maps fight back.
 
     Grouped by the pivot's neighbors, a leaf row lists the neighbor-color
     profiles that extend to the rest of the graph.  The instance fails iff
     maps on the pivot edges can send every live profile onto all four
-    pivot colors.
+    pivot colors.  The line test runs on the leaf's factors first, along
+    every axis that no vectorized late edge touches; only the instances
+    that pass get a table row, and finish the line test there.
     """
     import numpy as np
 
@@ -656,14 +796,22 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     for leaf in run.leaves(residual_choices(cfg, skip=(z,)), nbrs, rest,
                            cfg.tree, _free_edges(cfg, exclude_vertex=z),
                            run.split):
-        alive = leaf.alive
         res = [leaf.residuals[v] for v in nbrs]
-        rows = _line_test(alive, [len(r) for r in res])
+        shape = [len(r) for r in res]
+        keep = _factored_line_test(
+            leaf.early, leaf.late, shape,
+            [a for a, v in enumerate(nbrs)
+             if shape[a] > 1 and v not in leaf.touched])
+        if not keep.any():
+            continue
+        at, alive = leaf.table(keep)
+        rows = _line_test(alive, shape)
         if not rows.size:
             continue
         table = list(itertools.product(*map(sorted, res)))
-        for j in rows[_first_rows(alive[rows])]:
-            profiles = [table[p] for p in np.flatnonzero(alive[j])]
+        for r in rows[_first_rows(alive[rows])]:
+            j = at[r]
+            profiles = [table[p] for p in np.flatnonzero(alive[r])]
             fs = _adversary_blocks(profiles, res)
             if fs is None:
                 continue

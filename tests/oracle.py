@@ -21,6 +21,11 @@ the same vertex order, color order and deferred colors give the same dict.
 Eliminate line test: the rows of a pivot-profile table that no pivot maps
 can block, found pair by pair of live profiles.
 
+Eliminate order: the first instance of an eliminate configuration that
+pivot maps block, with the instances listed in the kernel's documented
+order by itertools and each one's live profiles found by trying every
+coloring of the vertices off the pivot's neighborhood.
+
 Greedy certificates: a 'color ... in order' proof step, checked on every
 instance of the symmetry-reduced enumeration by trying every greedy choice.
 
@@ -44,8 +49,8 @@ from dpcolor.cover import CoverInstance, is_independent, residual
 from dpcolor.graphs import Graph, PlaneGraph, edge_key
 from dpcolor.patterns import catalog
 from dpcolor.reduce import (
-    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, build_witness,
-    maximal_injections, residual_choices,
+    K, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
+    build_witness, maximal_injections, residual_choices,
 )
 
 
@@ -162,6 +167,50 @@ def line_test_rows(alive, shape: Sequence[int]) -> list[int]:
                 for p, q in itertools.combinations(live, 2)):
             kept.append(j)
     return kept
+
+
+def first_failure(cfg: Configuration):
+    """(count, residuals, edge maps) of the first eliminate instance that
+    pivot maps block, or None.
+
+    Instances come in the order the kernel documents: residual choices as
+    `residual_choices` yields them, then one maximal injection per free
+    edge off the pivot, lexicographically, with the edges sorted by option
+    count (ties by edge).  `count` numbers the instance from 1; the edge
+    maps include the blocking pivot maps.
+    """
+    z = cfg.pivot
+    nbrs = sorted(cfg.graph.adjacency[z])
+    others = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
+    tree = set(cfg.tree)
+    free = [e for e in sorted(cfg.graph.edges) if e not in tree and z not in e]
+    count = 0
+    for residuals in residual_choices(cfg, skip=(z,)):
+        options = sorted(
+            ((e, maximal_injections(residuals[e[0]], residuals[e[1]]))
+             for e in free), key=lambda t: len(t[1]))
+        res = [residuals[v] for v in nbrs]
+        for combo in itertools.product(*(opts for _, opts in options)):
+            count += 1
+            maps = {e: m for (e, _), m in zip(options, combo)}
+
+            def proper(color) -> bool:
+                return all(color[u] != color[v] for u, v in tree) and all(
+                    m.get(color[u]) != color[v] for (u, v), m in maps.items())
+
+            profiles = [
+                p for p in itertools.product(*map(sorted, res))
+                if any(proper({**dict(zip(nbrs, p)), **dict(zip(others, q))})
+                       for q in itertools.product(
+                           *(sorted(residuals[v]) for v in others)))]
+            fs = _adversary_blocks(profiles, res)
+            if fs is not None:
+                pivot_maps = {
+                    edge_key(nb, z): (f if nb < z else
+                                      {img: c for c, img in f.items()})
+                    for nb, f in zip(nbrs, fs)}
+                return count, residuals, maps | pivot_maps
+    return None
 
 
 def check_greedy_certificate(

@@ -278,7 +278,7 @@ class TestCli:
         _, multi = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond",
                            "--workers", "2")
         ra, rb = json.loads(solo), json.loads(multi)
-        for key in ("status", "enumerated", "blocks"):
+        for key in ("status", "enumerated", "blocks", "rows_built"):
             assert ra[key] == rb[key]
 
     @pytest.mark.parametrize("label", ["L5-special5", "L6-precolor"])
@@ -288,7 +288,8 @@ class TestCli:
                            "--workers", "2")
         ra, rb = json.loads(solo), json.loads(multi)
         assert (ra["workers"], rb["workers"]) == (1, 2)
-        for key in ("status", "enumerated", "blocks", "worst_bad_colors"):
+        for key in ("status", "enumerated", "blocks", "rows_built",
+                    "worst_bad_colors"):
             assert ra.get(key) == rb.get(key)
         assert "pruned" not in rb
 
@@ -302,15 +303,18 @@ class TestCli:
     def test_combined_verdict_keeps_worst_and_reason(self):
         parts = [
             ("REDUCIBLE", None, {"enumerated": 5, "blocks": 2,
-                                 "worst_bad_colors": 1, "seconds": 0.1}),
+                                 "rows_built": 4, "worst_bad_colors": 1,
+                                 "seconds": 0.1}),
             ("INCONCLUSIVE", None, {"enumerated": 3, "blocks": 1,
+                                    "rows_built": 3,
                                     "worst_bad_colors": 0,
                                     "reason": "budget exhausted",
                                     "seconds": 0.2}),
         ]
         status, witness, stats = cli._combine_verdicts(parts)
         assert status == "INCONCLUSIVE" and witness is None
-        assert stats == {"enumerated": 8, "blocks": 3, "seconds": 0.2,
+        assert stats == {"enumerated": 8, "blocks": 3, "rows_built": 7,
+                         "seconds": 0.2,
                          "worst_bad_colors": 1, "reason": "budget exhausted"}
 
     def test_text_format(self, capsys):
@@ -389,6 +393,30 @@ class TestInputErrors:
     ])
     def test_non_integer_values_are_rejected(self, capsys, tmp_path, argv,
                                              data, named):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = cli.main([a.format(path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,data,named", [
+        # graph files
+        (["solve", "{}", "--k", "4"], {"n": 2, "edges": [[0]]},
+         "field edges[0]: [0] is not a pair"),
+        (["solve", "{}", "--k", "4"], {"n": 2, "edges": [[0, 1, 1]]},
+         "field edges[0]: [0, 1, 1] is not a pair"),
+        (["solve", "{}", "--k", "4"], {**EDGE, "rotation": [[1], [0]]},
+         "field rotation: [[1], [0]] is not an object"),
+        # cover files
+        (["solve", "{}"], {**COVER, "sigma": [[2, 1]]},
+         "field sigma: [[2, 1]] is not an object"),
+        (["solve", "{}"], {**COVER, "sigma": {"0-1": 5}},
+         "field sigma['0-1']: 5 is not an array"),
+        (["solve", "{}"], {**COVER, "available": [[1], [2]]},
+         "field available: [[1], [2]] is not an object"),
+    ])
+    def test_malformed_shapes_are_rejected(self, capsys, tmp_path, argv,
+                                           data, named):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         code = cli.main([a.format(path) for a in argv])

@@ -296,16 +296,20 @@ class TestAdversary:
 # the mask kernel against the naive oracle, counters, budget and split
 
 ORACLE_LIMIT = 20000  # instances the oracle solves per example
+# for tests that check the kernel's order, not its verdict: configurations
+# this large (in the oracle's count) still fail or finish within seconds
+ORDER_LIMIT = 2_000_000
 
 
-def _grow_edges(draw, floors, required, optional, canonical):
+def _grow_edges(draw, floors, required, optional, canonical,
+                limit=ORACLE_LIMIT):
     """The required edges, then each optional one that a coin admits and
-    that keeps the oracle within ORACLE_LIMIT instances."""
+    that keeps the oracle within `limit` instances."""
     edges = list(required)
-    assume(oracle.instance_count(floors, edges, canonical) <= ORACLE_LIMIT)
+    assume(oracle.instance_count(floors, edges, canonical) <= limit)
     for e in draw(st.permutations(optional)):
         if draw(st.booleans()) and oracle.instance_count(
-                floors, edges + [e], canonical) <= ORACLE_LIMIT:
+                floors, edges + [e], canonical) <= limit:
             edges.append(e)
     return sorted(edges)
 
@@ -380,14 +384,21 @@ def condition_configs(draw):
 
 
 @st.composite
-def eliminate_configs(draw):
-    # pivot 4 and its four neighbors 0..3; with every list free, the pivot
-    # edges alone would pass ORACLE_LIMIT
+def eliminate_configs(draw, limit=ORACLE_LIMIT):
+    # pivot 4, its four neighbors 0..3 and maybe vertex 5 off the pivot's
+    # neighborhood, so that edges between two neighbors (late in the kernel)
+    # and edges to vertex 5 (early) sort in either order; with every list
+    # free, the pivot edges alone would pass ORACLE_LIMIT
+    n = draw(st.integers(5, 6))
     floors = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4)) + [4]
-    edges = _grow_edges(draw, floors, [(v, 4) for v in range(4)],
-                        list(itertools.combinations(range(4), 2)), True)
+    floors += draw(st.lists(st.integers(1, 3), min_size=n - 5,
+                            max_size=n - 5))
+    edges = _grow_edges(
+        draw, floors, [(v, 4) for v in range(4)],
+        [e for e in itertools.combinations(range(n), 2) if 4 not in e], True,
+        limit)
     tree = _draw_forest(draw, [e for e in edges if 4 not in e])
-    return _config(5, edges, floors, tree, "eliminate", pivot=4), True
+    return _config(n, edges, floors, tree, "eliminate", pivot=4), True
 
 
 def _agrees_with_oracle(case):
@@ -445,6 +456,18 @@ class TestKernelCounters:
         assert v.status == CATALOG[label].expect
         assert v.stats["enumerated"] == ENUMERATED[label]
 
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_rows_built(self, label):
+        v = check_reducible(CATALOG[label])
+        if CATALOG[label].strategy != "eliminate":
+            # one all-true late row: every instance gets its row
+            assert v.stats["rows_built"] == v.stats["enumerated"]
+        elif label in ("L7-555", "L8-556"):
+            # the line test rejects every instance on the factors
+            assert v.stats["rows_built"] == 0
+        else:
+            assert v.stats["rows_built"] > 0  # the failing instance's row
+
     @pytest.mark.parametrize("label,name", [("CE-6", "ce6.json"),
                                             ("CE-7", "ce7.json")])
     def test_witness_equals_frozen_asset(self, label, name):
@@ -491,8 +514,11 @@ class TestKernelCounters:
 
 
 def _outcome(v):
-    """A verdict without its time and its block count, which the cap sets."""
-    stats = {k: x for k, x in v.stats.items() if k not in ("seconds", "blocks")}
+    """A verdict without its time, its block count and its built rows,
+    which the cap sets (the line test on the factors covers the axes of
+    the late edges that a block walks rather than vectorizes)."""
+    stats = {k: x for k, x in v.stats.items()
+             if k not in ("seconds", "blocks", "rows_built")}
     return v.status, stats, v.witness and cover_to_dict(v.witness)
 
 
@@ -524,19 +550,55 @@ class TestBlockCap:
                     v.stats["blocks"]
         assert more_blocks  # the smaller cap really cuts smaller blocks
 
+    @given(eliminate_configs(ORDER_LIMIT), st.sampled_from([1, 300]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_eliminate_configs(self, case, cap):
+        cfg, _ = case
+        default = check_reducible(cfg)
+        with mock.patch.object(reduce, "_BLOCK_CELLS", cap):
+            assert _outcome(check_reducible(cfg)) == _outcome(default)
 
-@st.composite
-def profile_tables(draw):
-    """A [row, profile] table over a grid of four axes of sizes 1..4.
+    @given(eliminate_configs(ORDER_LIMIT), st.sampled_from([1, 300, None]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_budget_ends_inside_a_block(self, case, cap, data):
+        cfg, _ = case
+        whole = check_reducible(cfg)
+        total = whole.stats["enumerated"]
+        budget = data.draw(st.integers(0, total - 1))
+        with mock.patch.object(reduce, "_BLOCK_CELLS",
+                               cap or reduce._BLOCK_CELLS):
+            v = check_reducible(cfg, budget=budget)
+            assert v.status == INCONCLUSIVE
+            assert v.stats["enumerated"] == budget
+            # a budget that ends at the last instance (a failing one, if
+            # the verdict is NOT_REDUCIBLE) changes nothing
+            assert _outcome(check_reducible(cfg, budget=total)) == \
+                _outcome(whole)
+
+    @pytest.mark.parametrize("budget", [1728, 1729, 1000, 3456 * 5 + 1000])
+    def test_budget_ends_inside_a_factored_catalog_block(self, budget):
+        # CE-7's only block vectorizes its late edge (2, 3); its failing
+        # instance is the 1729th.  L8-556's blocks hold 3456 instances.
+        for label in ("CE-7", "L8-556"):
+            v = check_reducible(CATALOG[label], budget=budget)
+            if label == "CE-7" and budget >= ENUMERATED[label]:
+                assert _outcome(v) == _outcome(check_reducible(CATALOG[label]))
+            else:
+                assert v.status == INCONCLUSIVE
+                assert v.stats["enumerated"] == budget
+
+
+def _profile_rows(draw, shape, count):
+    """A [row, profile] table of `count` rows over the grid `shape`.
 
     Some rows are subsets of a code with no two profiles one coordinate
     apart (coordinate sums fixed modulo the largest axis), so that rows
     which pass every axis, and rows with more than 24 such profiles, occur.
     """
-    shape = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
     grid = list(itertools.product(*map(range, shape)))
     table = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(count):
         if draw(st.booleans()):
             r = draw(st.integers(0, max(shape) - 1))
             code = [i for i, p in enumerate(grid) if sum(p) % max(shape) == r]
@@ -545,7 +607,32 @@ def profile_tables(draw):
         else:
             live = draw(st.sets(st.integers(0, len(grid) - 1), max_size=30))
         table.append([i in live for i in range(len(grid))])
-    return np.array(table, dtype=bool).reshape(len(table), len(grid)), shape
+    return np.array(table, dtype=bool).reshape(len(table), len(grid))
+
+
+@st.composite
+def profile_tables(draw):
+    """A [row, profile] table over a grid of four axes of sizes 1..4."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    return _profile_rows(draw, shape, draw(st.integers(0, 6))), shape
+
+
+@st.composite
+def factor_tables(draw):
+    """Early and late [row, profile] factors over a grid of four axes of
+    sizes 1..4, and the axes that the late rows vary along (they are
+    constant along the others)."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    touched = draw(st.sets(st.integers(0, 3)))
+    early = _profile_rows(draw, shape, draw(st.integers(0, 5)))
+    seen = [n if a in touched else 1 for a, n in enumerate(shape)]
+    late = _profile_rows(draw, seen, draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        late = ~late  # dense late rows, as a single late edge gives
+    late = np.broadcast_to(late.reshape(len(late), *seen),
+                           (len(late), *shape)).reshape(len(late),
+                                                        early.shape[1])
+    return early, late, shape, touched
 
 
 class TestLineTest:
@@ -555,6 +642,28 @@ class TestLineTest:
         alive, shape = case
         rows = reduce._line_test(alive, shape)
         assert rows.tolist() == oracle.line_test_rows(alive, shape)
+
+    @given(factor_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_factored_stage_same_rows_as_pairwise_reference(self, case):
+        early, late, shape, touched = case
+        keep = reduce._factored_line_test(
+            early, late, shape, [a for a in range(4) if a not in touched])
+        pairs = list(itertools.product(range(len(early)), range(len(late))))
+        product = np.array([early[e] & late[l] for e, l in pairs],
+                           dtype=bool).reshape(len(pairs), early.shape[1])
+        kept = [i for i, (e, l) in enumerate(pairs) if keep[e, l]]
+        rows = reduce._line_test(product[kept], shape)
+        assert [kept[r] for r in rows] == \
+            oracle.line_test_rows(product, shape)
+
+    def test_layout_does_not_change_the_rows(self):
+        rng = np.random.default_rng(5)
+        alive = rng.random((50, 36)) < 0.1
+        rows = reduce._line_test(alive, [3, 3, 2, 2])
+        assert rows.tolist() == reduce._line_test(
+            np.asfortranarray(alive), [3, 3, 2, 2]).tolist()
+        assert rows.tolist() == oracle.line_test_rows(alive, [3, 3, 2, 2])
 
     def test_count_bound_is_24(self):
         # coordinate sums 0 mod 4: 64 profiles, no two one coordinate apart
@@ -566,3 +675,35 @@ class TestLineTest:
             row[live[:count]] = True
         assert reduce._line_test(alive, shape).tolist() == [0]
         assert oracle.line_test_rows(alive, shape) == [0]
+
+
+class TestEliminateOrder:
+    """The factored kernel stops at the same instance, with the same
+    witness, as the enumeration in the documented order by itertools."""
+
+    @given(eliminate_configs(ORDER_LIMIT), st.sampled_from([1, 300, None]))
+    @settings(max_examples=100, deadline=None)
+    def test_first_failure_matches_oracle(self, case, cap):
+        # small caps walk the late edges that the default cap vectorizes
+        cfg, _ = case
+        with mock.patch.object(reduce, "_BLOCK_CELLS",
+                               cap or reduce._BLOCK_CELLS):
+            v = check_reducible(cfg)
+        if v.status == REDUCIBLE:
+            assume(v.stats["enumerated"] <= 2000)
+            assert oracle.first_failure(cfg) is None
+            return
+        count, residuals, maps = oracle.first_failure(cfg)
+        assert v.stats["enumerated"] == count
+        assert cover_to_dict(v.witness) == \
+            cover_to_dict(reduce.build_witness(cfg, residuals, maps))
+
+    def test_ce7_late_edge_sorts_before_early_ones(self):
+        # CE-7 sorts the edge between the pivot's neighbors w and x (12
+        # options) before u's edges to x and y (24 each)
+        cfg = CATALOG["CE-7"]
+        v = check_reducible(cfg)
+        count, residuals, maps = oracle.first_failure(cfg)
+        assert v.stats["enumerated"] == count == ENUMERATED["CE-7"]
+        assert cover_to_dict(v.witness) == \
+            cover_to_dict(reduce.build_witness(cfg, residuals, maps))
