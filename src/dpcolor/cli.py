@@ -340,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("corpus", parents=[common], help="batch solve + audit over a corpus")
     cp.add_argument("input")
-    cp.add_argument("--filter", action="append",
-                    choices=("no-7-cycles", "no-butterfly",
-                             "has-good-triangle"))
+    cp.add_argument("--filter", action="append", choices=tuple(dio.FILTERS))
     cp.add_argument("--k", type=int, default=4)
     cp.add_argument("--no-solve", action="store_true")
     cp.add_argument("--no-audit", action="store_true")
@@ -357,10 +355,15 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"--k must be in [2, 8], got {args.k}")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
+    for flag, low in (("budget", 0), ("limit", 1)):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < low:
+            parser.error(f"--{flag} must be >= {low}")
     if getattr(args, "mode", "full") == "sampled":
         # sampled mode draws one seeded sequence of exactly --count instances
         if args.seed is None:
             parser.error("sampled mode requires --seed")
+        if args.count < 1:
+            parser.error("--count must be >= 1")
         if args.workers > 1:
             parser.error("--workers: sampled mode runs in one process")
         if args.budget is not None:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from . import clusters, graphs, patterns
 from .cover import CoverInstance
 from .graphs import Graph, GraphError, MalformedEmbeddingError, PlaneGraph, edge_key
 
@@ -238,59 +240,23 @@ def parse_planar_code_line(line: str) -> PlaneGraph:
     return PlaneGraph(Graph.from_edges(n, sorted(edges)), rotation)
 
 
+# Corpus filters, in the order they are applied: a graph is counted under the
+# first one it fails.  Each predicate gets the record and its plain graph and
+# tells whether the graph passes; the names are looked up in their modules at
+# call time, so tracing wrappers see the calls.
+FILTERS = {
+    "no-7-cycles": lambda g, graph: not graphs.has_cycle_of_length(graph, 7),
+    "no-butterfly": lambda g, graph: not patterns.contains_butterfly(graph),
+    "has-good-triangle": lambda g, graph: (
+        isinstance(g, PlaneGraph) and clusters.has_good_outer_triangle(g)),
+}
+
+
 @dataclass
 class CorpusStats:
     read: int = 0
     skipped: int = 0
-    rejected: dict = None
-
-    def __post_init__(self):
-        if self.rejected is None:
-            self.rejected = {}
-
-
-def iter_corpus_entries(
-    path: Union[str, Path],
-    on_error=None,
-) -> Iterator[tuple[str, Union[Graph, PlaneGraph]]]:
-    """Graphs from a directory of graph files or a multi-record file.
-
-    Multi-record files are newline-delimited: each line is either a JSON
-    graph object or a plantri-style ASCII record.  Unreadable entries raise,
-    unless on_error is given, in which case it is called with the exception
-    and the stream continues with the next entry.
-    """
-    p = Path(path)
-
-    def produce():
-        if p.is_dir():
-            for entry in sorted(p.iterdir()):
-                if entry.suffix == ".json":
-                    yield str(entry), lambda e=entry: parse_graph_file(e)
-        else:
-            with open(p) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    src = f"{p}:{lineno}"
-                    if line.startswith("{"):
-                        yield src, (
-                            lambda t=line, s=src: graph_from_dict(
-                                json.loads(t), s))
-                    else:
-                        yield src, lambda t=line: parse_planar_code_line(t)
-
-    for src, thunk in produce():
-        try:
-            g = thunk()
-        except (FormatError, OSError, json.JSONDecodeError,
-                GraphError, MalformedEmbeddingError) as exc:
-            if on_error is None:
-                raise
-            on_error(exc)
-            continue
-        yield src, g
+    rejected: dict = field(default_factory=dict)
 
 
 def ingest_corpus(
@@ -299,40 +265,44 @@ def ingest_corpus(
     stats: Optional[CorpusStats] = None,
     warn=lambda msg: print(msg, file=sys.stderr),
 ) -> Iterator[Union[Graph, PlaneGraph]]:
-    """Stream corpus graphs passing all filters; count rejections per filter.
+    """Stream the graphs of a corpus that pass all `filters` (names in
+    FILTERS); count reads, skipped records and rejections per filter.
 
-    Filters: 'no-7-cycles', 'no-butterfly', 'has-good-triangle'.
+    A corpus is a directory of graph files (its `.json` entries) or a
+    multi-record file, one record per non-blank line: a JSON graph object or
+    a plantri-style ASCII record.  An unreadable record is skipped with a
+    warning; an unreadable corpus path raises OSError.
     """
-    from .clusters import has_good_outer_triangle  # local import: avoid cycle
-    from .graphs import has_cycle_of_length
-    from .patterns import contains_butterfly
-
-    known = {"no-7-cycles", "no-butterfly", "has-good-triangle"}
-    bad = set(filters) - known
+    bad = set(filters) - FILTERS.keys()
     if bad:
         raise ValueError(f"unknown filters: {sorted(bad)}")
     if stats is None:
         stats = CorpusStats()
-
-    def skip(exc):
-        stats.skipped += 1
-        warn(f"skipping unreadable corpus entry: {exc}")
-
-    for src, g in iter_corpus_entries(path, on_error=skip):
-        stats.read += 1
-        graph = g.graph if isinstance(g, PlaneGraph) else g
-        ok = True
-        if ok and "no-7-cycles" in filters and has_cycle_of_length(graph, 7):
-            stats.rejected["no-7-cycles"] = stats.rejected.get("no-7-cycles", 0) + 1
-            ok = False
-        if ok and "no-butterfly" in filters and contains_butterfly(graph):
-            stats.rejected["no-butterfly"] = stats.rejected.get("no-butterfly", 0) + 1
-            ok = False
-        if ok and "has-good-triangle" in filters:
-            if not isinstance(g, PlaneGraph) or not has_good_outer_triangle(g):
-                stats.rejected["has-good-triangle"] = (
-                    stats.rejected.get("has-good-triangle", 0) + 1
-                )
-                ok = False
-        if ok:
-            yield g
+    p = Path(path)
+    with (nullcontext(sorted(e for e in p.iterdir() if e.suffix == ".json"))
+          if p.is_dir() else open(p)) as records:
+        for lineno, record in enumerate(records, start=1):
+            if isinstance(record, str):
+                record = record.strip()
+                if not record:
+                    continue
+            try:
+                if isinstance(record, Path):
+                    g = parse_graph_file(record)
+                elif record.startswith("{"):
+                    g = graph_from_dict(json.loads(record), f"{p}:{lineno}")
+                else:
+                    g = parse_planar_code_line(record)
+            except (FormatError, OSError, json.JSONDecodeError,
+                    GraphError, MalformedEmbeddingError) as exc:
+                stats.skipped += 1
+                warn(f"skipping unreadable corpus entry: {exc}")
+                continue
+            stats.read += 1
+            graph = g.graph if isinstance(g, PlaneGraph) else g
+            failed = next((name for name, passes in FILTERS.items()
+                           if name in filters and not passes(g, graph)), None)
+            if failed is None:
+                yield g
+            else:
+                stats.rejected[failed] = stats.rejected.get(failed, 0) + 1

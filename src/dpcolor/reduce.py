@@ -714,37 +714,32 @@ def _adversary_blocks(
 
 
 def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """The rows of `alive` whose live profiles pivot maps might block.
-
-    No pivot maps block more than 4! = 24 profiles.  Two live profiles
-    differing in exactly one coordinate cannot both be blocked: their other
-    images coincide, so the remaining color is the same, forcing one
-    injection to repeat a value.  Such pairs share a line of the profile
-    grid (`shape`, one axis per neighbor) along one axis.  The axes are
-    tested largest first, each on the rows that passed the ones before, and
-    the count last.  The test runs on a profile-major (column-major) copy,
-    which the kernel's tables already are.
-    """
+    """The rows of `alive` whose live profiles pivot maps might block: the
+    factored line test against one all-true late row, then the count."""
     import numpy as np
 
-    alive = np.asfortranarray(alive)
-    rows = np.arange(len(alive))
-    for axis in sorted(range(len(shape)), key=lambda a: -shape[a]):
-        lines = alive.reshape(len(rows), math.prod(shape[:axis]), shape[axis],
-                              math.prod(shape[axis + 1:]))
-        ok = np.ones(len(rows), dtype=bool)
-        seen = lines[:, :, 0]
-        for i in range(1, shape[axis]):
-            ok &= ~(seen & lines[:, :, i]).any(axis=(1, 2))
-            seen = seen | lines[:, :, i]
-        rows, alive = rows[ok], alive[ok]
-    return rows[np.count_nonzero(alive, axis=1) <= 24]
+    keep = _factored_line_test(
+        alive, np.ones((1, alive.shape[1]), dtype=bool), shape,
+        [a for a in range(len(shape)) if shape[a] > 1])
+    rows = np.flatnonzero(keep[:, 0])
+    return rows[np.count_nonzero(alive[rows], axis=1) <= 24]
 
 
 def _factored_line_test(early: np.ndarray, late: np.ndarray,
                         shape: Sequence[int], axes) -> np.ndarray:
     """keep[e, l]: whether the row early[e] & late[l] passes the line test
     along each of `axes`.
+
+    A row lists the live profiles of the profile grid (`shape`, one axis
+    per pivot neighbor), and pivot maps block a profile when its images are
+    an ordering of the four pivot colors.  Two live profiles one coordinate
+    apart cannot both be blocked: their other images coincide, so both
+    need the same remaining color, and the one map that differs would send
+    two colors there.  Such pairs share a line of the grid along one axis,
+    so a row with two live profiles on one line fails.  The maps are
+    injective, so an ordering is the image of at most one profile: maps
+    block at most 4! = 24 profiles, and `_line_test` also drops built rows
+    with more live profiles.
 
     Every late row must be constant along each of `axes`.  A line along
     such an axis then holds two live profiles of the pair exactly when it
@@ -872,6 +867,8 @@ def check_reducible(
     whole run is REDUCIBLE iff every share is, and the shares' `enumerated`
     counts add up to the whole run's.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget: {budget} is negative")
     if mode == "sampled":
         verdict = _check_sampled(cfg, seed, count)
     elif mode != "full":

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dpcolor import cli
+from dpcolor import reduce as rd
 from dpcolor.cover import CoverInstance
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import (
@@ -134,6 +135,45 @@ class TestCorpus:
         out = list(ingest_corpus(path))
         assert len(out) == 2
 
+    def test_each_reader_error_is_skipped_with_a_warning(self, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_text("\n".join([
+            "3 bc,ca,ab",
+            "3 bc,ca",  # three vertices, two rotation groups
+            "",
+            json.dumps({"n": 2, "edges": [[1, 1]]}),  # a loop
+            "3 bc,ca,a",  # vertex c's rotation misses b
+            '{"n": 3, "edges": [[0, 1]',  # truncated JSON
+            json.dumps({"n": 2, "edges": [[0, 1]]}),
+        ]) + "\n")
+        stats, warnings = CorpusStats(), []
+        assert len(list(ingest_corpus(path, (), stats,
+                                      warn=warnings.append))) == 2
+        assert (stats.read, stats.skipped) == (2, 4)
+        prefix = "skipping unreadable corpus entry: "
+        assert warnings == [prefix + m for m in (
+            "'3 bc,ca': expected 3 rotation groups, got 2",
+            f"{path}:4: field 'edges': loop at vertex 1",
+            "rotation at vertex 2 does not list its neighbors exactly once",
+            "Expecting ',' delimiter: line 1 column 26 (char 25)",
+        )]
+
+    def test_graph_counted_under_its_first_failed_filter(self, tmp_path):
+        # neither graph has a rotation, so both also fail has-good-triangle
+        path = tmp_path / "two.txt"
+        seven = {"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]}
+        path.write_text(json.dumps(seven) + "\n" + json.dumps(
+            graph_to_dict(butterfly_pattern().graph)) + "\n")
+        stats = CorpusStats()
+        assert list(ingest_corpus(
+            path, ("has-good-triangle", "no-butterfly", "no-7-cycles"),
+            stats)) == []
+        assert stats.rejected == {"no-7-cycles": 1, "no-butterfly": 1}
+
+    def test_missing_corpus_path_exits_1(self, tmp_path, capsys):
+        assert cli.main(["corpus", str(tmp_path / "missing.txt")]) == 1
+        assert "missing.txt" in capsys.readouterr().err
+
     def test_unknown_filter_rejected(self, tmp_path):
         d = tmp_path / "empty2"
         d.mkdir()
@@ -176,6 +216,25 @@ class TestUsageErrors:
             capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
             "sampled", "--seed", "1", "--budget", "5")
         assert "--budget" in err
+
+    def test_budget_not_negative(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "CE-7", "--budget", "-1")
+        assert "--budget" in err
+        with pytest.raises(ValueError, match="budget"):
+            rd.check_reducible(rd.config_catalog()["L4-diamond"], budget=-5)
+
+    def test_sampled_count_positive(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
+            "sampled", "--seed", "1", "--count", "-3")
+        assert "--count" in err
+
+    def test_limit_positive(self, capsys):
+        for limit in ("0", "-1"):
+            err = self.usage_error(
+                capsys, "corpus", str(ASSETS), "--limit", limit)
+            assert "--limit" in err
 
 
 def run_cli(capsys, *argv):

@@ -664,6 +664,14 @@ class TestLineTest:
         assert rows.tolist() == reduce._line_test(
             np.asfortranarray(alive), [3, 3, 2, 2]).tolist()
         assert rows.tolist() == oracle.line_test_rows(alive, [3, 3, 2, 2])
+        # late rows constant along the tested axes 0 and 1
+        late = np.broadcast_to((rng.random((4, 1, 1, 2, 2)) < 0.7),
+                               (4, 3, 3, 2, 2)).reshape(4, 36)
+        keep = [reduce._factored_line_test(e, l, [3, 3, 2, 2], [0, 1])
+                for e, l in ((alive, late), (np.asfortranarray(alive),
+                                             np.asfortranarray(late)))]
+        assert np.array_equal(*keep)
+        assert keep[0].any() and not keep[0].all()
 
     def test_count_bound_is_24(self):
         # coordinate sums 0 mod 4: 64 profiles, no two one coordinate apart
