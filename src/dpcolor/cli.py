@@ -22,6 +22,8 @@ from . import reduce as rd
 from .cover import CoverInstance, find_transversal
 from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
 
+SAMPLED_COUNT = 1000  # instances a sampled reduce-check draws by default
+
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
@@ -135,11 +137,10 @@ def cmd_detect(args) -> dict:
 
 
 def _reduce_worker(payload) -> tuple:
-    cfg_path, label, mode, seed, count, budget, split = payload
+    cfg_path, label, budget, split = payload
     cfg = (dio.parse_config_file(cfg_path) if cfg_path
            else rd.config_catalog()[label])
-    v = rd.check_reducible(cfg, mode=mode, seed=seed or 0, count=count,
-                           budget=budget, split=split)
+    v = rd.check_reducible(cfg, budget=budget, split=split)
     return v.status, v.witness, v.stats
 
 
@@ -179,10 +180,10 @@ def cmd_reduce_check(args) -> dict:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the shares split the budget too, so the run stays within it
+        # only full mode runs shares (main rejects sampled --workers); the
+        # shares split the budget too, so the run stays within it
         payloads = [
-            (src[0], src[1], args.mode, args.seed, args.count,
-             None if args.budget is None
+            (src[0], src[1], None if args.budget is None
              else args.budget // workers + (i < args.budget % workers),
              (i, workers))
             for i in range(workers)
@@ -191,8 +192,11 @@ def cmd_reduce_check(args) -> dict:
             parts = list(pool.map(_reduce_worker, payloads))
         status, witness, stats = _combine_verdicts(parts)
     else:
-        v = rd.check_reducible(cfg, mode=args.mode, seed=args.seed or 0,
-                               count=args.count, budget=args.budget)
+        if args.mode == "sampled":
+            v = rd.check_reducible(cfg, mode="sampled", seed=args.seed,
+                                   count=args.count)
+        else:
+            v = rd.check_reducible(cfg, budget=args.budget)
         status, witness, stats = v.status, v.witness, v.stats
     report = {
         "label": cfg.label,
@@ -320,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--lemma", help="built-in configuration label")
     grp.add_argument("--config", help="configuration file")
     rp.add_argument("--mode", choices=("full", "sampled"), default="full")
-    rp.add_argument("--seed", type=int)
-    rp.add_argument("--count", type=int, default=1000)
+    rp.add_argument("--seed", type=int, help="sampled mode only")
+    rp.add_argument("--count", type=int,
+                    help=f"sampled mode only (default {SAMPLED_COUNT})")
     rp.add_argument("--budget", type=int)
     rp.add_argument("--workers", type=int, default=1)
     rp.add_argument("--save-witness", help="write counterexample cover here")
@@ -362,6 +367,8 @@ def main(argv: Optional[list] = None) -> int:
         # sampled mode draws one seeded sequence of exactly --count instances
         if args.seed is None:
             parser.error("sampled mode requires --seed")
+        if args.count is None:
+            args.count = SAMPLED_COUNT
         if args.count < 1:
             parser.error("--count must be >= 1")
         if args.workers > 1:
@@ -369,6 +376,11 @@ def main(argv: Optional[list] = None) -> int:
         if args.budget is not None:
             parser.error("--budget: sampled mode draws exactly --count "
                          "instances; limit the work with --count")
+    elif args.verb == "reduce-check":
+        for flag in ("seed", "count"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag}: full mode enumerates every "
+                             "instance and draws none; use --mode sampled")
     try:
         if args.verb == "solve":
             report = cmd_solve(args)

@@ -12,17 +12,35 @@ an insertion is free of every forbidden pattern (the triangle is, and each
 accepted insertion was checked), and an insertion only adds edges at the new
 vertex, so any new copy of a pattern uses that vertex.  Searching only
 through it is therefore exact, and it runs on the adjacency bitsets the
-builder keeps, so a PlaneGraph is built only once per accepted insertion.
+builder keeps.  An accepted insertion of arity t replaces one face by t new
+ones, so the builder splits that face in its own face list and re-lists the
+insertion sites of the new faces only; a PlaneGraph is built once per graph,
+when growth stops.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graphs import Graph, PlaneGraph, find_cycle_of_length
+from .graphs import (
+    Graph, MalformedEmbeddingError, PlaneGraph, _trace_faces,
+    find_cycle_of_length,
+)
 from .patterns import contains_butterfly
+
+
+Site = tuple[tuple[int, int], int, int]  # (face key, walk start, arity)
+
+
+def _face_sites(walk: tuple[int, ...]) -> list[Site]:
+    """(face key, walk start index, arity) choices in one interior face."""
+    d = len(walk)
+    if len(set(walk)) != d:
+        return []  # skip faces whose walk repeats a vertex
+    return [(walk[:2], i, t) for t in (2, 3) if t <= d for i in range(d)]
 
 
 @dataclass
@@ -30,20 +48,43 @@ class PlaneBuilder:
     """Grows a plane graph with outer walk (0, 1, 2) by vertex insertion.
 
     Alongside the rotation it keeps the adjacency as bitsets (`masks`, as on
-    Graph), so the cycle and pattern searches run on the builder itself.
+    Graph), so the cycle and pattern searches run on the builder itself.  It
+    also keeps the faces as PlaneGraph traces them: `walks[i]` is the walk of
+    face i, faces in the order of their smallest dart (u, v), the face's key,
+    and each walk starts at u.  Walks thus sort by key, and `face_id(key)`
+    finds a face by bisection.  `outer_walk` is the outer face's walk, and
+    `sites` holds the insertion choices of the interior faces, grouped by
+    face in the same order.
     """
 
     rotation: list[list[int]] = field(
         default_factory=lambda: [[1, 2], [2, 0], [0, 1]]
     )
     masks: list[int] = field(init=False)
+    walks: list[tuple[int, ...]] = field(init=False)
+    outer_walk: tuple[int, ...] = field(init=False)
+    sites: list[Site] = field(init=False)
 
     def __post_init__(self) -> None:
         self.masks = [sum(1 << u for u in rot) for rot in self.rotation]
+        self.walks = [f.walk for f in _trace_faces(self.rotation)]
+        # PlaneGraph's rule for outer walk [0, 1, 2]: the first face with that
+        # boundary.  Insertions only split interior faces, so it never changes.
+        outer = [w for w in self.walks if len(w) == 3 and set(w) == {0, 1, 2}]
+        if not outer:
+            raise MalformedEmbeddingError(
+                "no face has boundary walk (0, 1, 2)")
+        self.outer_walk = outer[0]
+        self.sites = [site for w in self.walks if w != self.outer_walk
+                      for site in _face_sites(w)]
 
     @property
     def n(self) -> int:
         return len(self.rotation)
+
+    def face_id(self, key: tuple[int, int]) -> int:
+        """Id of the face whose smallest dart is `key`."""
+        return bisect_left(self.walks, key)
 
     def plane(self) -> PlaneGraph:
         edges = {
@@ -53,29 +94,15 @@ class PlaneBuilder:
         g = Graph.from_edges(self.n, sorted(edges))
         return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2])
 
-    def insertion_sites(self, pg: PlaneGraph) -> list[tuple[int, int, int]]:
-        """(face id, walk start index, arity) choices for a new vertex."""
-        sites = []
-        for f in pg.interior_faces():
-            d = f.degree
-            if len(set(f.walk)) != d:
-                continue  # skip faces whose walk repeats a vertex
-            for t in (2, 3):
-                if t > d:
-                    continue
-                for i in range(d):
-                    sites.append((f.id, i, t))
-        return sites
-
-    def insert_vertex(self, pg: PlaneGraph, face_id: int, start: int,
-                      arity: int) -> None:
+    def insert_vertex(self, face_id: int, start: int, arity: int) -> None:
         """Join a new vertex to `arity` consecutive walk vertices of a face.
 
         The new vertex's rotation is the attachment window reversed; at each
         attachment vertex the new neighbor slots in right after that vertex's
-        predecessor on the face walk.
+        predecessor on the face walk.  The faces are left as they were:
+        either undo with remove_last_vertex or keep with split_face(face_id).
         """
-        walk = pg.faces[face_id].walk
+        walk = self.walks[face_id]
         d = len(walk)
         window = [walk[(start + j) % d] for j in range(arity)]
         z = self.n
@@ -95,6 +122,38 @@ class PlaneBuilder:
             self.masks[w] ^= 1 << z
         self.masks.pop()
 
+    def split_face(self, face_id: int) -> None:
+        """Replace face `face_id`, into which the last insert_vertex went, by
+        the faces the new vertex cuts it into, and its sites by theirs.
+
+        Only the darts of the new faces are traced: those of the old face
+        and the 2 * arity new darts at the new vertex z.  Each new face
+        leaves z once, so tracing from the darts out of z finds them all.
+        """
+        old = self.walks.pop(face_id)
+        lo = bisect_left(self.sites, (old[:2],))
+        del self.sites[lo:lo + len(_face_sites(old))]
+        z = self.n - 1
+        for w in self.rotation[z]:
+            walk = self._trace(z, w)
+            insort(self.walks, walk)
+            at = bisect_left(self.sites, (walk[:2],))
+            self.sites[at:at] = _face_sites(walk)
+
+    def _trace(self, u: int, v: int) -> tuple[int, ...]:
+        """The walk of the face through dart (u, v), from its smallest dart."""
+        darts = []
+        dart = (u, v)
+        while True:
+            darts.append(dart)
+            a, b = dart
+            rot = self.rotation[b]
+            dart = (b, rot[(rot.index(a) + 1) % len(rot)])
+            if dart == (u, v):
+                break
+        i = darts.index(min(darts))
+        return tuple(a for a, _ in darts[i:] + darts[:i])
+
 
 def random_plane_graph(
     seed: int,
@@ -112,12 +171,11 @@ def random_plane_graph(
     """
     rng = random.Random(seed)
     builder = PlaneBuilder()
-    pg = builder.plane()
-    sites = builder.insertion_sites(pg)
     tries = 0
-    while builder.n < target_n and tries < max_tries and sites:
-        face_id, start, arity = rng.choice(sites)
-        builder.insert_vertex(pg, face_id, start, arity)
+    while builder.n < target_n and tries < max_tries and builder.sites:
+        key, start, arity = rng.choice(builder.sites)
+        face_id = builder.face_id(key)
+        builder.insert_vertex(face_id, start, arity)
         z = builder.n - 1
         seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
         if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
@@ -125,9 +183,8 @@ def random_plane_graph(
             tries += 1
             continue
         tries = 0
-        pg = builder.plane()
-        sites = builder.insertion_sites(pg)
-    return pg
+        builder.split_face(face_id)
+    return builder.plane()
 
 
 def generate_corpus(

@@ -102,11 +102,11 @@ class Face:
         return min(tuple(w[i:] + w[:i]) for i in range(len(w)))
 
 
-def _trace_faces(graph: Graph, rotation: Sequence[Sequence[int]]) -> list[Face]:
+def _trace_faces(rotation: Sequence[Sequence[int]]) -> list[Face]:
+    """Faces in the order of their smallest dart (u, v), each walk from u."""
     # dart (u, v) -> next dart (v, w) where w follows u in rotation at v
     succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v in range(graph.n):
-        rot = rotation[v]
+    for v, rot in enumerate(rotation):
         d = len(rot)
         for i, u in enumerate(rot):
             succ[(u, v)] = (v, rot[(i + 1) % d])
@@ -153,7 +153,7 @@ class PlaneGraph:
                 )
         self.graph = graph
         self.rotation = tuple(tuple(r) for r in rotation)
-        self.faces = tuple(_trace_faces(graph, rotation))
+        self.faces = tuple(_trace_faces(rotation))
         self.outer_face = self._pick_outer(outer_walk)
         # one face id per edge side
         self._edge_faces: dict[tuple[int, int], list[int]] = {}
@@ -238,9 +238,23 @@ def _cycle_from(
     """First `length`-cycle through s whose other vertices lie in `allowed`.
 
     Depth-first over paths from s, one bitset of untried next vertices per
-    depth; the last vertex is drawn from the neighbours of s.
+    depth.  The cycle returns from position d to s in length - d steps
+    through `allowed`, so position d is drawn from the ball of that radius
+    around s; that bounds the last length // 2 positions (the last one to
+    the neighbours of s).  The pruned paths close no cycle, so the first
+    cycle found is the same.
     """
-    within = [allowed] * (length - 1) + [allowed & masks[s]]
+    within = [allowed] * length
+    ball = frontier = 1 << s
+    for d in range(length - 1, length - 1 - length // 2, -1):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= masks[low.bit_length() - 1]
+        frontier = reach & allowed & ~ball
+        ball |= frontier
+        within[d] = ball & allowed
     path = [s] * length
     used = 1 << s
     untried = [0] * length  # untried[d]: candidates left for position d
@@ -290,14 +304,10 @@ def contains_pattern(
     return None
 
 
-def _embed(
-    masks: Sequence[int], pattern: Graph, root: int, first: int
-) -> Iterator[dict[int, int]]:
-    """Every occurrence of `pattern` with `root` mapped into the bitset `first`.
-
-    Occurrences come lowest host vertex first at each placed pattern vertex.
-    """
-    # order pattern vertices: root first, then most-constrained-first
+@functools.lru_cache(maxsize=256)
+def _placement_order(pattern: Graph, root: int) -> tuple[int, ...]:
+    """Pattern vertices in placement order: root first, then the vertex with
+    the most placed neighbours, ties to the higher degree, then lower id."""
     order = [root]
     placed = {root}
     while len(order) < pattern.n:
@@ -307,6 +317,17 @@ def _embed(
         )
         order.append(best)
         placed.add(best)
+    return tuple(order)
+
+
+def _embed(
+    masks: Sequence[int], pattern: Graph, root: int, first: int
+) -> Iterator[dict[int, int]]:
+    """Every occurrence of `pattern` with `root` mapped into the bitset `first`.
+
+    Occurrences come lowest host vertex first at each placed pattern vertex.
+    """
+    order = _placement_order(pattern, root)
     everything = (1 << len(masks)) - 1
     mapping: dict[int, int] = {}
 

@@ -216,28 +216,34 @@ def parse_config_file(path: Union[str, Path]):
         raise FormatError(f"{path}: bad configuration: {exc}")
 
 
-def parse_planar_code_line(line: str) -> PlaneGraph:
+def parse_planar_code_line(line: str, source: str = "<line>") -> PlaneGraph:
     """One graph in plantri-style ASCII: 'n rot(a),rot(b),...' with letters.
 
     Vertex i is the letter chr(ord('a')+i); the i-th comma-separated group is
-    the cyclic neighbor list of vertex i.
+    the cyclic neighbor list of vertex i.  Errors are FormatErrors that
+    start with `source`.
     """
     parts = line.split()
     if len(parts) != 2:
-        raise FormatError(f"planar-code line needs 'n lists': {line!r}")
+        raise FormatError(
+            f"{source}: planar-code line needs 'n lists': {line!r}")
     try:
         n = int(parts[0])
     except ValueError:
-        raise FormatError(f"bad vertex count in {line!r}")
+        raise FormatError(f"{source}: bad vertex count in {line!r}")
     groups = parts[1].split(",")
     if len(groups) != n:
-        raise FormatError(f"{line!r}: expected {n} rotation groups, got {len(groups)}")
+        raise FormatError(f"{source}: {line!r}: expected {n} rotation groups, "
+                          f"got {len(groups)}")
     rotation = [[ord(c) - ord("a") for c in grp] for grp in groups]
     edges = set()
     for v, rot in enumerate(rotation):
         for u in rot:
             edges.add(edge_key(u, v))
-    return PlaneGraph(Graph.from_edges(n, sorted(edges)), rotation)
+    try:
+        return PlaneGraph(Graph.from_edges(n, sorted(edges)), rotation)
+    except (GraphError, MalformedEmbeddingError) as exc:
+        raise FormatError(f"{source}: {exc}")
 
 
 # Corpus filters, in the order they are applied: a graph is counted under the
@@ -250,6 +256,22 @@ FILTERS = {
     "has-good-triangle": lambda g, graph: (
         isinstance(g, PlaneGraph) and clusters.has_good_outer_triangle(g)),
 }
+
+
+def _read_record(record: Union[Path, str],
+                 source: str) -> Union[Graph, PlaneGraph]:
+    """One corpus record: a directory entry (a graph file, whose errors name
+    it) or a file's stripped line (whose errors start with `source`)."""
+    if isinstance(record, Path):
+        return parse_graph_file(record)
+    if not record.startswith("{"):
+        return parse_planar_code_line(record, source)
+    try:
+        data = json.loads(record)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{source}: invalid JSON at column {exc.colno}: "
+                          f"{exc.msg}")
+    return graph_from_dict(data, source)
 
 
 @dataclass
@@ -271,7 +293,8 @@ def ingest_corpus(
     A corpus is a directory of graph files (its `.json` entries) or a
     multi-record file, one record per non-blank line: a JSON graph object or
     a plantri-style ASCII record.  An unreadable record is skipped with a
-    warning; an unreadable corpus path raises OSError.
+    warning that starts with its location: `path:line` in a file, the entry's
+    path in a directory.  An unreadable corpus path raises OSError.
     """
     bad = set(filters) - FILTERS.keys()
     if bad:
@@ -287,14 +310,8 @@ def ingest_corpus(
                 if not record:
                     continue
             try:
-                if isinstance(record, Path):
-                    g = parse_graph_file(record)
-                elif record.startswith("{"):
-                    g = graph_from_dict(json.loads(record), f"{p}:{lineno}")
-                else:
-                    g = parse_planar_code_line(record)
-            except (FormatError, OSError, json.JSONDecodeError,
-                    GraphError, MalformedEmbeddingError) as exc:
+                g = _read_record(record, f"{p}:{lineno}")
+            except (FormatError, OSError) as exc:
                 stats.skipped += 1
                 warn(f"skipping unreadable corpus entry: {exc}")
                 continue

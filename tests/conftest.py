@@ -137,17 +137,18 @@ def grown(pg: PlaneGraph, keep: set, seed: int, steps: int) -> PlaneGraph:
     """pg after `steps` seeded vertex insertions, none joined to `keep`."""
     builder = PlaneBuilder(rotation=[list(r) for r in pg.rotation])
     rng = random.Random(seed)
-    pg = builder.plane()
     for _ in range(steps):
         sites = []
-        for face_id, start, arity in builder.insertion_sites(pg):
-            walk = pg.faces[face_id].walk
+        for key, start, arity in builder.sites:
+            walk = builder.walks[builder.face_id(key)]
             window = {walk[(start + j) % len(walk)] for j in range(arity)}
             if not window & keep:
-                sites.append((face_id, start, arity))
-        builder.insert_vertex(pg, *rng.choice(sites))
-        pg = builder.plane()
-    return pg
+                sites.append((key, start, arity))
+        key, start, arity = rng.choice(sites)
+        face_id = builder.face_id(key)
+        builder.insert_vertex(face_id, start, arity)
+        builder.split_face(face_id)
+    return builder.plane()
 
 
 def audit_corpus() -> list[PlaneGraph]:

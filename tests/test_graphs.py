@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import petersen, random_graph
+from conftest import petersen, random_graph, special_seven_host
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
     Graph, GraphError, MalformedEmbeddingError, PlaneGraph,
@@ -150,6 +150,13 @@ class TestCycleSides:
             cycle_vertex_sides(pg, [0, 1, 2])
 
 
+def swapped(g: Graph, a: int, b: int) -> Graph:
+    """g with vertices a and b exchanged."""
+    relabel = {a: b, b: a}
+    return Graph.from_edges(g.n, [(relabel.get(u, u), relabel.get(v, v))
+                                  for u, v in g.edges])
+
+
 def asset_graphs():
     for path in sorted(Path(builtin_assets_dir()).glob("*.json")):
         data = json.loads(path.read_text())
@@ -201,6 +208,24 @@ class TestRootedSearch:
             for length in range(3, 10):
                 assert find_cycle_of_length(g, length) == \
                     oracle.first_cycle(g, length)
+
+    def test_pruned_search_matches_the_oracles_on_48_vertices(self):
+        for seed in (1, 2):
+            g = random_plane_graph(seed, 48, forbid=()).graph
+            for length in range(3, 11):
+                assert find_cycle_of_length(g, length) == \
+                    oracle.first_cycle(g, length)
+            for v in range(g.n):
+                # with v and 0 swapped, the reference tries anchor v first
+                h = swapped(g, 0, v)
+                for length in range(3, 11):
+                    ref = oracle.first_cycle(h, length)
+                    assert find_cycle_of_length(h, length, through=0) == (
+                        ref if ref is not None and ref[0] == 0 else None)
+                for length in (3, 4):
+                    cyc = find_cycle_of_length(g, length, through=v)
+                    assert (cyc is not None) == \
+                        oracle.cycle_through(g, length, v)
 
     def test_rooted_agrees_with_whole_graph(self):
         graphs = [g for _, g in asset_graphs()] + [
@@ -257,11 +282,54 @@ class TestGenerator:
         builder = PlaneBuilder()
         rng = random.Random(5)
         for _ in range(12):
-            pg = builder.plane()
-            face_id, start, arity = rng.choice(builder.insertion_sites(pg))
-            before = ([list(r) for r in builder.rotation], list(builder.masks))
-            builder.insert_vertex(pg, face_id, start, arity)
+            key, start, arity = rng.choice(builder.sites)
+            face_id = builder.face_id(key)
+            before = ([list(r) for r in builder.rotation], list(builder.masks),
+                      list(builder.walks), list(builder.sites))
+            builder.insert_vertex(face_id, start, arity)
             assert tuple(builder.masks) == builder.plane().graph.masks
             builder.remove_last_vertex()
-            assert (builder.rotation, builder.masks) == before
-            builder.insert_vertex(pg, face_id, start, arity)
+            # the undo leaves the faces and sites as they were, too
+            assert (builder.rotation, builder.masks, builder.walks,
+                    builder.sites) == before
+            builder.insert_vertex(face_id, start, arity)
+            builder.split_face(face_id)
+
+
+def listed_sites(pg: PlaneGraph) -> list[tuple[int, int, int]]:
+    """(face id, start, arity) of every insertion site, from a fresh trace."""
+    return [(f.id, i, t) for f in pg.interior_faces()
+            if len(set(f.walk)) == f.degree
+            for t in (2, 3) if t <= f.degree for i in range(f.degree)]
+
+
+class TestBuilderFaces:
+    @pytest.mark.parametrize("host", ["triangle", "drawn", "mirrored"])
+    def test_split_faces_match_a_fresh_trace(self, host):
+        if host == "triangle":
+            builder = PlaneBuilder()
+        else:
+            pg, _ = special_seven_host()
+            rotation = [list(r) for r in pg.rotation]
+            if host == "mirrored":
+                # the outer face no longer holds dart (0, 1), so it is not
+                # face 0 as it is in the drawn host
+                rotation = [r[::-1] for r in rotation]
+            builder = PlaneBuilder(rotation=rotation)
+            assert (builder.walks.index(builder.outer_walk) != 0) == (
+                host == "mirrored")
+        rng = random.Random(11)
+        for _ in range(40):
+            key, start, arity = rng.choice(builder.sites)
+            face_id = builder.face_id(key)
+            builder.insert_vertex(face_id, start, arity)
+            builder.split_face(face_id)
+            pg = builder.plane()
+            assert builder.walks == [f.walk for f in pg.faces]
+            assert builder.outer_walk == pg.faces[pg.outer_face].walk
+            assert [(builder.face_id(k), i, t)
+                    for k, i, t in builder.sites] == listed_sites(pg)
+
+    def test_rotation_without_the_outer_triangle_is_rejected(self):
+        with pytest.raises(MalformedEmbeddingError, match="0, 1, 2"):
+            PlaneBuilder(rotation=[[1, 3], [2, 0], [3, 1], [0, 2]])

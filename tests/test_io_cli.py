@@ -152,11 +152,25 @@ class TestCorpus:
         assert (stats.read, stats.skipped) == (2, 4)
         prefix = "skipping unreadable corpus entry: "
         assert warnings == [prefix + m for m in (
-            "'3 bc,ca': expected 3 rotation groups, got 2",
+            f"{path}:2: '3 bc,ca': expected 3 rotation groups, got 2",
             f"{path}:4: field 'edges': loop at vertex 1",
-            "rotation at vertex 2 does not list its neighbors exactly once",
-            "Expecting ',' delimiter: line 1 column 26 (char 25)",
+            f"{path}:5: rotation at vertex 2 does not list its neighbors "
+            "exactly once",
+            f"{path}:6: invalid JSON at column 26: Expecting ',' delimiter",
         )]
+
+    def test_directory_skip_warnings_name_the_entry(self, tmp_path):
+        (tmp_path / "a.json").write_text(
+            json.dumps({"n": 2, "edges": [[0, 1]]}))
+        (tmp_path / "b.json").write_text('{"n": 2,')
+        (tmp_path / "c.json").write_text(json.dumps({"n": 2, "edges": [[0]]}))
+        (tmp_path / "d.json").mkdir()
+        stats, warnings = CorpusStats(), []
+        assert len(list(ingest_corpus(tmp_path, (), stats,
+                                      warn=warnings.append))) == 1
+        assert (stats.read, stats.skipped) == (1, 3)
+        for name, warning in zip("bcd", warnings):
+            assert str(tmp_path / f"{name}.json") in warning
 
     def test_graph_counted_under_its_first_failed_filter(self, tmp_path):
         # neither graph has a rotation, so both also fail has-good-triangle
@@ -230,6 +244,16 @@ class TestUsageErrors:
             "sampled", "--seed", "1", "--count", "-3")
         assert "--count" in err
 
+    def test_full_mode_rejects_count(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L4-diamond", "--count", "5")
+        assert "--count" in err
+
+    def test_full_mode_rejects_seed(self, capsys):
+        err = self.usage_error(
+            capsys, "reduce-check", "--lemma", "L4-diamond", "--seed", "1")
+        assert "--seed" in err
+
     def test_limit_positive(self, capsys):
         for limit in ("0", "-1"):
             err = self.usage_error(
@@ -278,6 +302,11 @@ class TestCli:
         rep = json.loads(out)
         assert code == 0 and rep["status"] == "REDUCIBLE"
         assert rep["enumerated"] == 7776
+
+    def test_reduce_check_sampled_draws_1000_by_default(self, capsys):
+        code, out = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond",
+                            "--mode", "sampled", "--seed", "1")
+        assert code == 0 and json.loads(out)["enumerated"] == 1000
 
     def test_reduce_check_counterexample_exit_zero(self, capsys):
         code, out = run_cli(capsys, "reduce-check", "--lemma", "CE-6")
