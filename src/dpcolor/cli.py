@@ -22,8 +22,6 @@ from . import reduce as rd
 from .cover import CoverInstance, find_transversal
 from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
 
-SAMPLED_COUNT = 1000  # instances a sampled reduce-check draws by default
-
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--mode", choices=("full", "sampled"), default="full")
     rp.add_argument("--seed", type=int, help="sampled mode only")
     rp.add_argument("--count", type=int,
-                    help=f"sampled mode only (default {SAMPLED_COUNT})")
+                    help=f"sampled mode only (default {rd.SAMPLED_COUNT})")
     rp.add_argument("--budget", type=int)
     rp.add_argument("--workers", type=int, default=1)
     rp.add_argument("--save-witness", help="write counterexample cover here")
@@ -368,7 +366,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.seed is None:
             parser.error("sampled mode requires --seed")
         if args.count is None:
-            args.count = SAMPLED_COUNT
+            args.count = rd.SAMPLED_COUNT
         if args.count < 1:
             parser.error("--count must be >= 1")
         if args.workers > 1:

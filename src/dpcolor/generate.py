@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import (
-    Graph, MalformedEmbeddingError, PlaneGraph, _trace_faces,
+    Graph, MalformedEmbeddingError, PlaneGraph, _face_walk, _trace_faces,
     find_cycle_of_length,
 )
 from .patterns import contains_butterfly
@@ -135,24 +135,10 @@ class PlaneBuilder:
         del self.sites[lo:lo + len(_face_sites(old))]
         z = self.n - 1
         for w in self.rotation[z]:
-            walk = self._trace(z, w)
+            walk = _face_walk(self.rotation, (z, w))
             insort(self.walks, walk)
             at = bisect_left(self.sites, (walk[:2],))
             self.sites[at:at] = _face_sites(walk)
-
-    def _trace(self, u: int, v: int) -> tuple[int, ...]:
-        """The walk of the face through dart (u, v), from its smallest dart."""
-        darts = []
-        dart = (u, v)
-        while True:
-            darts.append(dart)
-            a, b = dart
-            rot = self.rotation[b]
-            dart = (b, rot[(rot.index(a) + 1) % len(rot)])
-            if dart == (u, v):
-                break
-        i = darts.index(min(darts))
-        return tuple(a for a, _ in darts[i:] + darts[:i])
 
 
 def random_plane_graph(

@@ -102,28 +102,35 @@ class Face:
         return min(tuple(w[i:] + w[:i]) for i in range(len(w)))
 
 
+def _face_walk(rotation: Sequence[Sequence[int]],
+               dart: tuple[int, int]) -> tuple[int, ...]:
+    """Boundary walk of the face through `dart`, from the face's smallest dart.
+
+    Dart (u, v) is followed by (v, w), where w follows u in the rotation at v.
+    """
+    walk = []
+    u, v = dart
+    while True:
+        walk.append(u)
+        rot = rotation[v]
+        u, v = v, rot[(rot.index(u) + 1) % len(rot)]
+        if (u, v) == dart:
+            break
+    k = len(walk)
+    i = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
+    return tuple(walk[i:] + walk[:i])
+
+
 def _trace_faces(rotation: Sequence[Sequence[int]]) -> list[Face]:
     """Faces in the order of their smallest dart (u, v), each walk from u."""
-    # dart (u, v) -> next dart (v, w) where w follows u in rotation at v
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, rot in enumerate(rotation):
-        d = len(rot)
-        for i, u in enumerate(rot):
-            succ[(u, v)] = (v, rot[(i + 1) % d])
     faces: list[Face] = []
     used: set[tuple[int, int]] = set()
-    for start in sorted(succ):
-        if start in used:
+    for dart in sorted((u, v) for v, rot in enumerate(rotation) for u in rot):
+        if dart in used:
             continue
-        walk = []
-        dart = start
-        while True:
-            used.add(dart)
-            walk.append(dart[0])
-            dart = succ[dart]
-            if dart == start:
-                break
-        faces.append(Face(len(faces), tuple(walk)))
+        walk = _face_walk(rotation, dart)
+        used.update(zip(walk, walk[1:] + walk[:1]))
+        faces.append(Face(len(faces), walk))
     return faces
 
 
@@ -238,23 +245,9 @@ def _cycle_from(
     """First `length`-cycle through s whose other vertices lie in `allowed`.
 
     Depth-first over paths from s, one bitset of untried next vertices per
-    depth.  The cycle returns from position d to s in length - d steps
-    through `allowed`, so position d is drawn from the ball of that radius
-    around s; that bounds the last length // 2 positions (the last one to
-    the neighbours of s).  The pruned paths close no cycle, so the first
-    cycle found is the same.
+    depth; the last vertex is drawn from the neighbours of s.
     """
-    within = [allowed] * length
-    ball = frontier = 1 << s
-    for d in range(length - 1, length - 1 - length // 2, -1):
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= masks[low.bit_length() - 1]
-        frontier = reach & allowed & ~ball
-        ball |= frontier
-        within[d] = ball & allowed
+    within = [allowed] * (length - 1) + [allowed & masks[s]]
     path = [s] * length
     used = 1 << s
     untried = [0] * length  # untried[d]: candidates left for position d

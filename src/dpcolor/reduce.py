@@ -65,6 +65,8 @@ REDUCIBLE = "REDUCIBLE"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+SAMPLED_COUNT = 1000  # instances a sampled check draws by default
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -857,7 +859,7 @@ def check_reducible(
     cfg: Configuration,
     mode: str = "full",
     seed: int = 0,
-    count: int = 1000,
+    count: int = SAMPLED_COUNT,
     budget: Optional[int] = None,
     split: Optional[tuple[int, int]] = None,
 ) -> Verdict:

@@ -150,13 +150,6 @@ class TestCycleSides:
             cycle_vertex_sides(pg, [0, 1, 2])
 
 
-def swapped(g: Graph, a: int, b: int) -> Graph:
-    """g with vertices a and b exchanged."""
-    relabel = {a: b, b: a}
-    return Graph.from_edges(g.n, [(relabel.get(u, u), relabel.get(v, v))
-                                  for u, v in g.edges])
-
-
 def asset_graphs():
     for path in sorted(Path(builtin_assets_dir()).glob("*.json")):
         data = json.loads(path.read_text())
@@ -208,24 +201,6 @@ class TestRootedSearch:
             for length in range(3, 10):
                 assert find_cycle_of_length(g, length) == \
                     oracle.first_cycle(g, length)
-
-    def test_pruned_search_matches_the_oracles_on_48_vertices(self):
-        for seed in (1, 2):
-            g = random_plane_graph(seed, 48, forbid=()).graph
-            for length in range(3, 11):
-                assert find_cycle_of_length(g, length) == \
-                    oracle.first_cycle(g, length)
-            for v in range(g.n):
-                # with v and 0 swapped, the reference tries anchor v first
-                h = swapped(g, 0, v)
-                for length in range(3, 11):
-                    ref = oracle.first_cycle(h, length)
-                    assert find_cycle_of_length(h, length, through=0) == (
-                        ref if ref is not None and ref[0] == 0 else None)
-                for length in (3, 4):
-                    cyc = find_cycle_of_length(g, length, through=v)
-                    assert (cyc is not None) == \
-                        oracle.cycle_through(g, length, v)
 
     def test_rooted_agrees_with_whole_graph(self):
         graphs = [g for _, g in asset_graphs()] + [
