@@ -113,11 +113,11 @@ def _face_walk(rotation: Sequence[Sequence[int]],
     while True:
         walk.append(u)
         rot = rotation[v]
-        u, v = v, rot[(rot.index(u) + 1) % len(rot)]
+        u, v = v, rot[rot.index(u) + 1 - len(rot)]
         if (u, v) == dart:
             break
-    k = len(walk)
-    i = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
+    darts = list(zip(walk, walk[1:] + walk[:1]))
+    i = darts.index(min(darts))
     return tuple(walk[i:] + walk[:i])
 
 
