@@ -16,6 +16,16 @@ builder keeps.  An accepted insertion of arity t replaces one face by t new
 ones, so the builder splits that face in its own face list and re-lists the
 insertion sites of the new faces only; a PlaneGraph is built once per graph,
 when growth stops.
+
+The generator also remembers two kinds of rejection, and both are exact, so
+the graphs it returns are those of searching every drawn site.  A rejected
+site is not searched again until an insertion is accepted: its attachment
+window is fixed until its face is split, and the graph is unchanged until
+then, so the answer is too.  When the rooted search finds a 7-cycle
+[z, p1, ..., p6], the pair {p1, p6} is kept for the whole run: the 5-edge
+path p1 ... p6 avoids z, survives every later insertion (they only add
+vertices and edges), and so closes a 7-cycle through any new vertex joined
+to both ends.  A window holding such a pair is rejected without a search.
 """
 
 from __future__ import annotations
@@ -23,11 +33,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from .graphs import (
     Graph, MalformedEmbeddingError, PlaneGraph, _face_walk, _trace_faces,
-    find_cycle_of_length,
+    edge_key, find_cycle_of_length,
 )
 from .patterns import contains_butterfly
 
@@ -94,21 +105,25 @@ class PlaneBuilder:
         g = Graph.from_edges(self.n, sorted(edges))
         return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2])
 
-    def insert_vertex(self, face_id: int, start: int, arity: int) -> None:
-        """Join a new vertex to `arity` consecutive walk vertices of a face.
+    def window(self, face_id: int, start: int, arity: int) -> list[int]:
+        """The `arity` consecutive walk vertices of a face from index `start`:
+        those a vertex inserted at site (face, start, arity) is joined to."""
+        walk = self.walks[face_id]
+        return [walk[(start + j) % len(walk)] for j in range(arity)]
 
-        The new vertex's rotation is the attachment window reversed; at each
-        attachment vertex the new neighbor slots in right after that vertex's
+    def insert_vertex(self, face_id: int, start: int, arity: int) -> None:
+        """Join a new vertex to the window of a site.
+
+        The new vertex's rotation is the window reversed; at each window
+        vertex the new neighbor slots in right after that vertex's
         predecessor on the face walk.  The faces are left as they were:
         either undo with remove_last_vertex or keep with split_face(face_id).
         """
-        walk = self.walks[face_id]
-        d = len(walk)
-        window = [walk[(start + j) % d] for j in range(arity)]
+        window = self.window(face_id, start, arity)
+        preds = [self.walks[face_id][start - 1]] + window
         z = self.n
-        self.rotation.append(list(reversed(window)))
-        for j, w in enumerate(window):
-            pred = walk[(start + j - 1) % d]
+        self.rotation.append(window[::-1])
+        for pred, w in zip(preds, window):
             rot = self.rotation[w]
             rot.insert(rot.index(pred) + 1, z)
             self.masks[w] |= 1 << z
@@ -153,24 +168,46 @@ def random_plane_graph(
     forbidden substructure ("7-cycle", "butterfly") is rolled back; the
     check searches only through the new vertex, which is exact because the
     graph before the insertion has none.  Returns early if max_tries
-    rejected insertions in a row accumulate before the target size.
+    rejected insertions in a row accumulate before the target size, or as
+    soon as every insertion site of the current graph has been rejected.
     """
     rng = random.Random(seed)
     builder = PlaneBuilder()
+    rejected: set[Site] = set()  # since the last accepted insertion
+    bad_pairs: set[tuple[int, int]] = set()  # ends of a 5-edge path
     tries = 0
-    while builder.n < target_n and tries < max_tries and builder.sites:
-        key, start, arity = rng.choice(builder.sites)
-        face_id = builder.face_id(key)
-        builder.insert_vertex(face_id, start, arity)
-        z = builder.n - 1
-        seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
-        if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
-            builder.remove_last_vertex()
+    while (builder.n < target_n and tries < max_tries
+           and len(rejected) < len(builder.sites)):
+        site = rng.choice(builder.sites)
+        if site in rejected or not _insert(builder, site, forbid, bad_pairs):
+            rejected.add(site)
             tries += 1
             continue
+        rejected.clear()
         tries = 0
-        builder.split_face(face_id)
     return builder.plane()
+
+
+def _insert(builder: PlaneBuilder, site: Site, forbid: Sequence[str],
+            bad_pairs: set[tuple[int, int]]) -> bool:
+    """Insert a vertex at `site` and keep it unless it creates a forbidden
+    substructure; a 7-cycle found adds its pair to `bad_pairs`."""
+    key, start, arity = site
+    face_id = builder.face_id(key)
+    if "7-cycle" in forbid and any(
+            edge_key(a, b) in bad_pairs
+            for a, b in combinations(builder.window(face_id, start, arity), 2)):
+        return False
+    builder.insert_vertex(face_id, start, arity)
+    z = builder.n - 1
+    seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
+    if seven:
+        bad_pairs.add(edge_key(seven[1], seven[-1]))
+    if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
+        builder.remove_last_vertex()
+        return False
+    builder.split_face(face_id)
+    return True
 
 
 def generate_corpus(

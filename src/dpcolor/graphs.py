@@ -22,6 +22,10 @@ class MalformedEmbeddingError(ValueError):
     """Rotation system inconsistent with the underlying graph."""
 
 
+class OuterWalkError(MalformedEmbeddingError):
+    """A given outer walk bounds no face of the embedding."""
+
+
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Unordered edge as an ordered pair (min, max)."""
     return (u, v) if u < v else (v, u)
@@ -170,14 +174,13 @@ class PlaneGraph:
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:
         if outer_walk is not None:
-            target = Face(-1, tuple(outer_walk)).canonical_walk()
-            rev = Face(-1, tuple(reversed(tuple(outer_walk)))).canonical_walk()
+            walk = tuple(outer_walk)
+            wanted = {Face(-1, w).canonical_walk()
+                      for w in (walk, walk[::-1]) if w}
             for f in self.faces:
-                if f.canonical_walk() in (target, rev):
+                if f.canonical_walk() in wanted:
                     return f.id
-            raise MalformedEmbeddingError(
-                f"no face has boundary walk {tuple(outer_walk)}"
-            )
+            raise OuterWalkError(f"no face has boundary walk {walk}")
         best = max(self.faces, key=lambda f: (f.degree, [-x for x in f.canonical_walk()]))
         # ties: max degree, then smallest canonical walk
         candidates = [f for f in self.faces if f.degree == best.degree]
@@ -346,18 +349,6 @@ def _embed(
             del mapping[p]
 
     return assign(0, 0)
-
-
-def cycle_vertex_sides(pg: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:
-    """(interior, exterior) vertex sets of a cycle, from the embedding.
-
-    The faces are split by `interior_face_ids`.
-    """
-    for i in range(len(cycle)):
-        u, v = edge_key(cycle[i], cycle[(i + 1) % len(cycle)])
-        if not pg.graph.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge of the graph")
-    return _vertex_sides(pg, cycle, interior_face_ids(pg, cycle))
 
 
 def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],

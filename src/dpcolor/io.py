@@ -21,7 +21,10 @@ from typing import Iterator, Optional, Union
 
 from . import clusters, graphs, patterns
 from .cover import CoverInstance
-from .graphs import Graph, GraphError, MalformedEmbeddingError, PlaneGraph, edge_key
+from .graphs import (
+    Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
+    edge_key,
+)
 
 
 class FormatError(ValueError):
@@ -89,8 +92,14 @@ def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGra
                for v in range(n)]
     except KeyError as exc:
         raise FormatError(f"{source}: field 'rotation': missing vertex {exc}")
+    outer = data.get("outer_face")
+    if outer is not None:
+        outer = [_int(u, f"outer_face[{i}]", source)
+                 for i, u in enumerate(_list(outer, "outer_face", source))]
     try:
-        return PlaneGraph(g, rot, data.get("outer_face"))
+        return PlaneGraph(g, rot, outer)
+    except OuterWalkError as exc:
+        raise FormatError(f"{source}: field 'outer_face': {exc}")
     except MalformedEmbeddingError as exc:
         raise FormatError(f"{source}: field 'rotation': {exc}")
 

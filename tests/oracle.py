@@ -36,18 +36,24 @@ a recursive whole-graph cycle search that fixes which cycle
 
 Catalog matching: every catalog match of a cluster by brute force over
 vertex permutations, filtered by the shape's edges and 3-faces.
+
+Generator: the insertion loop that searches every drawn site, with no
+memory of earlier rejections, which fixes the graphs
+`generate.random_plane_graph` must return.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Mapping, Optional, Sequence
 
 from dpcolor.clusters import Classification, Cluster
 from dpcolor.cover import CoverInstance, is_independent, residual
-from dpcolor.graphs import Graph, PlaneGraph, edge_key
-from dpcolor.patterns import catalog
+from dpcolor.generate import PlaneBuilder
+from dpcolor.graphs import Graph, PlaneGraph, edge_key, find_cycle_of_length
+from dpcolor.patterns import catalog, contains_butterfly
 from dpcolor.reduce import (
     K, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
     build_witness, maximal_injections, residual_choices,
@@ -409,3 +415,29 @@ def catalog_matches(pg: PlaneGraph, c: Cluster) -> list[Classification]:
             for image in images
         ]
     return out
+
+
+def random_plane_graph(
+    seed: int,
+    target_n: int,
+    forbid: Sequence[str] = ("7-cycle", "butterfly"),
+    max_tries: int = 400,
+) -> PlaneGraph:
+    """The generator's loop with every drawn site searched: the same draws,
+    and a rejection counts one try whether or not it was seen before."""
+    rng = random.Random(seed)
+    builder = PlaneBuilder()
+    tries = 0
+    while builder.n < target_n and tries < max_tries and builder.sites:
+        key, start, arity = rng.choice(builder.sites)
+        face_id = builder.face_id(key)
+        builder.insert_vertex(face_id, start, arity)
+        z = builder.n - 1
+        seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
+        if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
+            builder.remove_last_vertex()
+            tries += 1
+            continue
+        tries = 0
+        builder.split_face(face_id)
+    return builder.plane()

@@ -6,16 +6,17 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import petersen, random_graph, special_seven_host
+from dpcolor import generate
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
-    Graph, GraphError, MalformedEmbeddingError, PlaneGraph,
-    contains_pattern, cycle_vertex_sides,
-    find_cycle_of_length, has_cycle_of_length, interior_face_ids,
+    Graph, GraphError, MalformedEmbeddingError, PlaneGraph, _vertex_sides,
+    contains_pattern, find_cycle_of_length, has_cycle_of_length,
+    interior_face_ids,
 )
 from dpcolor.patterns import (
     builtin_assets_dir, butterfly_pattern, cluster_pattern, contains_butterfly,
@@ -134,7 +135,9 @@ class TestPatternSearch:
 class TestCycleSides:
     def test_k4_center_is_interior(self):
         pg = triangle_with_center()
-        interior, exterior = cycle_vertex_sides(pg, [0, 1, 2])
+        cycle = [0, 1, 2]
+        interior, exterior = _vertex_sides(
+            pg, cycle, interior_face_ids(pg, cycle))
         assert interior == {3}
         assert exterior == set()
 
@@ -142,12 +145,6 @@ class TestCycleSides:
         pg = triangle_with_center()
         inner = interior_face_ids(pg, list(pg.faces[pg.outer_face].walk))
         assert inner == {f.id for f in pg.interior_faces()}
-
-    def test_non_edge_cycle_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        pg = PlaneGraph(g, [[1, 3], [2, 0], [3, 1], [0, 2]])
-        with pytest.raises(ValueError):
-            cycle_vertex_sides(pg, [0, 1, 2])
 
 
 def asset_graphs():
@@ -252,6 +249,34 @@ class TestGenerator:
             assert pg.euler_check()
             assert not has_cycle_of_length(pg.graph, 7)
             assert contains_butterfly(pg.graph) is None
+
+    @given(st.integers(0, 10_000), st.integers(4, 40), st.booleans())
+    @example(4, 16, True)  # stops at 6 vertices: every site is rejected
+    @example(5, 128, True)  # stops at 21 vertices: 400 rejections in a row
+    @settings(max_examples=60, deadline=None)
+    def test_same_graphs_as_searching_every_site(self, seed, target, in_class):
+        forbid = ("7-cycle", "butterfly") if in_class else ()
+        pg = random_plane_graph(seed, target, forbid)
+        assert pg.rotation == oracle.random_plane_graph(
+            seed, target, forbid).rotation
+
+    @pytest.mark.parametrize("seed,target,n", [(4, 16, 6), (5, 128, 21)])
+    def test_early_stops(self, seed, target, n):
+        assert random_plane_graph(seed, target).n == n
+
+    def test_each_site_is_searched_once_per_graph(self, monkeypatch):
+        # The rotation after an insertion names its (graph, site) pair: the
+        # graph is the rotation without the new vertex, and the new vertex's
+        # rotation is the site's window reversed, whose darts fix the face.
+        searched = []
+
+        def counting(g, length, through=None):
+            searched.append(tuple(map(tuple, g.rotation)))
+            return find_cycle_of_length(g, length, through)
+
+        monkeypatch.setattr(generate, "find_cycle_of_length", counting)
+        random_plane_graph(1, 64)
+        assert searched and len(searched) == len(set(searched))
 
     def test_builder_masks_track_rotation_and_undo(self):
         builder = PlaneBuilder()

@@ -511,6 +511,39 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 1 and named in err and "Traceback" not in err
 
+    TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                "rotation": {"0": [1, 2], "1": [2, 0], "2": [0, 1]}}
+    BAD_OUTER_FACES = [
+        (5, "field outer_face: 5 is not an array"),
+        ([0, 1, "x"], "field outer_face[2]: 'x'"),
+        ([0, 1, 9], "field 'outer_face': no face has boundary walk (0, 1, 9)"),
+        ([], "field 'outer_face': no face has boundary walk ()"),
+    ]
+
+    @pytest.mark.parametrize("outer,named", BAD_OUTER_FACES)
+    def test_detect_rejects_a_malformed_outer_face(self, capsys, tmp_path,
+                                                   outer, named):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({**self.TRIANGLE, "outer_face": outer}))
+        code = cli.main(["detect", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1 and named in err and "Traceback" not in err
+
+    def test_corpus_skips_records_with_a_malformed_outer_face(self, capsys,
+                                                              tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(
+            [json.dumps({**self.TRIANGLE, "outer_face": [0, 1, 2]})]
+            + [json.dumps({**self.TRIANGLE, "outer_face": outer})
+               for outer, _ in self.BAD_OUTER_FACES]) + "\n")
+        code = cli.main(["corpus", str(path)])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert code == 0 and (rep["read"], rep["skipped"]) == (1, 4)
+        for line, (_, named) in enumerate(self.BAD_OUTER_FACES, start=2):
+            assert f"{path}:{line}: {named}" in err
+        assert "Traceback" not in err
+
     def test_integer_strings_are_read_as_integers(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**self.PATH_CONFIG, "n": "3",
