@@ -45,7 +45,7 @@ def extract_clusters(pg: PlaneGraph) -> list[Cluster]:
     tri = [f for f in pg.interior_faces() if f.degree == 3]
     by_edge: dict[tuple[int, int], list[int]] = {}
     for f in tri:
-        for e in f.walk_edges():
+        for e in pg.face_edges[f.id]:
             by_edge.setdefault(e, []).append(f.id)
     face_by_id = {f.id: f for f in tri}
     seen: set[int] = set()
@@ -57,7 +57,7 @@ def extract_clusters(pg: PlaneGraph) -> list[Cluster]:
         stack = [f.id]
         while stack:
             fid = stack.pop()
-            for e in face_by_id[fid].walk_edges():
+            for e in pg.face_edges[fid]:
                 for nf in by_edge[e]:
                     if nf not in comp and nf in face_by_id:
                         comp.add(nf)
@@ -67,7 +67,7 @@ def extract_clusters(pg: PlaneGraph) -> list[Cluster]:
         edges: set[tuple[int, int]] = set()
         for fid in comp:
             verts |= set(face_by_id[fid].walk)
-            edges |= set(face_by_id[fid].walk_edges())
+            edges |= set(pg.face_edges[fid])
         out.append(Cluster(len(out), frozenset(comp), frozenset(verts), frozenset(edges)))
     return out
 
@@ -146,13 +146,19 @@ def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
 
     Separating: interior and exterior both hold vertices.  Bad: the cycle
     plus its interior consists of seven edge-connected 3-faces (the largest
-    catalog shape).  Good: not bad.
+    catalog shape).  Good: not bad.  The walk of an interior face bounds
+    that face alone, so it is neither separating nor bad; any other
+    triangle, the outer face's included, is split by a flood of the dual
+    (`interior_face_ids`).
     """
     if len(cycle) != 3 or len(set(cycle)) != 3:
         raise ValueError("cycle must be a triangle")
     for i in range(3):
         if not pg.graph.has_edge(cycle[i], cycle[(i + 1) % 3]):
             raise ValueError("cycle vertices are not mutually adjacent")
+    tri = frozenset(cycle)
+    if tri in pg.facial_triangles and tri != set(pg.faces[pg.outer_face].walk):
+        return {"separating": False, "bad": False, "good": True}
     inner_faces = interior_face_ids(pg, cycle)
     interior, exterior = _vertex_sides(pg, cycle, inner_faces)
     bad = False
@@ -173,7 +179,7 @@ def _edge_connected(pg: PlaneGraph, face_ids: set[int]) -> bool:
     stack = [start]
     while stack:
         fid = stack.pop()
-        for e in pg.faces[fid].walk_edges():
+        for e in pg.face_edges[fid]:
             for nf in pg.faces_of_edge(*e):
                 if nf in ids and nf not in comp:
                     comp.add(nf)
@@ -189,7 +195,11 @@ def has_good_outer_triangle(pg: PlaneGraph) -> bool:
 
 
 def separating_good_triangles(pg: PlaneGraph) -> list[tuple[int, int, int]]:
-    """All separating good 3-cycles of the embedding."""
+    """All separating good 3-cycles of the embedding.
+
+    A face's walk is never separating (one of its sides is that face
+    alone), so only the other triangles are tested.
+    """
     out = []
     g = pg.graph
     for u in range(g.n):
@@ -197,7 +207,7 @@ def separating_good_triangles(pg: PlaneGraph) -> list[tuple[int, int, int]]:
             if v <= u:
                 continue
             for w in sorted(g.adjacency[u] & g.adjacency[v]):
-                if w <= v:
+                if w <= v or frozenset((u, v, w)) in pg.facial_triangles:
                     continue
                 pred = cycle_predicates(pg, [u, v, w])
                 if pred["separating"] and pred["good"]:

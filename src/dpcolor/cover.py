@@ -39,7 +39,13 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """Graph + color lists + matching assignment (Definition of a DP cover)."""
+    """Graph + color lists + matching assignment (Definition of a DP cover).
+
+    Immutable.  The search tables derived from it (the neighbour color
+    tables, the list masks and the degrees) are built on its first search
+    and shared by every later search of the same instance, whatever its
+    precoloring.
+    """
 
     graph: Graph
     k: int
@@ -87,13 +93,26 @@ class CoverInstance:
             self.graph, self.k, tuple(frozenset(a) for a in available), self.sigma
         )
 
+    @functools.cached_property
+    def _nbrs(self) -> list[list[tuple[int, tuple[int, ...]]]]:
+        """Per vertex v, the pairs (u, table) of its neighbors u and the
+        color tables of the edges vu (see `_color_bits`).  Read by the
+        search, never written."""
+        nbrs: list[list] = [[] for _ in range(self.graph.n)]
+        for (u, v), s in self.sigma.items():
+            fwd, bwd = _color_bits(s)
+            nbrs[u].append((v, fwd))
+            nbrs[v].append((u, bwd))
+        return nbrs
 
-def is_straight(inst: CoverInstance, edge: Sequence[int]) -> bool:
-    u, v = edge
-    key = edge_key(u, v)
-    if key not in inst.sigma:
-        raise CoverError(f"({u},{v}) is not an edge")
-    return inst.sigma[key] == identity(inst.k)
+    @functools.cached_property
+    def _list_masks(self) -> tuple[int, ...]:
+        """Per vertex, its list as a bitmask: bit c - 1 for color c."""
+        return tuple(_color_mask(av) for av in self.available)
+
+    @functools.cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(len(adj) for adj in self.graph.adjacency)
 
 
 def straighten(
@@ -199,18 +218,12 @@ def find_transversal(
             raise CoverError(f"precolor {c!r} of vertex {v} is not in its "
                              f"list {sorted(inst.available[v])}")
     nbrs, res, state = _prepare(inst, assignment)
-    for v, c in assignment.items():
-        it = iter(nbrs[v])
-        for u, t in zip(it, it):
-            if u in assignment and t[c - 1] == 1 << (assignment[u] - 1):
-                raise CoverError(f"precolored vertices {min(u, v)} and "
-                                 f"{max(u, v)} conflict")
 
     # degeneracy preprocessing: peel vertices that can always be colored
     # last, in ascending-id sweeps until a sweep removes nothing
     adjacency = inst.graph.adjacency
     active = [v for v in range(n) if state[v] == _OUT]
-    live = [len(adj) for adj in adjacency]
+    live = list(inst._degrees)
     for v in assignment:
         for u in adjacency[v]:
             live[u] -= 1
@@ -228,7 +241,7 @@ def find_transversal(
             break
         active = keep
 
-    if not _extend(inst.k, nbrs, res, state, assignment, active):
+    if active and not _extend(inst.k, nbrs, res, state, assignment, active):
         return None
     for v in reversed(deferred):
         if not res[v]:
@@ -236,8 +249,7 @@ def find_transversal(
         c = (res[v] & -res[v]).bit_length()
         assignment[v] = c
         state[v] = _SET
-        it = iter(nbrs[v])
-        for u, t in zip(it, it):
+        for u, t in nbrs[v]:
             if state[u] != _SET:
                 res[u] &= ~t[c - 1]
     return assignment
@@ -252,31 +264,29 @@ def _prepare(inst: CoverInstance, assignment: Mapping[int, int],
              ) -> tuple[list[list], list[int], bytearray]:
     """The search's tables, residual masks and states under `assignment`.
 
-    Tables: per vertex v, the flat list [u, table, u', table', ...] of its
-    neighbors, each followed by the color table of the edge (see
-    `_color_bits`).  Masks: per vertex, the residual (see `residual`) with
-    bit c - 1 for color c; fixed once the vertex is assigned.  States: _SET
-    if assigned, else _OUT.
+    Tables: the instance's `_nbrs`, shared, not copied.  Masks: per vertex,
+    the residual (see `residual`) with bit c - 1 for color c; fixed once the
+    vertex is assigned.  States: _SET if assigned, else _OUT.  Only the
+    masks and states are built per call.  Raises CoverError naming the
+    first two assigned vertices whose colors the cover matches.
     """
-    nbrs: list[list] = [[] for _ in range(inst.graph.n)]
-    for (u, v), s in inst.sigma.items():
-        fwd, bwd = _color_bits(s)
-        nbrs[u] += (v, fwd)
-        nbrs[v] += (u, bwd)
+    nbrs = inst._nbrs
     state = bytearray(inst.graph.n)
     for v in assignment:
         state[v] = _SET
-    res = [_color_mask(av) for av in inst.available]
+    res = list(inst._list_masks)
     for v, c in assignment.items():
-        it = iter(nbrs[v])
-        for u, t in zip(it, it):
+        for u, t in nbrs[v]:
             if state[u] != _SET:
                 res[u] &= ~t[c - 1]
+            elif t[c - 1] == 1 << (assignment[u] - 1):
+                raise CoverError(f"precolored vertices {min(u, v)} and "
+                                 f"{max(u, v)} conflict")
     return nbrs, res, state
 
 
 # Cached across instances: there are only k! bijections and 2^k lists, and
-# building their tables on every call would cost more than a small search.
+# building their tables per instance would cost more than a small search.
 @functools.lru_cache(maxsize=4096)
 def _color_bits(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The color tables of an edge u < v with bijection s, from u and from
@@ -370,8 +380,7 @@ def _extend(k: int, nbrs: Sequence[tuple], res: list[int],
         assignment[v] = c
         state[v] = _SET
         trail.append(-1)
-        it = iter(nbrs[v])
-        for u, t in zip(it, it):
+        for u, t in nbrs[v]:
             bit = t[c - 1]
             r = res[u]
             if r & bit and state[u] != _SET:

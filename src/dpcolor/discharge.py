@@ -142,7 +142,7 @@ def cluster_infos(pg: PlaneGraph) -> list[ClusterInfo]:
             for v in e:
                 i_type[v] += 1
         four_faces = [
-            f for f in four if any(e in c.edges for e in f.walk_edges())
+            f for f in four if any(e in c.edges for e in pg.face_edges[f.id])
         ]
         out.append(ClusterInfo(
             c, matches[0] if matches else unclassified(c), matches,
@@ -361,7 +361,7 @@ def diamond_pattern_witness(pg: PlaneGraph) -> Optional[dict]:
         for g in tris[i + 1:]:
             if not ok_face[g.id]:
                 continue
-            shared = set(f.walk_edges()) & set(g.walk_edges())
+            shared = set(pg.face_edges[f.id]) & set(pg.face_edges[g.id])
             if len(shared) != 1:
                 continue
             (u, v), = shared

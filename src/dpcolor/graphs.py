@@ -67,24 +67,36 @@ class Graph:
         """Adjacency as bitsets: bit w of masks[v] is set iff vw is an edge."""
         return tuple(sum(1 << w for w in a) for a in self.adjacency)
 
+    @functools.cached_property
+    def _searches(self) -> dict:
+        """Whole-graph search results, by cycle length or pattern (see
+        find_cycle_of_length and contains_pattern)."""
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
+    @functools.cached_property
+    def component(self) -> tuple[int, ...]:
+        """Per vertex, the least vertex of its connected component."""
+        comp = [-1] * self.n
+        for root in range(self.n):
+            if comp[root] >= 0:
+                continue
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for w in self.adjacency[stack.pop()]:
+                    if comp[w] < 0:
+                        comp[w] = root
+                        stack.append(w)
+        return tuple(comp)
+
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return not any(self.component)
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,14 @@ def _trace_faces(rotation: Sequence[Sequence[int]]) -> list[Face]:
     return faces
 
 
+def _default_outer(faces: Sequence[Face]) -> int:
+    """Id of a face of maximum degree, ties broken by smallest canonical
+    walk."""
+    top = max(f.degree for f in faces)
+    return min((f for f in faces if f.degree == top),
+               key=Face.canonical_walk).id
+
+
 class PlaneGraph:
     """Graph plus rotation system; faces and outer face derived on construction.
 
@@ -166,11 +186,6 @@ class PlaneGraph:
         self.rotation = tuple(tuple(r) for r in rotation)
         self.faces = tuple(_trace_faces(rotation))
         self.outer_face = self._pick_outer(outer_walk)
-        # one face id per edge side
-        self._edge_faces: dict[tuple[int, int], list[int]] = {}
-        for f in self.faces:
-            for e in f.walk_edges():
-                self._edge_faces.setdefault(e, []).append(f.id)
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:
         if outer_walk is not None:
@@ -181,10 +196,7 @@ class PlaneGraph:
                 if f.canonical_walk() in wanted:
                     return f.id
             raise OuterWalkError(f"no face has boundary walk {walk}")
-        best = max(self.faces, key=lambda f: (f.degree, [-x for x in f.canonical_walk()]))
-        # ties: max degree, then smallest canonical walk
-        candidates = [f for f in self.faces if f.degree == best.degree]
-        return min(candidates, key=lambda f: f.canonical_walk()).id
+        return _default_outer(self.faces)
 
     @property
     def n(self) -> int:
@@ -208,6 +220,42 @@ class PlaneGraph:
         outer = set(self.faces[self.outer_face].walk)
         return tuple(v not in outer for v in range(self.graph.n))
 
+    @functools.cached_property
+    def face_edges(self) -> tuple[list[tuple[int, int]], ...]:
+        """Per face id, its edges in walk order."""
+        return tuple(f.walk_edges() for f in self.faces)
+
+    @functools.cached_property
+    def _edge_faces(self) -> dict[tuple[int, int], list[int]]:
+        """Per edge, the ids of the faces on its two sides."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for f, edges in zip(self.faces, self.face_edges):
+            for e in edges:
+                out.setdefault(e, []).append(f.id)
+        return out
+
+    @functools.cached_property
+    def outsides(self) -> dict[int, int]:
+        """Per component (by its least vertex), the face id that its
+        triangles' sides are told apart from: the outer face in its own
+        component; in another, the face the default outer-face rule picks
+        among that component's faces."""
+        comp = self.graph.component
+        outer = self.outer_face
+        out = {comp[self.faces[outer].walk[0]]: outer}
+        others: dict[int, list[Face]] = {}
+        for f in self.faces:
+            if comp[f.walk[0]] not in out:
+                others.setdefault(comp[f.walk[0]], []).append(f)
+        out.update((c, _default_outer(fs)) for c, fs in others.items())
+        return out
+
+    @functools.cached_property
+    def facial_triangles(self) -> frozenset[frozenset[int]]:
+        """The vertex sets of the 3-faces, the outer face included."""
+        return frozenset(frozenset(f.walk) for f in self.faces
+                         if f.degree == 3)
+
 
 def has_cycle_of_length(g: Graph, length: int) -> bool:
     return find_cycle_of_length(g, length) is not None
@@ -226,7 +274,10 @@ def find_cycle_of_length(
     smallest such vertex sequence.
 
     `g` is a Graph or anything else with `n` and adjacency bitsets `masks`
-    (the generator passes its builder).
+    (the generator passes its builder).  A Graph is immutable, so the
+    whole-graph search (no `through`) runs once per Graph and length: the
+    result is kept on the Graph, and each call returns a copy of it.  Other
+    hosts are searched on every call.
     """
     if length < 3:
         raise ValueError("cycle length must be >= 3")
@@ -235,11 +286,27 @@ def find_cycle_of_length(
     full = (1 << g.n) - 1
     if through is not None:
         return _cycle_from(g.masks, through, length, full)
-    for s in range(g.n - length + 1):
-        found = _cycle_from(g.masks, s, length, full ^ ((2 << s) - 1))
-        if found is not None:
-            return found
-    return None
+
+    def search() -> Optional[list[int]]:
+        for s in range(g.n - length + 1):
+            found = _cycle_from(g.masks, s, length, full ^ ((2 << s) - 1))
+            if found is not None:
+                return found
+        return None
+
+    found = _remembered(g, ("cycle", length), search)
+    return None if found is None else list(found)
+
+
+def _remembered(g, key, search):
+    """search(), run once per key on a Graph and kept in its `_searches`;
+    run on every call for any other host, which may change between calls."""
+    if not isinstance(g, Graph):
+        return search()
+    memo = g._searches
+    if key not in memo:
+        memo[key] = search()
+    return memo[key]
 
 
 def _cycle_from(
@@ -283,16 +350,25 @@ def contains_pattern(
     pattern vertex of maximum degree.  With `through`, only occurrences that
     use that vertex of g count: each pattern vertex in turn is pinned to it
     and the same backtracking places the rest.  `g` is as for
-    find_cycle_of_length.
+    find_cycle_of_length, and so is the memo: the whole-graph search runs
+    once per Graph and pattern, and each call returns a copy of its result.
     """
     if pattern.n > g.n:
         return None
-    if through is None:
-        if pattern.n == 0:
-            return {}
-        roots = [(max(range(pattern.n), key=pattern.degree), (1 << g.n) - 1)]
-    else:
-        roots = [(p, 1 << through) for p in range(pattern.n)]
+    if through is not None:
+        return _first_occurrence(
+            g, pattern, [(p, 1 << through) for p in range(pattern.n)])
+    if pattern.n == 0:
+        return {}
+    root = max(range(pattern.n), key=pattern.degree)
+    found = _remembered(g, ("pattern", pattern), lambda: _first_occurrence(
+        g, pattern, [(root, (1 << g.n) - 1)]))
+    return None if found is None else dict(found)
+
+
+def _first_occurrence(g, pattern: Graph, roots) -> Optional[dict[int, int]]:
+    """The first occurrence over `roots`, pairs (pattern vertex, bitset of
+    the host vertices it may take), tried in turn."""
     for root, first in roots:
         found = next(_embed(g.masks, pattern, root, first), None)
         if found is not None:
@@ -353,11 +429,19 @@ def _embed(
 
 def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],
                   inner: set[int]) -> tuple[set[int], set[int]]:
-    """(interior, exterior) vertex sets given the ids of the inner faces."""
+    """(interior, exterior) vertex sets given the ids of the inner faces.
+
+    Only the cycle's component is split: other components are on neither
+    side.
+    """
     on_cycle = set(cycle)
     exterior: set[int] = set()
     interior: set[int] = set()
+    comp = pg.graph.component
+    own = comp[cycle[0]]
     for f in pg.faces:
+        if comp[f.walk[0]] != own:
+            continue
         verts = set(f.walk) - on_cycle
         if f.id in inner:
             interior |= verts
@@ -370,21 +454,27 @@ def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],
 def interior_face_ids(pg: PlaneGraph, cycle: Sequence[int]) -> set[int]:
     """Ids of the faces strictly inside the cycle.
 
-    Faces are split by flooding the dual graph from the outer face without
-    crossing cycle edges; the faces not reached are inside.
+    Faces are split by flooding the dual graph, without crossing cycle
+    edges, from the outside of the cycle's component (see
+    `PlaneGraph.outsides`: the outer face, when the component holds it);
+    the faces of that component not reached are inside.  Faces of other
+    components are never inside.
     """
     cyc_edges = {
         edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
     }
-    side = {pg.outer_face}
-    stack = [pg.outer_face]
+    comp = pg.graph.component
+    own = comp[cycle[0]]
+    side = {pg.outsides[own]}
+    stack = list(side)
+    face_edges, edge_faces = pg.face_edges, pg._edge_faces
     while stack:
-        fid = stack.pop()
-        for e in pg.faces[fid].walk_edges():
+        for e in face_edges[stack.pop()]:
             if e in cyc_edges:
                 continue
-            for nf in pg.faces_of_edge(*e):
+            for nf in edge_faces[e]:
                 if nf not in side:
                     side.add(nf)
                     stack.append(nf)
-    return {f.id for f in pg.faces if f.id not in side}
+    return {f.id for f in pg.faces
+            if f.id not in side and comp[f.walk[0]] == own}

@@ -40,6 +40,12 @@ vertex permutations, filtered by the shape's edges and 3-faces.
 Generator: the insertion loop that searches every drawn site, with no
 memory of earlier rejections, which fixes the graphs
 `generate.random_plane_graph` must return.
+
+Triangle predicates: every 3-cycle split by a flood of the dual from the
+outer face, facial or not, which fixes what `clusters.cycle_predicates` and
+`clusters.separating_good_triangles` must return on connected embeddings.
+
+Straight edges: whether an edge's bijection is the identity.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import random
 from typing import Mapping, Optional, Sequence
 
 from dpcolor.clusters import Classification, Cluster
-from dpcolor.cover import CoverInstance, is_independent, residual
+from dpcolor.cover import CoverInstance, identity, is_independent, residual
 from dpcolor.generate import PlaneBuilder
 from dpcolor.graphs import Graph, PlaneGraph, edge_key, find_cycle_of_length
 from dpcolor.patterns import catalog, contains_butterfly
@@ -441,3 +447,60 @@ def random_plane_graph(
         tries = 0
         builder.split_face(face_id)
     return builder.plane()
+
+
+def flood_cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
+    """{'separating', 'bad', 'good'} of a 3-cycle, by a flood for every
+    triangle: the faces the outer face reaches without crossing the cycle
+    are outside, the rest inside."""
+    cyc_edges = {edge_key(cycle[i], cycle[(i + 1) % 3]) for i in range(3)}
+    by_edge: dict[tuple[int, int], list[int]] = {}
+    for f in pg.faces:
+        for e in f.walk_edges():
+            by_edge.setdefault(e, []).append(f.id)
+    outside = {pg.outer_face}
+    stack = [pg.outer_face]
+    while stack:
+        for e in pg.faces[stack.pop()].walk_edges():
+            if e not in cyc_edges:
+                for nf in by_edge[e]:
+                    if nf not in outside:
+                        outside.add(nf)
+                        stack.append(nf)
+    inner = [f for f in pg.faces if f.id not in outside]
+    interior: set[int] = set()
+    exterior: set[int] = set()
+    for f in pg.faces:
+        (exterior if f.id in outside else interior).update(
+            set(f.walk) - set(cycle))
+    bad = False
+    if len(inner) == 7 and all(f.degree == 3 for f in inner):
+        ids = {f.id for f in inner}
+        comp = {inner[0].id}
+        stack = [inner[0].id]
+        while stack:
+            for e in pg.faces[stack.pop()].walk_edges():
+                for nf in by_edge[e]:
+                    if nf in ids and nf not in comp:
+                        comp.add(nf)
+                        stack.append(nf)
+        bad = comp == ids
+    return {"separating": bool(interior - exterior) and bool(exterior),
+            "bad": bad, "good": not bad}
+
+
+def flood_separating_good_triangles(pg: PlaneGraph):
+    """Every separating good 3-cycle (u < v < w), each one flooded."""
+    g = pg.graph
+    return [
+        tri for tri in itertools.combinations(range(g.n), 3)
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2))
+        and (pred := flood_cycle_predicates(pg, tri))["separating"]
+        and pred["good"]
+    ]
+
+
+def is_straight(inst: CoverInstance, edge: Sequence[int]) -> bool:
+    """Whether the bijection on `edge` is the identity."""
+    return inst.sigma[edge_key(*edge)] == identity(inst.k)
+

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from conftest import audit_corpus
+from dpcolor import graphs
 from dpcolor.clusters import (
     UNCLASSIFIED, classify_cluster, classifications, cycle_predicates,
     extract_clusters, has_good_outer_triangle, separating_good_triangles,
 )
+from dpcolor.discharge import audit
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import parse_graph_file
@@ -124,6 +127,96 @@ class TestTrianglePredicates:
         pg = k4_plane()
         with pytest.raises(ValueError):
             cycle_predicates(pg, [0, 1])
+
+
+def with_triangle(pg: PlaneGraph, outer=None) -> PlaneGraph:
+    """pg plus a disjoint triangle on three new vertices."""
+    n = pg.n
+    a, b, c = n, n + 1, n + 2
+    g = Graph.from_edges(n + 3, [*pg.graph.edges, (a, b), (b, c), (a, c)])
+    rotation = [*pg.rotation, (b, c), (c, a), (a, b)]
+    return PlaneGraph(g, rotation, outer)
+
+
+def triangles(pg: PlaneGraph):
+    g = pg.graph
+    return [(u, v, w) for u in range(g.n) for v in sorted(g.adjacency[u])
+            if v > u for w in sorted(g.adjacency[u] & g.adjacency[v])
+            if w > v]
+
+
+class TestAgainstFloodOracle:
+    """The facial rule and the component-aware flood against a flood of
+    every triangle (tests/oracle.py), on connected embeddings."""
+
+    def test_hosts_catalog_drawings_and_generated_corpora(self):
+        pgs = audit_corpus() + [cluster_pattern(code).plane
+                                for code in range(1, 12)]
+        pgs += generate_corpus(30, seed=11, min_n=6, max_n=20)
+        seps = 0
+        for pg in pgs:
+            assert pg.graph.is_connected()
+            for tri in triangles(pg):
+                assert cycle_predicates(pg, tri) == \
+                    oracle.flood_cycle_predicates(pg, tri)
+            found = separating_good_triangles(pg)
+            assert found == oracle.flood_separating_good_triangles(pg)
+            seps += len(found)
+        assert seps > 0
+
+    def test_only_non_facial_triangles_flood(self, monkeypatch):
+        floods = []
+        real = graphs.interior_face_ids
+        monkeypatch.setattr(
+            "dpcolor.clusters.interior_face_ids",
+            lambda pg, cycle: floods.append(cycle) or real(pg, cycle))
+        for pg in generate_corpus(10, seed=11, min_n=6, max_n=16):
+            floods.clear()
+            separating_good_triangles(pg)
+            facial = [t for t in triangles(pg)
+                      if frozenset(t) in pg.facial_triangles]
+            assert facial
+            assert len(floods) == len(triangles(pg)) - len(facial)
+
+
+class TestDisconnectedEmbedding:
+    """Two components: a flood from the outer face never reaches the
+    other one, which has an outside of its own."""
+
+    K4 = PlaneGraph(
+        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+    @pytest.mark.parametrize("outer", [None, [4, 5, 6]])
+    def test_facial_triangles_do_not_separate(self, outer):
+        pg = with_triangle(self.K4, outer)
+        assert separating_good_triangles(pg) == []
+        report = audit(pg)
+        check = report.preconditions["no-separating-good-3-cycle"]
+        assert check == {"ok": True, "witness": None}
+
+    def test_each_component_keeps_its_separating_triangles(self):
+        # a graph with its default outer face, then beside a disjoint
+        # triangle that is the outer face or not
+        seps = 0
+        for pg in audit_corpus()[::3]:
+            alone = PlaneGraph(pg.graph, pg.rotation)
+            n = alone.n
+            expect = separating_good_triangles(alone)
+            for outer in (None, [n, n + 1, n + 2]):
+                assert separating_good_triangles(
+                    with_triangle(alone, outer)) == expect
+            seps += len(expect)
+        assert seps > 0
+
+    def test_other_components_are_not_inside(self):
+        # the bad outer triangle of shape (11) stays bad beside a triangle
+        pat = cluster_pattern(11).plane
+        walk = pat.faces[pat.outer_face].walk
+        pg = with_triangle(pat, walk)
+        pred = cycle_predicates(pg, list(walk))
+        assert pred == {"separating": False, "bad": True, "good": False}
+        assert not has_good_outer_triangle(pg)
 
 
 class TestButterfly:

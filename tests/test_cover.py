@@ -1,5 +1,6 @@
 """Cover semantics: bijections, straightening, residuals, the solver."""
 
+import itertools
 import random
 import sys
 import time
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cover, random_graph, random_sigma, torus_graph
+from dpcolor import cover
 from dpcolor.cover import (
     CoverError, CoverInstance, _search, brute_force_transversal, compose,
-    find_transversal, identity, invert, is_independent, is_straight,
-    residual, straighten,
+    find_transversal, identity, invert, is_independent, residual, straighten,
 )
+from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph
 
 
@@ -71,7 +73,7 @@ class TestStraighten:
         inst = CoverInstance(g, 4, (frozenset(range(1, 5)),) * 2,
                              {(0, 1): shift})
         out, _ = straighten(inst, [(0, 1)])
-        assert is_straight(out, (0, 1))
+        assert oracle.is_straight(out, (0, 1))
 
     def test_rejects_cycle(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -88,7 +90,7 @@ class TestStraighten:
         tree = _random_forest(rng, g)
         out, pi = straighten(inst, tree)
         for e in tree:
-            assert is_straight(out, e)
+            assert oracle.is_straight(out, e)
         # renamed transversals correspond: map a found one back
         t = find_transversal(out)
         if t is not None:
@@ -280,3 +282,79 @@ class TestNoRecursion:
             sys.setrecursionlimit(limit)
         assert t is not None and len(t) == inst.graph.n
         assert is_independent(inst, t)
+
+
+def _outcome(inst, pre):
+    """What solving `inst` under `pre` gives: the error, no transversal, or
+    the transversal with its insertion order."""
+    try:
+        return ("found", _items(find_transversal(inst, pre)))
+    except CoverError as exc:
+        return ("error", str(exc))
+
+
+def _copy(inst):
+    return CoverInstance(inst.graph, inst.k, inst.available, dict(inst.sigma))
+
+
+class TestSharedTables:
+    """An instance builds its search tables on its first search; every later
+    search, whatever its precoloring, must give what a fresh instance
+    gives."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_reused_instance_solves_like_a_fresh_one(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 8), rng.random())
+        inst = random_cover(rng, g, rng.randint(2, 3))
+        # a vertex that does not exist, then random precolorings, some with
+        # colors outside the lists or conflicting pairs
+        sequence = [{g.n: 1}] + [
+            {v: rng.randint(0, inst.k + 1)
+             for v in rng.sample(range(g.n), rng.randint(0, min(3, g.n)))}
+            for _ in range(10)]
+        for pre in sequence:
+            got = _outcome(inst, pre)
+            assert got == _outcome(_copy(inst), pre)
+            if got[0] == "error":
+                continue
+            pool = {v for v in range(g.n) if v not in pre}
+            assignment = dict(pre)
+            fresh = dict(pre)
+            assert _search(inst, assignment, set(pool)) == _search(
+                _copy(inst), fresh, set(pool))
+            assert assignment == fresh
+
+    def test_errors_and_unsolvable_precolorings_leave_the_tables(self):
+        # a triangle with 2-color lists at 0 and 1 and a path 3-4-5
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+        inst = CoverInstance.straight(g, 3).with_available(
+            [{1, 2}, {1, 2}, {1, 2, 3}, {1, 2, 3}, {1}, {1, 2}])
+        sequence = [{0: 3}, {0: 1, 1: 1}, {2: 1}, {}, {7: 1}, {2: 3},
+                    {5: 1}, {3: 2, 2: 1}]
+        kinds = []
+        for pre in sequence:
+            got = _outcome(inst, pre)
+            assert got == _outcome(_copy(inst), pre)
+            kinds.append("none" if got == ("found", None) else got[0])
+        assert set(kinds) == {"error", "none", "found"}
+
+    def test_tables_built_once_per_instance(self, monkeypatch):
+        # the corpus workload's extension step: 64 precolorings of a
+        # facial triangle on one cover
+        built = []
+        real = cover._color_bits
+        monkeypatch.setattr(cover, "_color_bits",
+                            lambda s: built.append(s) or real(s))
+        pg = generate_corpus(1, seed=3, min_n=12, max_n=12)[0]
+        tri = next(f.walk for f in pg.interior_faces() if f.degree == 3)
+        inst = random_cover(random.Random(0), pg.graph, 4, full_lists=True)
+        solved = 0
+        for combo in itertools.product(range(1, 5), repeat=3):
+            pre = dict(zip(tri, combo))
+            if is_independent(inst, pre):
+                assert find_transversal(inst, pre) is not None
+                solved += 1
+        assert solved > 1
+        assert len(built) == pg.graph.m

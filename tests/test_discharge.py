@@ -13,6 +13,7 @@ import json
 import pytest
 
 import dpcolor.discharge
+from dpcolor import graphs
 from conftest import (
     audit_corpus, shared_vertex_host, special_seven_host, tight_six_host,
 )
@@ -23,6 +24,7 @@ from dpcolor.discharge import (
 )
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
+from dpcolor.io import graph_to_dict, ingest_corpus
 from dpcolor.patterns import butterfly_pattern, c7_pattern, cluster_pattern
 
 CORPUS = generate_corpus(40, seed=20260823, min_n=6, max_n=14)
@@ -249,3 +251,30 @@ class TestLedgerHistory:
         )
         initial = 4 * (pg.faces[pg.outer_face].degree + 4)
         assert initial + delta == rep.accounts[OUTER]
+
+
+class TestSearchesReused:
+    def test_audit_reuses_the_corpus_filters_searches(self, tmp_path,
+                                                      monkeypatch):
+        # ingest's no-7-cycles and no-butterfly filters search each graph
+        # once; the audit's class checks read their results
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(
+            json.dumps(graph_to_dict(pg)) + "\n" for pg in CORPUS[:12]))
+        calls = []
+        for name in ("_cycle_from", "_embed"):
+            real = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *a, _r=real, _n=name: (
+                calls.append(_n) or _r(*a)))
+        filtered = set()
+        audited = 0
+        for pg in ingest_corpus(path, ("no-7-cycles", "no-butterfly")):
+            filtered.update(calls)
+            calls.clear()
+            rep = audit(pg, force_rules=True)
+            assert rep.preconditions["no-7-cycle"]["ok"]
+            assert rep.preconditions["no-butterfly"]["ok"]
+            assert calls == []
+            audited += 1
+        assert audited == 12
+        assert filtered == {"_cycle_from", "_embed"}

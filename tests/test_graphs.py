@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import petersen, random_graph, special_seven_host
-from dpcolor import generate
+from dpcolor import generate, graphs
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
     Graph, GraphError, MalformedEmbeddingError, PlaneGraph, _vertex_sides,
@@ -217,6 +217,54 @@ class TestRootedSearch:
         empty = Graph.from_edges(0, [])
         assert contains_pattern(g, empty) == {}
         assert contains_pattern(g, empty, through=0) is None
+
+
+class TestWholeGraphMemo:
+    """A Graph keeps its whole-graph search results; callers get copies."""
+
+    def test_mutating_a_witness_leaves_the_next_result(self):
+        g = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+        cyc = find_cycle_of_length(g, 7)
+        cyc.reverse()
+        cyc.append(0)
+        assert find_cycle_of_length(g, 7) == oracle.first_cycle(g, 7)
+        host = butterfly_pattern().graph
+        m = contains_butterfly(host)
+        expect = dict(m)
+        m.clear()
+        assert contains_butterfly(host) == expect
+        assert contains_pattern(host, butterfly_pattern().graph) == expect
+
+    def test_each_search_runs_once_per_graph(self, monkeypatch):
+        calls = []
+        for name in ("_cycle_from", "_embed"):
+            real = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *a, _r=real, _n=name: (
+                calls.append(_n) or _r(*a)))
+        g = cluster_pattern(11).graph
+        first = (find_cycle_of_length(g, 7), find_cycle_of_length(g, 4),
+                 contains_butterfly(g))
+        assert calls
+        calls.clear()
+        again = (find_cycle_of_length(g, 7), has_cycle_of_length(g, 4),
+                 contains_butterfly(g))
+        assert calls == []
+        assert again == (first[0], True, first[2])
+        # rooted searches are not remembered
+        find_cycle_of_length(g, 4, through=0)
+        assert calls == ["_cycle_from"]
+
+    def test_builder_is_searched_afresh(self):
+        builder = PlaneBuilder()
+        assert find_cycle_of_length(builder, 4) is None
+        assert contains_pattern(builder, Graph.from_edges(
+            4, [(0, 1), (1, 2), (2, 3), (0, 3)])) is None
+        # a new vertex on two corners of the triangle closes a 4-cycle
+        key, start, _ = builder.sites[0]
+        builder.insert_vertex(builder.face_id(key), start, 2)
+        assert find_cycle_of_length(builder, 4) is not None
+        assert contains_pattern(builder, Graph.from_edges(
+            4, [(0, 1), (1, 2), (2, 3), (0, 3)])) is not None
 
 
 def rotation_digest(pgs) -> str:
