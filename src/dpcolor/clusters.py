@@ -94,8 +94,20 @@ def classifications(pg: PlaneGraph, c: Cluster) -> Iterator[Classification]:
     A match is an isomorphism from the shape onto the cluster that carries
     the shape's 3-faces onto the cluster's.  Per code, matches come in the
     order of the host vertices given to the shape's vertices taken by
-    descending degree (ties by vertex id).
+    descending degree (ties by vertex id).  The matches are searched once
+    per PlaneGraph and cluster and kept in the PlaneGraph's `_matches`;
+    every call yields fresh role maps.
     """
+    memo = pg._matches
+    if c not in memo:
+        memo[c] = tuple((code, tuple(roles.items()))
+                        for code, roles in _catalog_matches(pg, c))
+    for code, roles in memo[c]:
+        yield Classification(code, dict(roles))
+
+
+def _catalog_matches(pg: PlaneGraph, c: Cluster) -> Iterator[tuple[int, dict]]:
+    """(code, role map) of every catalog match, in classifications order."""
     local, order = cluster_subgraph(c)
     cluster_faces = {
         frozenset(set(pg.faces[fid].walk)) for fid in c.face_ids
@@ -118,8 +130,8 @@ def classifications(pg: PlaneGraph, c: Cluster) -> Iterator[Classification]:
                 frozenset(order[iso[v]] for v in tri) for tri in pat_faces
             }
             if mapped_faces == cluster_faces:
-                roles = {lbl: order[iso[v]] for lbl, v in pat.labels.items()}
-                yield Classification(code, roles)
+                yield code, {lbl: order[iso[v]]
+                             for lbl, v in pat.labels.items()}
 
 
 def unclassified(c: Cluster) -> Classification:

@@ -251,6 +251,12 @@ class PlaneGraph:
         return out
 
     @functools.cached_property
+    def _matches(self) -> dict:
+        """Catalog matches of its clusters, by cluster (see
+        clusters.classifications)."""
+        return {}
+
+    @functools.cached_property
     def facial_triangles(self) -> frozenset[frozenset[int]]:
         """The vertex sets of the 3-faces, the outer face included."""
         return frozenset(frozenset(f.walk) for f in self.faces

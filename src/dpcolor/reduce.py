@@ -22,7 +22,8 @@ residual choice the candidate color assignments form a grid, one axis per
 vertex, with the strategy's grouping vertices outermost; each free edge has
 one boolean mask per maximal injection, and an instance is the AND of one
 mask per edge.  The kernel walks the outer edges ANDing masks and
-vectorizes the rest in blocks sized to a cell cap.  Each block comes as two
+vectorizes the rest in blocks sized so that no array a block builds passes
+a byte cap.  Each block comes as two
 factors over the grouping vertices' assignments: the early factor ANDs the
 edges that touch a non-grouping vertex and ORs each instance over the
 non-grouping axes; the late factor ANDs the edges between two grouping
@@ -328,13 +329,16 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 # ---------------------------------------------------------------------------
 # the mask kernel
 
-# Cells (instances x candidates) that one kernel block is sized to: the last
-# two edges are vectorized in every block when their rows fit together, else
-# the last one, and the edge before them contributes as many options to each
-# block as the rest of the cap holds (at least one).  Block sizes count every
-# edge over the whole candidate grid, so the early cube (its early edges
-# only) and any table built from the factors (group axes only) stay within
-# the cap.
+# Bytes that any one array of a kernel block may take.  A block vectorizes
+# the last two edges when their arrays fit together, else the last one when
+# it fits, and then as many options of the next edge as fit (at least one).
+# The arrays counted are the ones a block builds: the float32 operands and
+# product of the early factor's matmul (`_any_and`; candidate cells x head
+# or tail early options, group cells x early options), the late cube (group
+# cells x late options) and the [early, late] pair matrices of the line
+# test (in uint64 words; the block's int64 instance numbers take as much).
+# Instance rows are built in slices within the cap (`_Leaf.table`), so they
+# never size a block.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -368,32 +372,36 @@ class _Leaf:
         return {v for e, _, late in self.inner if late for v in e}
 
     def table(self, keep: Optional[np.ndarray] = None):
-        """(j, alive): the block's instance numbers j in ascending order,
-        of every (early, late) pair that `keep[e, l]` admits (all by
-        default), and their rows alive[i] = early[e] & late[l]."""
+        """Yield (j, alive) slices in ascending order: the block's instance
+        numbers j of every (early, late) pair that `keep[e, l]` admits, and
+        their rows alive[i] = early[e] & late[l], each slice within
+        _BLOCK_CELLS bytes.  Without `keep` (product, margin and condition,
+        whose blocks have no late edge) every instance j is early row j."""
         import numpy as np
 
+        factors = [self.early.T, self.late.T]  # [g, row]
+        # a row takes a byte per group cell, an instance number 8 bytes
+        step = max(1, _BLOCK_CELLS // max(len(factors[0]), 8))
+        if keep is None:
+            for lo in range(0, self.count, step):
+                j = np.arange(lo, min(lo + step, self.count))
+                self.run.rows_built += len(j)
+                yield j, (factors[0][:, lo:lo + step] & factors[1]).T
+            return
         # one axis per vectorized edge; each factor spans its own edges'
         # axes, in the mixed radix that numbers the instances
         digits = [len(opts) for _, opts, _ in self.inner]
-        spans = [[n if late == side else 1
-                  for n, (_, _, late) in zip(digits, self.inner)]
-                 for side in (False, True)]
-        factors = [self.early.T, self.late.T]  # [g, row]
-        if keep is None:
-            j = np.arange(self.count)
-            alive = (factors[0].reshape(-1, *spans[0])
-                     & factors[1].reshape(-1, *spans[1])).reshape(
-                len(factors[0]), -1)[:, :self.count]
-        else:
-            e, l = (np.broadcast_to(np.arange(f.shape[1]).reshape(span),
-                                    digits).ravel()[:self.count]
-                    for f, span in zip(factors, spans))
-            j = np.flatnonzero(keep[e, l])
-            alive = np.take(factors[0], e[j], axis=1) \
-                & np.take(factors[1], l[j], axis=1)
-        self.run.rows_built += len(j)
-        return j, alive.T
+        e, l = (np.broadcast_to(np.arange(f.shape[1]).reshape(
+            [n if late == side else 1
+             for n, (_, _, late) in zip(digits, self.inner)]),
+            digits).ravel()[:self.count] for side, f in enumerate(factors))
+        j = np.flatnonzero(keep[e, l])
+        for lo in range(0, len(j), step):
+            part = j[lo:lo + step]
+            alive = np.take(factors[0], e[part], axis=1) \
+                & np.take(factors[1], l[part], axis=1)
+            self.run.rows_built += len(part)
+            yield part, alive.T
 
     def maps(self, j: int) -> dict:
         """The edge maps of the block's j-th instance."""
@@ -462,56 +470,85 @@ class _Run:
 
         The walk fixes one option per edge, fewest options first, and ANDs
         early columns into the candidate mask, late ones into the group
-        mask.  Every block vectorizes the tail edges (see _BLOCK_CELLS) and
-        one slice of the options of the last walked edge, sized to fill the
-        block to _BLOCK_CELLS; that slice heads the leaf's `inner`, so
-        instances keep the lexicographic order of the edges wherever the
-        late edges sort.  A leaf's early factor ANDs the vectorized early
-        edges into the candidate mask, ORs each instance over the `rest`
-        axes and ANDs in the group mask; its late factor ANDs the vectorized
-        late edges over the group grid.  split=(i, n) keeps the leaf blocks
+        mask.  Every block vectorizes the tail edges and one slice of the
+        options of the last walked edge, as large as the early factor's
+        matmul, the late cube and the pair matrices allow (see
+        _BLOCK_CELLS); that slice heads the leaf's `inner`, so instances
+        keep the lexicographic order of the edges wherever the late edges
+        sort.  A leaf's early factor ANDs the vectorized early edges into
+        the candidate mask, ORs each instance over the `rest` axes (one
+        matmul of the head's and the tail's early masks, `_any_and`) and
+        ANDs in the group mask; its late factor ANDs the vectorized late
+        edges over the group grid.  split=(i, n) keeps the leaf blocks
         whose index is i modulo n.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
         order = [*group, *rest]
+        # per pair of endpoint sets: the maximal injections, and the image
+        # of every color under each (0 for the colors it leaves out)
+        injections: dict = {}
         for residuals in choices:
             domains = [sorted(residuals[v]) for v in order]
+            cells = math.prod(map(len, domains))
             grid = np.meshgrid(*domains, indexing="ij")
             color = {v: g.ravel() for v, g in zip(order, grid)}
             width = math.prod(len(residuals[v]) for v in rest)
             # the group grid: the grid's cells whose rest colors come first
             group_color = {v: color[v][::width] for v in group}
-            base = np.ones(math.prod(map(len, domains)), dtype=bool)
+            base = np.ones(cells, dtype=bool)
             for u, v in straight:
                 base &= color[u] != color[v]
             edges = []
             for u, v in free:
-                opts = maximal_injections(residuals[u], residuals[v])
-                image = np.zeros((len(opts), K + 1), dtype=np.int64)
-                for row, m in zip(image, opts):
-                    row[list(m)] = list(m.values())
+                key = (residuals[u], residuals[v])
+                if key not in injections:
+                    opts = maximal_injections(*key)
+                    injections[key] = opts, np.array(
+                        [[m.get(c, 0) for c in range(K + 1)] for m in opts],
+                        dtype=np.int64)
+                opts, image = injections[key]
                 late = u in group_color and v in group_color
                 c = group_color if late else color
                 edges.append(((u, v), opts,
                               image.T[c[u]] != c[v][:, None], late))
             edges.sort(key=lambda t: len(t[1]))
-            tail = min(len(edges), 1)
-            if (len(edges) >= 2 and _BLOCK_CELLS
-                    >= len(edges[-1][1]) * len(edges[-2][1]) * base.size):
-                tail = 2
+
+            groups = cells // width
+
+            def built(vec, head=1, late=False):
+                """Bytes of the arrays of a block that vectorizes `vec`
+                after a head slice of `head` options on the `late` side:
+                the float32 operands and product of the early factor's
+                matmul, the late cube and the pair matrices (see
+                _BLOCK_CELLS)."""
+                h, t = [1, 1], [1, 1]
+                h[late] = head
+                for _, opts, _, side in vec:
+                    t[side] *= len(opts)
+                return (4 * cells * h[0], 4 * cells * t[0],
+                        4 * groups * h[0] * t[0], groups * h[1] * t[1],
+                        8 * h[0] * h[1] * t[0] * t[1])
+
+            tail = 0
+            while tail < min(len(edges), 2) and \
+                    max(built(edges[len(edges) - tail - 1:])) <= _BLOCK_CELLS:
+                tail += 1
             outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
             heads = [[]]
             if outer:
                 e, opts, rows, late = outer.pop()
-                step = max(1, _BLOCK_CELLS // math.prod(
-                    [base.size, *(len(t[1]) for t in inner)]))
+                # the bytes that each head option adds to the arrays that
+                # grow with the head
+                per = max(a - b for a, b in zip(built(inner, 1, late),
+                                                built(inner, 0, late)))
+                step = max(1, _BLOCK_CELLS // per)
                 heads = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
                          for lo in range(0, len(opts), step)]
             # [early, late]: the candidate and the group masks of the walk,
             # and the [cell, option tuple] ANDs of the tail's edges, the same
             # in every block of this residual choice
-            masks = [base, np.ones(base.size // width, dtype=bool)]
+            masks = [base, np.ones(groups, dtype=bool)]
             tails = [np.ones((m.size, 1), dtype=bool) for m in masks]
             for _, _, rows, late in inner:
                 tails[late] = _and_each(tails[late], rows)
@@ -557,16 +594,19 @@ class _Run:
         `vec` lists the block's vectorized edges, the first one outermost.
         """
         tables = []
-        for side, (mask, tail) in enumerate(zip(masks, tails)):
+        for side, mask in enumerate(masks):
             table = mask[:, None]
             for _, _, rows, late in head:
                 if late == side:
                     table = table & rows
-            tables.append(_and_each(table, tail))
-        early = tables[0].reshape(masks[1].size, width, -1).any(axis=1)
+            tables.append(table)
+        groups = masks[1].size
+        early = _any_and(*(t.reshape(groups, width, -1)
+                           for t in (tables[0], tails[0])))
         early &= masks[1][:, None]
-        return _Leaf(self, residuals, early.T, tables[1].T, count, first,
-                     path, [(e, opts, late) for e, opts, _, late in vec])
+        return _Leaf(self, residuals, early.T,
+                     _and_each(tables[1], tails[1]).T, count, first, path,
+                     [(e, opts, late) for e, opts, _, late in vec])
 
 
 def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -575,13 +615,32 @@ def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] & b[:, None, :]).reshape(len(a), -1)
 
 
+def _any_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether some cell of a group has both options, for boolean a and b
+    ([group, cell, option]): out[q, i * b.shape[2] + k] =
+    any(a[q, :, i] & b[q, :, k]), from a float32 matmul that counts the
+    cells exactly (fewer than 2^24 of them)."""
+    import numpy as np
+
+    product = np.matmul(a.transpose(0, 2, 1).astype(np.float32),
+                        b.astype(np.float32))
+    return (product > 0).reshape(len(a), -1)
+
+
 def _first_rows(table: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct boolean row."""
     import numpy as np
 
-    _, first = np.unique(np.packbits(table, axis=1), axis=0,
-                         return_index=True)
-    return np.sort(first)
+    packed = np.packbits(table, axis=1)
+    if not packed.shape[1]:  # zero-width rows are all equal
+        return np.arange(min(len(packed), 1))
+    # a stable sort keeps equal rows in index order, so the first row of
+    # each run of equal neighbours is that row's first occurrence
+    order = np.lexsort(packed.T)
+    rows = packed[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +653,12 @@ def _check_product(cfg: Configuration, run: _Run) -> Verdict:
 
     for leaf in run.leaves(residual_choices(cfg), (), range(cfg.graph.n),
                            cfg.tree, _free_edges(cfg), run.split):
-        at, alive = leaf.table()
-        dead = np.flatnonzero(~alive[:, 0])
-        if dead.size:
-            j = at[dead[0]]
-            return run.stop(leaf, j, build_witness(
-                cfg, leaf.residuals, leaf.maps(j)))
+        for at, alive in leaf.table():
+            dead = np.flatnonzero(~alive[:, 0])
+            if dead.size:
+                j = at[dead[0]]
+                return run.stop(leaf, j, build_witness(
+                    cfg, leaf.residuals, leaf.maps(j)))
     return run.done()
 
 
@@ -614,20 +673,20 @@ def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     worst = 0
     for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
                            _free_edges(cfg), run.split):
-        at, alive = leaf.table()
-        nbad = alive.shape[1] - alive.sum(axis=1)
-        over = np.flatnonzero(nbad > 1)
-        if over.size:
-            j = at[over[0]]
-            bad = [c for c, ok in zip(sorted(leaf.residuals[v]),
-                                      alive[over[0]]) if not ok]
-            # the witness keeps only the bad precolors, so it has no
-            # transversal at all
-            residuals = {**leaf.residuals, v: frozenset(bad)}
-            return run.stop(
-                leaf, j, build_witness(cfg, residuals, leaf.maps(j)),
-                bad_colors=bad, worst_bad_colors=len(bad))
-        worst = max(worst, int(nbad.max()))
+        for at, alive in leaf.table():
+            nbad = alive.shape[1] - alive.sum(axis=1)
+            over = np.flatnonzero(nbad > 1)
+            if over.size:
+                j = at[over[0]]
+                bad = [c for c, ok in zip(sorted(leaf.residuals[v]),
+                                          alive[over[0]]) if not ok]
+                # the witness keeps only the bad precolors, so it has no
+                # transversal at all
+                residuals = {**leaf.residuals, v: frozenset(bad)}
+                return run.stop(
+                    leaf, j, build_witness(cfg, residuals, leaf.maps(j)),
+                    bad_colors=bad, worst_bad_colors=len(bad))
+            worst = max(worst, int(nbad.max()))
     return run.done(worst_bad_colors=worst)
 
 
@@ -666,11 +725,11 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
         edges = [e for e in sorted(cfg.graph.edges) if set(e) <= inside]
         family: dict[frozenset[int], dict] = {}
         for leaf in side_run.leaves([floors], [cut], side, (), edges, split):
-            at, alive = leaf.table()
-            blocked = ~alive
-            for r in _first_rows(blocked):
-                family.setdefault(frozenset(colors[blocked[r]].tolist()),
-                                  leaf.maps(at[r]))
+            for at, alive in leaf.table():
+                blocked = ~alive
+                for r in _first_rows(blocked):
+                    family.setdefault(frozenset(colors[blocked[r]].tolist()),
+                                      leaf.maps(at[r]))
         if side_run.exhausted:
             return run.verdict(INCONCLUSIVE)
         families.append(family)
@@ -752,19 +811,33 @@ def _factored_line_test(early: np.ndarray, late: np.ndarray,
     """
     import numpy as np
 
-    both = np.concatenate([early.T, late.T], axis=1)  # [profile, row]
-    need = np.repeat(np.array([2, 1], dtype=np.uint8), [len(early), len(late)])
-    bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     keep = np.ones((len(early), len(late)), dtype=bool)
     for axis in sorted(axes, key=lambda a: -shape[a]):
-        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-        lines = both.reshape(pre, shape[axis], post, -1)
-        hit = np.add.reduce(lines, axis=1, dtype=np.uint8) >= need
-        words = np.dot(bit[:pre * post], hit.reshape(pre * post, -1))
-        keep &= (words[:len(early), None] & words[None, len(early):]) == 0
+        words = [_line_words(rows, shape, axis, need)
+                 for rows, need in ((early, 2), (late, 1))]
+        keep &= (words[0][:, None] & words[1][None, :]) == 0
         if not keep.any():
             break
     return keep
+
+
+def _line_words(rows: np.ndarray, shape: Sequence[int], axis: int,
+                need: int) -> np.ndarray:
+    """One uint64 per row of `rows` ([row, profile]): bit i is set when
+    the i-th line of the profile grid along `axis` holds at least `need`
+    live profiles of the row."""
+    import numpy as np
+
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    lines = rows.T.reshape(pre, shape[axis], post, len(rows))
+    hit = np.add.reduce(lines, axis=1, dtype=np.uint8) >= need
+    # [row, line] padded to whole bytes, packed, then to whole words
+    bits = np.zeros((len(rows), -(-pre * post // 8) * 8), dtype=bool)
+    bits[:, :pre * post] = hit.reshape(pre * post, -1).T
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(rows), 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8")[:, 0]
 
 
 def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
@@ -801,26 +874,24 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
              if shape[a] > 1 and v not in leaf.touched])
         if not keep.any():
             continue
-        at, alive = leaf.table(keep)
-        rows = _line_test(alive, shape)
-        if not rows.size:
-            continue
         table = list(itertools.product(*map(sorted, res)))
-        for r in rows[_first_rows(alive[rows])]:
-            j = at[r]
-            profiles = [table[p] for p in np.flatnonzero(alive[r])]
-            fs = _adversary_blocks(profiles, res)
-            if fs is None:
-                continue
-            pivot_maps = {
-                edge_key(nb, z): (f if nb < z
-                                  else {img: c for c, img in f.items()})
-                for nb, f in zip(nbrs, fs)
-            }
-            return run.stop(
-                leaf, j, build_witness(cfg, leaf.residuals,
-                                       leaf.maps(j) | pivot_maps),
-                profiles=sorted(profiles))
+        for at, alive in leaf.table(keep):
+            rows = _line_test(alive, shape)
+            for r in rows[_first_rows(alive[rows])]:
+                j = at[r]
+                profiles = [table[p] for p in np.flatnonzero(alive[r])]
+                fs = _adversary_blocks(profiles, res)
+                if fs is None:
+                    continue
+                pivot_maps = {
+                    edge_key(nb, z): (f if nb < z
+                                      else {img: c for c, img in f.items()})
+                    for nb, f in zip(nbrs, fs)
+                }
+                return run.stop(
+                    leaf, j, build_witness(cfg, leaf.residuals,
+                                           leaf.maps(j) | pivot_maps),
+                    profiles=sorted(profiles))
     return run.done()
 
 

@@ -21,6 +21,9 @@ the same vertex order, color order and deferred colors give the same dict.
 Eliminate line test: the rows of a pivot-profile table that no pivot maps
 can block, found pair by pair of live profiles.
 
+Distinct rows: the first occurrence of each distinct row of a boolean
+table, by `np.unique` over the packed rows.
+
 Eliminate order: the first instance of an eliminate configuration that
 pivot maps block, with the instances listed in the kernel's documented
 order by itertools and each one's live profiles found by trying every
@@ -54,6 +57,8 @@ import itertools
 import math
 import random
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from dpcolor.clusters import Classification, Cluster
 from dpcolor.cover import CoverInstance, identity, is_independent, residual
@@ -179,6 +184,14 @@ def line_test_rows(alive, shape: Sequence[int]) -> list[int]:
                 for p, q in itertools.combinations(live, 2)):
             kept.append(j)
     return kept
+
+
+def first_rows(table) -> list[int]:
+    """Indices of the first occurrence of each distinct row of a boolean
+    [row, column] table, in ascending order."""
+    _, first = np.unique(np.packbits(table, axis=1), axis=0,
+                         return_index=True)
+    return sorted(first.tolist())
 
 
 def first_failure(cfg: Configuration):

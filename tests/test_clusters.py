@@ -1,5 +1,6 @@
 """Cluster extraction/classification and 3-cycle predicates."""
 
+import collections
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracle
 from conftest import audit_corpus
-from dpcolor import graphs
+from dpcolor import clusters, graphs
 from dpcolor.clusters import (
     UNCLASSIFIED, classify_cluster, classifications, cycle_predicates,
     extract_clusters, has_good_outer_triangle, separating_good_triangles,
@@ -102,6 +103,40 @@ class TestClassificationOracle:
                 assert list(classifications(pg, c)) == expected
                 codes |= {cls.code for cls in expected}
         assert codes == set(range(1, 12))
+
+
+class TestMatchMemo:
+    """Catalog matching runs once per PlaneGraph and cluster."""
+
+    def test_classify_then_audit_matches_each_cluster_once(self, monkeypatch):
+        calls = collections.Counter()
+        search = clusters._catalog_matches
+
+        def counted(pg, c):
+            calls[id(pg), c] += 1
+            return search(pg, c)
+
+        monkeypatch.setattr(clusters, "_catalog_matches", counted)
+        # fresh PlaneGraphs: nothing is remembered from other tests
+        graphs = [PlaneGraph(pg.graph, pg.rotation,
+                             pg.faces[pg.outer_face].walk)
+                  for pg in audit_corpus()]
+        for pg in graphs:
+            cs = extract_clusters(pg)
+            for c in cs:
+                classify_cluster(pg, c)
+            audit(pg, force_rules=True)
+            assert [calls[id(pg), c] for c in cs] == [1] * len(cs)
+        assert sum(calls.values()) > len(graphs)
+
+    def test_callers_never_share_a_role_map(self):
+        pg = cluster_pattern(11).plane
+        (c,) = extract_clusters(pg)
+        first = classify_cluster(pg, c)
+        first.roles.clear()
+        for cls in classifications(pg, c):
+            cls.roles["x"] = -1
+        assert list(classifications(pg, c)) == catalog_matches(pg, c)
 
 
 class TestTrianglePredicates:

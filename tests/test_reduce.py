@@ -445,6 +445,10 @@ ENUMERATED = {
     "L6-precolor": 124416, "L7-555": 41472, "L8-556": 1327104,
     "CE-6": 4, "CE-7": 1729,
 }
+BLOCKS = {
+    "L2": 1, "L4-diamond": 36, "L5-special5": 72, "L6-precolor": 36,
+    "L7-555": 24, "L8-556": 96, "CE-6": 1, "CE-7": 1,
+}
 # product (L4-diamond) has its budget and split tests above
 OTHER_STRATEGIES = ["L5-special5", "L6-precolor", "L7-555"]
 
@@ -455,6 +459,9 @@ class TestKernelCounters:
         v = check_reducible(CATALOG[label])
         assert v.status == CATALOG[label].expect
         assert v.stats["enumerated"] == ENUMERATED[label]
+        # L7-555 and L8-556: one block per option of the walked edge per
+        # residual choice (24 = 24 x 1 and 96 = 16 x 6)
+        assert v.stats["blocks"] == BLOCKS[label]
 
     @pytest.mark.parametrize("label", sorted(ENUMERATED))
     def test_rows_built(self, label):
@@ -576,10 +583,15 @@ class TestBlockCap:
             assert _outcome(check_reducible(cfg, budget=total)) == \
                 _outcome(whole)
 
-    @pytest.mark.parametrize("budget", [1728, 1729, 1000, 3456 * 5 + 1000])
+    @pytest.mark.parametrize("budget", [1728, 1729, 1000, 3456 * 5 + 1000,
+                                        13824 + 1, 13824 * 2 - 1,
+                                        13824 * 7 + 5000])
     def test_budget_ends_inside_a_factored_catalog_block(self, budget):
         # CE-7's only block vectorizes its late edge (2, 3); its failing
-        # instance is the 1729th.  L8-556's blocks hold 3456 instances.
+        # instance is the 1729th.  L8-556's blocks hold 13,824 instances
+        # (all 24 options of each of its three vectorized edges); the first
+        # four budgets end inside the 3,456-instance blocks of an earlier
+        # sizing rule.
         for label in ("CE-7", "L8-556"):
             v = check_reducible(CATALOG[label], budget=budget)
             if label == "CE-7" and budget >= ENUMERATED[label]:
@@ -587,6 +599,174 @@ class TestBlockCap:
             else:
                 assert v.status == INCONCLUSIVE
                 assert v.stats["enumerated"] == budget
+
+
+class TestBlockMemory:
+    """No array that a kernel block builds passes _BLOCK_CELLS bytes: the
+    tails and the late cube, the float32 operands and product of the early
+    factor, the factors, the line test's pair matrices, and the rows and
+    instance numbers of every table slice.  A block holds at least one
+    instance, so no cap below one float32 column over the candidate grid
+    (4 bytes a cell) can hold."""
+
+    @staticmethod
+    def _largest(cfg, cap):
+        sizes = []
+        and_each, any_and, matmul, leaf, line_test = (
+            reduce._and_each, reduce._any_and, np.matmul, reduce._Run._leaf,
+            reduce._factored_line_test)
+        table = reduce._Leaf.table
+
+        def cube(a, b):
+            out = and_each(a, b)
+            sizes.append(out.nbytes)
+            return out
+
+        def early(a, b):
+            out = any_and(a, b)
+            sizes.append(out.nbytes)
+            return out
+
+        def product(a, b):  # the float32 operands and product
+            out = matmul(a, b)
+            sizes.extend((a.nbytes, b.nbytes, out.nbytes))
+            return out
+
+        def factors(self, *args):
+            out = leaf(self, *args)
+            sizes.extend((out.early.nbytes, out.late.nbytes))
+            return out
+
+        def pairs(early, late, *args):
+            keep = line_test(early, late, *args)
+            # per axis, the [early, late] uint64 words ANDed, then keep
+            sizes.extend((keep.size * np.dtype(np.uint64).itemsize,
+                          keep.nbytes))
+            return keep
+
+        def rows(self, keep=None):
+            for j, alive in table(self, keep):
+                sizes.extend((j.nbytes, alive.nbytes))
+                yield j, alive
+
+        with mock.patch.object(reduce, "_BLOCK_CELLS", cap), \
+                mock.patch.object(reduce, "_and_each", cube), \
+                mock.patch.object(reduce, "_any_and", early), \
+                mock.patch.object(np, "matmul", product), \
+                mock.patch.object(reduce._Run, "_leaf", factors), \
+                mock.patch.object(reduce, "_factored_line_test", pairs), \
+                mock.patch.object(reduce._Leaf, "table", rows):
+            v = check_reducible(cfg)
+        return v, max(sizes)
+
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_catalog_blocks_stay_within_the_cap(self, label):
+        v, largest = self._largest(CATALOG[label], reduce._BLOCK_CELLS)
+        assert v.status == CATALOG[label].expect
+        assert largest <= reduce._BLOCK_CELLS
+
+    @given(eliminate_configs(ORDER_LIMIT), st.sampled_from([300, None]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_eliminate_blocks_stay_within_the_cap(self, case, cap):
+        cfg, _ = case
+        cap = cap or reduce._BLOCK_CELLS
+        v, largest = self._largest(cfg, cap)
+        assert _outcome(v) == _outcome(check_reducible(cfg))
+        # every list but the pivot's has its floor's size
+        cells = np.prod([f for x, f in enumerate(cfg.floors)
+                         if x != cfg.pivot])
+        assert largest <= max(cap, 4 * cells)
+
+    # pivot 4; for each array that sizes a block, a grid and a cap under
+    # which that array is the one that stops the block from growing (a
+    # sizing rule without its term overruns the cap there)
+    @pytest.mark.parametrize("floors,edges,cap", [
+        ((3, 1, 2, 3, 4, 3), [(0, 3), (1, 2), (1, 3), (2, 3), (3, 5)], 300),
+        ((1, 3, 3, 1, 4, 2),
+         [(0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5)], 500),
+        ((2, 3, 1, 3, 4, 2), [(0, 1), (0, 5), (1, 2), (1, 3), (2, 3)], 300),
+        ((2, 3, 1, 1, 4, 3), [(0, 1), (1, 5), (3, 5)], 500),
+    ], ids=["float32 operands", "float32 product", "late cube",
+            "pair matrices"])
+    def test_each_array_can_size_a_block(self, floors, edges, cap):
+        cfg = _config(6, sorted(edges + [(v, 4) for v in range(4)]), floors,
+                      (), "eliminate", pivot=4)
+        v, largest = self._largest(cfg, cap)
+        assert _outcome(v) == _outcome(check_reducible(cfg))
+        assert largest <= cap
+
+    @pytest.mark.parametrize("cap", [5000, None])
+    def test_table_slices_are_the_rows_in_order(self, cap):
+        # an L8-556 block with every instance kept, and with a random
+        # third of them: the slices hold the kept instances' rows, in
+        # instance order, each within the cap
+        cfg = CATALOG["L8-556"]
+        z = cfg.pivot
+        nbrs = sorted(cfg.graph.adjacency[z])
+        rest = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
+        cap = cap or reduce._BLOCK_CELLS
+        rng = np.random.default_rng(3)
+        with mock.patch.object(reduce, "_BLOCK_CELLS", cap):
+            leaf = next(reduce._Run(None, None).leaves(
+                residual_choices(cfg, skip=(z,)), nbrs, rest, cfg.tree,
+                reduce._free_edges(cfg, exclude_vertex=z), None))
+            # the whole table by broadcasting each factor over its own
+            # edges' axes, and keep[e, l] moved to the instance order
+            digits = [len(opts) for _, opts, _ in leaf.inner]
+            spans = [[n if late == side else 1
+                      for n, (_, _, late) in zip(digits, leaf.inner)]
+                     for side in (0, 1)]
+            whole = (leaf.early.T.reshape(-1, *spans[0])
+                     & leaf.late.T.reshape(-1, *spans[1])).reshape(
+                len(leaf.early.T), -1).T
+            by_side = sorted(range(len(digits)),
+                             key=lambda a: leaf.inner[a][2])
+            for keep in (np.ones((len(leaf.early), len(leaf.late)), bool),
+                         rng.random((len(leaf.early), len(leaf.late))) < .3):
+                slices = list(leaf.table(keep))
+                assert all(a.nbytes <= cap for _, a in slices)
+                if keep.all():  # 13,824 rows of 96 cells: more than 1 MiB
+                    assert len(slices) > 1
+                at = np.concatenate([j for j, _ in slices])
+                kept = keep.reshape([digits[a] for a in by_side]).transpose(
+                    np.argsort(by_side))
+                assert at.tolist() == np.flatnonzero(kept).tolist()
+                assert np.array_equal(np.concatenate([a for _, a in slices]),
+                                      whole[at])
+
+    def test_any_and_against_loops(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            groups, cells, h, t = rng.integers(1, 7, size=4)
+            a = rng.random((groups, cells, h)) < .4
+            b = rng.random((groups, cells, t)) < .4
+            want = [[any(a[q, c, i] and b[q, c, k] for c in range(cells))
+                     for i in range(h) for k in range(t)]
+                    for q in range(groups)]
+            assert reduce._any_and(a, b).tolist() == want
+
+
+class TestFirstRows:
+    """The sort-based distinct-row pass keeps the rows that np.unique over
+    the packed rows keeps (tests/oracle.py)."""
+
+    @pytest.mark.parametrize("shape,fill", [
+        ((0, 5), False), ((1, 7), True), ((6, 9), True), ((6, 9), False),
+        ((3, 0), False), ((0, 0), False)])
+    def test_edge_cases(self, shape, fill):
+        table = np.full(shape, fill, dtype=bool)
+        assert reduce._first_rows(table).tolist() == \
+            oracle.first_rows(table)
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            rows, width = rng.integers(0, 40), rng.integers(1, 20)
+            # few distinct rows, so that most of them repeat
+            pool = rng.random((rng.integers(1, 6), width)) < 0.5
+            table = pool[rng.integers(0, len(pool), rows)]
+            assert reduce._first_rows(table).tolist() == \
+                oracle.first_rows(table)
 
 
 def _profile_rows(draw, shape, count):
