@@ -15,7 +15,7 @@ through it is therefore exact, and it runs on the adjacency bitsets the
 builder keeps.  An accepted insertion of arity t replaces one face by t new
 ones, so the builder splits that face in its own face list and re-lists the
 insertion sites of the new faces only; a PlaneGraph is built once per graph,
-when growth stops.
+when growth stops, from that face list, so its faces are not traced again.
 
 The generator also remembers two kinds of rejection, and both are exact, so
 the graphs it returns are those of searching every drawn site.  A rejected
@@ -51,7 +51,8 @@ def _face_sites(walk: tuple[int, ...]) -> list[Site]:
     d = len(walk)
     if len(set(walk)) != d:
         return []  # skip faces whose walk repeats a vertex
-    return [(walk[:2], i, t) for t in (2, 3) if t <= d for i in range(d)]
+    key = walk[:2]
+    return [(key, i, t) for t in (2, 3) if t <= d for i in range(d)]
 
 
 @dataclass
@@ -98,12 +99,24 @@ class PlaneBuilder:
         return bisect_left(self.walks, key)
 
     def plane(self) -> PlaneGraph:
+        """The PlaneGraph of the current rotation with outer walk (0, 1, 2).
+
+        Its faces are the builder's walks, which are those a trace of the
+        rotation gives, so PlaneGraph takes them as they are and traces
+        nothing; it still checks the rotation and picks the outer face.
+        Between insert_vertex and split_face or remove_last_vertex the walks
+        miss the new vertex's darts, and plane() raises.
+        """
         edges = {
             (v, u) if u > v else (u, v)
             for v, rot in enumerate(self.rotation) for u in rot
         }
         g = Graph.from_edges(self.n, sorted(edges))
-        return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2])
+        if sum(map(len, self.walks)) != 2 * g.m:  # one face per dart
+            raise MalformedEmbeddingError(
+                "the faces are stale: split_face or remove_last_vertex first")
+        return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2],
+                          walks=self.walks)
 
     def window(self, face_id: int, start: int, arity: int) -> list[int]:
         """The `arity` consecutive walk vertices of a face from index `start`:
@@ -146,8 +159,9 @@ class PlaneBuilder:
         leaves z once, so tracing from the darts out of z finds them all.
         """
         old = self.walks.pop(face_id)
-        lo = bisect_left(self.sites, (old[:2],))
-        del self.sites[lo:lo + len(_face_sites(old))]
+        # its sites (key, i, t) have i < len(old), so sort below (key, len)
+        del self.sites[bisect_left(self.sites, (old[:2],)):
+                       bisect_left(self.sites, (old[:2], len(old)))]
         z = self.n - 1
         for w in self.rotation[z]:
             walk = _face_walk(self.rotation, (z, w))

@@ -163,6 +163,12 @@ class PlaneGraph:
 
     The outer face may be given as a boundary walk; otherwise it defaults to a
     face of maximum degree, ties broken by smallest canonical walk.
+
+    A caller that already holds the faces may pass their walks as `walks`,
+    in the order and form `_trace_faces` gives them (by smallest dart, each
+    from that dart's tail); they become the faces without a trace.  The
+    rotation is still checked against the graph, and the outer face still
+    picked, but the walks are trusted to be the rotation's faces.
     """
 
     def __init__(
@@ -170,21 +176,24 @@ class PlaneGraph:
         graph: Graph,
         rotation: Sequence[Sequence[int]],
         outer_walk: Optional[Sequence[int]] = None,
+        *,
+        walks: Optional[Iterable[Sequence[int]]] = None,
     ):
         if len(rotation) != graph.n:
             raise MalformedEmbeddingError(
                 f"rotation has {len(rotation)} entries for n={graph.n}"
             )
-        for v in range(graph.n):
-            if set(rotation[v]) != set(graph.adjacency[v]) or len(
-                rotation[v]
-            ) != len(graph.adjacency[v]):
+        for v, adj in enumerate(graph.adjacency):
+            if len(rotation[v]) != len(adj) or adj != set(rotation[v]):
                 raise MalformedEmbeddingError(
                     f"rotation at vertex {v} does not list its neighbors exactly once"
                 )
         self.graph = graph
         self.rotation = tuple(tuple(r) for r in rotation)
-        self.faces = tuple(_trace_faces(rotation))
+        if walks is None:
+            self.faces = tuple(_trace_faces(rotation))
+        else:
+            self.faces = tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
         self.outer_face = self._pick_outer(outer_walk)
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:
@@ -277,7 +286,8 @@ def find_cycle_of_length(
     anchor s in turn over the vertices above s.  With `through` it runs once
     from that vertex over all others, and the cycle starts there.  Paths
     grow lowest neighbour first, so the result is the lexicographically
-    smallest such vertex sequence.
+    smallest such vertex sequence.  Each cycle is walked in one direction
+    only (see `_cycle_from`), which keeps that result.
 
     `g` is a Graph or anything else with `n` and adjacency bitsets `masks`
     (the generator passes its builder).  A Graph is immutable, so the
@@ -321,13 +331,22 @@ def _cycle_from(
     """First `length`-cycle through s whose other vertices lie in `allowed`.
 
     Depth-first over paths from s, one bitset of untried next vertices per
-    depth; the last vertex is drawn from the neighbours of s.
+    depth; the last vertex is drawn from the neighbours of s.  Each cycle
+    is walked in one direction only, its second vertex p1 below its last:
+    p1 is drawn below the highest closing neighbour of s, and the last
+    vertex above p1.  The first cycle in lexicographic order has p1 below
+    its last vertex (else its reverse would come first), so the answer is
+    that of walking both directions.
     """
-    within = [allowed] * (length - 1) + [allowed & masks[s]]
+    closers = masks[s] & allowed
+    if not closers:
+        return None
+    within = [allowed] * length
     path = [s] * length
     used = 1 << s
     untried = [0] * length  # untried[d]: candidates left for position d
-    untried[1] = masks[s] & allowed
+    untried[1] = closers & ((1 << (closers.bit_length() - 1)) - 1)
+    last = length - 1
     d = 1
     while d:
         cand = untried[d]
@@ -338,8 +357,10 @@ def _cycle_from(
         low = cand & -cand
         untried[d] = cand ^ low
         w = path[d] = low.bit_length() - 1
-        if d == length - 1:
+        if d == last:
             return path
+        if d == 1:
+            within[last] = closers & -(low << 1)
         used |= low
         d += 1
         untried[d] = masks[w] & within[d] & ~used
@@ -354,16 +375,20 @@ def contains_pattern(
     Subgraph (not induced-subgraph) containment.  Backtracking over pattern
     vertices in a connectivity-friendly order with degree pruning, from the
     pattern vertex of maximum degree.  With `through`, only occurrences that
-    use that vertex of g count: each pattern vertex in turn is pinned to it
-    and the same backtracking places the rest.  `g` is as for
-    find_cycle_of_length, and so is the memo: the whole-graph search runs
-    once per Graph and pattern, and each call returns a copy of its result.
+    use that vertex of g count: pattern vertices are pinned to it in turn
+    and the same backtracking places the rest.  Only the least vertex of
+    each automorphism orbit of the pattern is pinned (see `_orbit_reps`):
+    a pin succeeds exactly when the others of its orbit do, so the first
+    pin that succeeds, and its occurrence, are those of pinning every
+    vertex.  `g` is as for find_cycle_of_length, and so is the memo: the
+    whole-graph search runs once per Graph and pattern, and each call
+    returns a copy of its result.
     """
     if pattern.n > g.n:
         return None
     if through is not None:
         return _first_occurrence(
-            g, pattern, [(p, 1 << through) for p in range(pattern.n)])
+            g, pattern, [(p, 1 << through) for p in _orbit_reps(pattern)])
     if pattern.n == 0:
         return {}
     root = max(range(pattern.n), key=pattern.degree)
@@ -383,9 +408,28 @@ def _first_occurrence(g, pattern: Graph, roots) -> Optional[dict[int, int]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _placement_order(pattern: Graph, root: int) -> tuple[int, ...]:
-    """Pattern vertices in placement order: root first, then the vertex with
-    the most placed neighbours, ties to the higher degree, then lower id."""
+def _orbit_reps(pattern: Graph) -> tuple[int, ...]:
+    """The least vertex of each automorphism orbit, ascending.
+
+    The automorphisms are the pattern's occurrences in itself: an
+    injection of its vertices onto its own that carries every edge to an
+    edge is a bijection on edges too.  All of them are listed, which suits
+    small patterns such as the butterfly (8 automorphisms, 3 orbits).
+    """
+    if pattern.n == 0:
+        return ()
+    least = list(range(pattern.n))
+    for auto in _embed(pattern.masks, pattern, 0, (1 << pattern.n) - 1):
+        for v, w in auto.items():
+            least[w] = min(least[w], v)
+    return tuple(v for v in range(pattern.n) if least[v] == v)
+
+
+@functools.lru_cache(maxsize=256)
+def _placement_plan(pattern: Graph, root: int) -> tuple[tuple, ...]:
+    """Per placement step: (pattern vertex, its degree, the earlier steps
+    that place its neighbours).  Root first, then the vertex with the most
+    placed neighbours, ties to the higher degree, then lower id."""
     order = [root]
     placed = {root}
     while len(order) < pattern.n:
@@ -395,7 +439,10 @@ def _placement_order(pattern: Graph, root: int) -> tuple[int, ...]:
         )
         order.append(best)
         placed.add(best)
-    return tuple(order)
+    return tuple(
+        (p, pattern.degree(p),
+         tuple(j for j in range(i) if order[j] in pattern.adjacency[p]))
+        for i, p in enumerate(order))
 
 
 def _embed(
@@ -403,34 +450,46 @@ def _embed(
 ) -> Iterator[dict[int, int]]:
     """Every occurrence of `pattern` with `root` mapped into the bitset `first`.
 
-    Occurrences come lowest host vertex first at each placed pattern vertex.
+    Depth-first over placement steps (see `_placement_plan`), like
+    `_cycle_from`: one bitset of untried host vertices per step, those
+    adjacent to the images of the placed neighbours and not yet used, each
+    of degree at least the pattern vertex's.  Occurrences come lowest host
+    vertex first at each placed pattern vertex, as dicts in placement order.
     """
-    order = _placement_order(pattern, root)
+    plan = _placement_plan(pattern, root)
+    order = [p for p, _, _ in plan]
+    last = len(plan) - 1
     everything = (1 << len(masks)) - 1
-    mapping: dict[int, int] = {}
-
-    def assign(i: int, used: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(mapping)
-            return
-        p = order[i]
-        cand = first if i == 0 else everything
-        for q in pattern.adjacency[p]:
-            if q in mapping:
-                cand &= masks[mapping[q]]
-        cand &= ~used
-        need = pattern.degree(p)
+    image = [0] * len(plan)
+    untried = [0] * len(plan)  # untried[i]: candidates left for step i
+    untried[0] = first
+    used = 0
+    i = 0
+    while i >= 0:
+        cand = untried[i]
+        need = plan[i][1]
         while cand:
             low = cand & -cand
             cand ^= low
             c = low.bit_length() - 1
-            if masks[c].bit_count() < need:
-                continue
-            mapping[p] = c
-            yield from assign(i + 1, used | low)
-            del mapping[p]
-
-    return assign(0, 0)
+            if masks[c].bit_count() >= need:
+                break
+        else:
+            i -= 1
+            if i >= 0:
+                used ^= 1 << image[i]
+            continue
+        untried[i] = cand
+        image[i] = c
+        if i == last:
+            yield dict(zip(order, image))
+            continue
+        used |= low
+        i += 1
+        cand = everything & ~used
+        for j in plan[i][2]:
+            cand &= masks[image[j]]
+        untried[i] = cand
 
 
 def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],

@@ -33,9 +33,13 @@ Greedy certificates: a 'color ... in order' proof step, checked on every
 instance of the symmetry-reduced enumeration by trying every greedy choice.
 
 Graph searches: brute force over vertex permutations for "some cycle or
-pattern occurrence uses vertex v" and for pattern containment anywhere, and
-a recursive whole-graph cycle search that fixes which cycle
-`find_cycle_of_length` must return.
+pattern occurrence uses vertex v", for pattern containment anywhere and for
+the automorphism orbits of a pattern; a recursive whole-graph cycle search
+and a recursive rooted one that walks each cycle in both directions, which
+fix which cycle `find_cycle_of_length` must return; and the recursive
+pattern matcher with every pattern vertex pinned in turn, which fixes the
+occurrences `graphs._embed` yields, in order, and the witness of a rooted
+`contains_pattern`.
 
 Catalog matching: every catalog match of a cluster by brute force over
 vertex permutations, filtered by the shape's edges and 3-faces.
@@ -401,6 +405,104 @@ def first_cycle(g: Graph, length: int):
         if found:
             return found
     return None
+
+
+def neighbours(g, v: int) -> list[int]:
+    """The neighbours of v, ascending, on a Graph or a PlaneBuilder."""
+    mask = g.masks[v]
+    return [w for w in range(g.n) if mask >> w & 1]
+
+
+def first_cycle_through(g, length: int, v: int):
+    """The recursive rooted cycle search, kept as the reference.
+
+    DFS over paths from v, neighbours in ascending order, every cycle
+    walked in both directions; the first closed path of `length` vertices
+    wins.  `g` is a Graph or a PlaneBuilder.
+    """
+    if length > g.n:
+        return None
+
+    def extend(path: list[int]):
+        if len(path) == length:
+            return path[:] if v in neighbours(g, path[-1]) else None
+        for w in neighbours(g, path[-1]):
+            if w in path:
+                continue
+            path.append(w)
+            found = extend(path)
+            if found:
+                return found
+            path.pop()
+        return None
+
+    return extend([v])
+
+
+def placement_order(pattern: Graph, root: int) -> list[int]:
+    """Root first, then the vertex with the most placed neighbours, ties to
+    the higher degree, then lower id."""
+    order = [root]
+    while len(order) < pattern.n:
+        order.append(max(
+            (v for v in range(pattern.n) if v not in order),
+            key=lambda v: (len(pattern.adjacency[v] & set(order)),
+                           pattern.degree(v))))
+    return order
+
+
+def embed(masks, pattern: Graph, root: int, first: int):
+    """The recursive pattern matcher, kept as the reference: every
+    occurrence with `root` mapped into the bitset `first`, lowest host
+    vertex first at each placed pattern vertex, host vertices of too low a
+    degree skipped; each a dict in placement order."""
+    order = placement_order(pattern, root)
+    everything = (1 << len(masks)) - 1
+    mapping: dict[int, int] = {}
+
+    def assign(i: int, used: int):
+        if i == len(order):
+            yield dict(mapping)
+            return
+        p = order[i]
+        cand = first if i == 0 else everything
+        for q in pattern.adjacency[p]:
+            if q in mapping:
+                cand &= masks[mapping[q]]
+        cand &= ~used
+        need = pattern.degree(p)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            if masks[c].bit_count() < need:
+                continue
+            mapping[p] = c
+            yield from assign(i + 1, used | low)
+            del mapping[p]
+
+    return assign(0, 0)
+
+
+def first_occurrence_through(g, pattern: Graph, v: int):
+    """The first occurrence through host vertex v, every pattern vertex
+    pinned to v in turn, ascending; None if no pin succeeds."""
+    for p in range(pattern.n):
+        found = next(embed(g.masks, pattern, p, 1 << v), None)
+        if found is not None:
+            return found
+    return None
+
+
+def orbit_reps(pattern: Graph) -> tuple[int, ...]:
+    """The least vertex of each automorphism orbit, ascending, with the
+    automorphisms found by trying every vertex permutation."""
+    least = list(range(pattern.n))
+    for image in itertools.permutations(range(pattern.n)):
+        if all(pattern.has_edge(image[a], image[b]) for a, b in pattern.edges):
+            for v, w in enumerate(image):
+                least[w] = min(least[w], v)
+    return tuple(v for v in range(pattern.n) if least[v] == v)
 
 
 def catalog_matches(pg: PlaneGraph, c: Cluster) -> list[Classification]:

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 import oracle
 from conftest import petersen, random_graph, special_seven_host
 from dpcolor import generate, graphs
+from dpcolor.clusters import cluster_subgraph, extract_clusters
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
-    Graph, GraphError, MalformedEmbeddingError, PlaneGraph, _vertex_sides,
-    contains_pattern, find_cycle_of_length, has_cycle_of_length,
-    interior_face_ids,
+    Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
+    _vertex_sides, contains_pattern, find_cycle_of_length,
+    has_cycle_of_length, interior_face_ids,
 )
 from dpcolor.patterns import (
-    builtin_assets_dir, butterfly_pattern, cluster_pattern, contains_butterfly,
+    builtin_assets_dir, butterfly_pattern, catalog, cluster_pattern,
+    contains_butterfly,
 )
 
 
@@ -153,15 +155,41 @@ def asset_graphs():
         yield path.stem, Graph.from_edges(data["n"], data["edges"])
 
 
+def symmetric_patterns() -> list[Graph]:
+    """Patterns with many automorphisms: cycles, stars, K4, the butterfly."""
+    cycles = [Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+              for k in range(3, 7)]
+    stars = [Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+             for k in range(1, 5)]
+    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a)])
+    return cycles + stars + [k4, butterfly_pattern().graph]
+
+
+def grown_builders(seed: int, steps: int):
+    """Builder states after each of `steps` seeded accepted insertions,
+    nothing forbidden, so the graphs hold 7-cycles and butterflies."""
+    builder = PlaneBuilder()
+    rng = random.Random(seed)
+    for _ in range(steps):
+        key, start, arity = rng.choice(builder.sites)
+        face_id = builder.face_id(key)
+        builder.insert_vertex(face_id, start, arity)
+        builder.split_face(face_id)
+        yield builder
+
+
 class TestRootedSearch:
+    """Rooted searches return exactly the reference cycle and witness."""
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_cycle_through_matches_oracle(self, seed):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
         v = rng.randrange(g.n)
-        for length in range(3, g.n + 1):
+        for length in range(3, g.n + 2):
             cyc = find_cycle_of_length(g, length, through=v)
+            assert cyc == oracle.first_cycle_through(g, length, v)
             assert (cyc is not None) == oracle.cycle_through(g, length, v)
             if cyc is not None:
                 assert cyc[0] == v and len(set(cyc)) == length
@@ -180,6 +208,54 @@ class TestRootedSearch:
             if m is not None:
                 assert v in m.values() and len(set(m.values())) == pat.n
                 assert all(host.has_edge(m[a], m[b]) for a, b in pat.edges)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_rooted_witness_is_the_reference_witness(self, seed):
+        rng = random.Random(seed)
+        host = random_graph(rng, rng.randint(4, 10),
+                            rng.choice((0.4, 0.6, 0.8)))
+        pats = [p for p in symmetric_patterns() if p.n <= host.n]
+        pats.append(random_graph(rng, rng.randint(1, 5), 0.6))
+        for pat in pats:
+            for v in range(host.n):
+                got = contains_pattern(host, pat, through=v)
+                want = oracle.first_occurrence_through(host, pat, v)
+                # the same dict, keys in the same (placement) order
+                assert (got is None) == (want is None)
+                assert got is None or list(got.items()) == list(want.items())
+
+    def test_rooted_searches_on_builder_states(self):
+        butterfly = butterfly_pattern().graph
+        pats = symmetric_patterns()
+        for seed in range(3):
+            for step, builder in enumerate(grown_builders(seed, 24)):
+                z = builder.n - 1
+                for v in {z, step % builder.n}:
+                    for length in (3, 5, 7):
+                        assert find_cycle_of_length(builder, length, v) == \
+                            oracle.first_cycle_through(builder, length, v)
+                    assert contains_butterfly(builder, v) == \
+                        oracle.first_occurrence_through(builder, butterfly, v)
+                for pat in pats[step % len(pats)::7]:
+                    got = contains_pattern(builder, pat, z)
+                    want = oracle.first_occurrence_through(builder, pat, z)
+                    assert (got is None) == (want is None)
+                    assert got is None or \
+                        list(got.items()) == list(want.items())
+
+    def test_orbit_reps_match_brute_force(self):
+        rng = random.Random(3)
+        pats = symmetric_patterns() + [
+            random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.6)))
+            for _ in range(30)]
+        for pat in pats:
+            assert graphs._orbit_reps(pat) == oracle.orbit_reps(pat)
+        # the butterfly: the center, the wing ends and the wing middles
+        bf = butterfly_pattern()
+        assert [[lbl for lbl, v in bf.labels.items() if v == r]
+                for r in graphs._orbit_reps(bf.graph)] == [
+                    ["a1"], ["a2"], ["c"]]
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -217,6 +293,40 @@ class TestRootedSearch:
         empty = Graph.from_edges(0, [])
         assert contains_pattern(g, empty) == {}
         assert contains_pattern(g, empty, through=0) is None
+
+
+class TestMatcherOrder:
+    """The bitset matcher yields the reference matcher's occurrences, in
+    its order."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_random_hosts_patterns_roots_and_masks(self, seed):
+        rng = random.Random(seed)
+        host = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.6)))
+        pat = rng.choice([random_graph(rng, rng.randint(1, 5), 0.5)]
+                         + [p for p in symmetric_patterns() if p.n <= 6])
+        root = rng.randrange(pat.n)
+        first = rng.choice((rng.randrange(1 << host.n), (1 << host.n) - 1))
+        got = list(graphs._embed(host.masks, pat, root, first))
+        want = list(oracle.embed(host.masks, pat, root, first))
+        assert [list(m.items()) for m in got] == \
+            [list(m.items()) for m in want]
+
+    def test_catalog_shapes_on_corpus_clusters(self):
+        shapes = [pat.graph for pat in catalog().values()]
+        clusters = {cluster_subgraph(c)[0]
+                    for pg in generate_corpus(30, seed=7, min_n=8, max_n=16)
+                    for c in extract_clusters(pg)}
+        assert len(clusters) > 5
+        for local in clusters:
+            everything = (1 << local.n) - 1
+            for shape in shapes:
+                for root in range(shape.n):
+                    got = graphs._embed(local.masks, shape, root, everything)
+                    want = oracle.embed(local.masks, shape, root, everything)
+                    assert [list(m.items()) for m in got] == \
+                        [list(m.items()) for m in want]
 
 
 class TestWholeGraphMemo:
@@ -335,7 +445,12 @@ class TestGenerator:
             before = ([list(r) for r in builder.rotation], list(builder.masks),
                       list(builder.walks), list(builder.sites))
             builder.insert_vertex(face_id, start, arity)
-            assert tuple(builder.masks) == builder.plane().graph.masks
+            assert tuple(builder.masks) == Graph.from_edges(builder.n, [
+                (v, u) for v, rot in enumerate(builder.rotation)
+                for u in rot if u > v]).masks
+            # the faces wait for split_face, so no PlaneGraph is built yet
+            with pytest.raises(MalformedEmbeddingError, match="stale"):
+                builder.plane()
             builder.remove_last_vertex()
             # the undo leaves the faces and sites as they were, too
             assert (builder.rotation, builder.masks, builder.walks,
@@ -372,11 +487,38 @@ class TestBuilderFaces:
             face_id = builder.face_id(key)
             builder.insert_vertex(face_id, start, arity)
             builder.split_face(face_id)
-            pg = builder.plane()
+            # a fresh trace, not the builder's walks that plane() passes on
+            pg = PlaneGraph(builder.plane().graph, builder.rotation, [0, 1, 2])
             assert builder.walks == [f.walk for f in pg.faces]
             assert builder.outer_walk == pg.faces[pg.outer_face].walk
             assert [(builder.face_id(k), i, t)
                     for k, i, t in builder.sites] == listed_sites(pg)
+
+    def test_plane_equals_a_fresh_trace(self):
+        members = generate_corpus(40, seed=20260823, min_n=6, max_n=14)
+        others = [random_plane_graph(seed, target, forbid=())
+                  for seed, target in enumerate((16, 24, 32, 40, 48, 48))]
+        assert max(pg.n for pg in others) == 48
+        for pg in members + others:
+            fresh = PlaneGraph(Graph.from_edges(pg.n, sorted(pg.graph.edges)),
+                               [list(r) for r in pg.rotation], [0, 1, 2])
+            assert pg.graph == fresh.graph
+            assert pg.rotation == fresh.rotation
+            assert pg.faces == fresh.faces
+            assert pg.outer_face == fresh.outer_face
+
+    def test_walks_do_not_skip_the_rotation_check(self):
+        pg = triangle_with_center()
+        walks = [f.walk for f in pg.faces]
+        rotation = [list(r) for r in pg.rotation]
+        assert PlaneGraph(pg.graph, rotation, walks=walks).faces == pg.faces
+        rotation[3] = [0, 1]  # vertex 3 no longer lists neighbour 2
+        with pytest.raises(MalformedEmbeddingError, match="vertex 3"):
+            PlaneGraph(pg.graph, rotation, walks=walks)
+        with pytest.raises(MalformedEmbeddingError):
+            PlaneGraph(pg.graph, rotation[:3], walks=walks)
+        with pytest.raises(OuterWalkError):
+            PlaneGraph(pg.graph, pg.rotation, [0, 1, 3, 2], walks=walks)
 
     def test_rotation_without_the_outer_triangle_is_rejected(self):
         with pytest.raises(MalformedEmbeddingError, match="0, 1, 2"):
