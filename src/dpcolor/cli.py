@@ -134,38 +134,9 @@ def cmd_detect(args) -> dict:
     return report
 
 
-def _reduce_worker(payload) -> tuple:
-    cfg_path, label, budget, split = payload
-    cfg = (dio.parse_config_file(cfg_path) if cfg_path
-           else rd.config_catalog()[label])
-    v = rd.check_reducible(cfg, budget=budget, split=split)
-    return v.status, v.witness, v.stats
-
-
-def _combine_verdicts(parts: list[tuple]) -> tuple:
-    statuses = [p[0] for p in parts]
-    stats = {"enumerated": sum(p[2].get("enumerated", 0) for p in parts),
-             "blocks": sum(p[2].get("blocks", 0) for p in parts),
-             "rows_built": sum(p[2].get("rows_built", 0) for p in parts),
-             "seconds": max(p[2].get("seconds", 0.0) for p in parts)}
-    worst = [p[2]["worst_bad_colors"] for p in parts
-             if "worst_bad_colors" in p[2]]
-    if worst:
-        stats["worst_bad_colors"] = max(worst)
-    if rd.NOT_REDUCIBLE in statuses:
-        i = statuses.index(rd.NOT_REDUCIBLE)
-        return rd.NOT_REDUCIBLE, parts[i][1], stats
-    if rd.INCONCLUSIVE in statuses:
-        i = statuses.index(rd.INCONCLUSIVE)
-        stats["reason"] = parts[i][2].get("reason")
-        return rd.INCONCLUSIVE, None, stats
-    return rd.REDUCIBLE, None, stats
-
-
 def cmd_reduce_check(args) -> dict:
     if args.config:
         cfg = dio.parse_config_file(args.config)
-        src = (args.config, None)
     else:
         catalog = rd.config_catalog()
         if args.lemma not in catalog:
@@ -173,43 +144,24 @@ def cmd_reduce_check(args) -> dict:
                 f"unknown configuration {args.lemma!r}; "
                 f"choices: {', '.join(sorted(catalog))}")
         cfg = catalog[args.lemma]
-        src = (None, args.lemma)
-    workers = args.workers
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # only full mode runs shares (main rejects sampled --workers); the
-        # shares split the budget too, so the run stays within it
-        payloads = [
-            (src[0], src[1], None if args.budget is None
-             else args.budget // workers + (i < args.budget % workers),
-             (i, workers))
-            for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_reduce_worker, payloads))
-        status, witness, stats = _combine_verdicts(parts)
+    if args.mode == "sampled":
+        v = rd.check_reducible(cfg, mode="sampled", seed=args.seed,
+                               count=args.count)
     else:
-        if args.mode == "sampled":
-            v = rd.check_reducible(cfg, mode="sampled", seed=args.seed,
-                                   count=args.count)
-        else:
-            v = rd.check_reducible(cfg, budget=args.budget)
-        status, witness, stats = v.status, v.witness, v.stats
+        v = rd.check_reducible(cfg, budget=args.budget)
     report = {
         "label": cfg.label,
-        "status": status,
-        "enumerated": stats.get("enumerated"),
-        "workers": workers,
-        "seconds": round(stats.get("seconds", 0.0), 3),
+        "status": v.status,
+        "enumerated": v.stats.get("enumerated"),
+        "seconds": round(v.stats.get("seconds", 0.0), 3),
     }
     for key in ("blocks", "rows_built", "reason", "worst_bad_colors"):
-        if key in stats:
-            report[key] = stats[key]
-    if witness is not None:
-        report["witness"] = dio.cover_to_dict(witness)
+        if key in v.stats:
+            report[key] = v.stats[key]
+    if v.witness is not None:
+        report["witness"] = dio.cover_to_dict(v.witness)
         if args.save_witness:
-            dio.write_cover_file(args.save_witness, witness)
+            dio.write_cover_file(args.save_witness, v.witness)
             report["witness_file"] = args.save_witness
     return report
 
@@ -326,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--count", type=int,
                     help=f"sampled mode only (default {rd.SAMPLED_COUNT})")
     rp.add_argument("--budget", type=int)
-    rp.add_argument("--workers", type=int, default=1)
+    # kept so that older scripts still parse; every check runs in one process
+    rp.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     rp.add_argument("--save-witness", help="write counterexample cover here")
 
     wp = sub.add_parser("witness-verify", parents=[common],
@@ -356,8 +309,12 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if not 2 <= getattr(args, "k", 4) <= 8:
         parser.error(f"--k must be in [2, 8], got {args.k}")
-    if getattr(args, "workers", 1) < 1:
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
         parser.error("--workers must be >= 1")
+    if workers > 1:
+        print(f"note: --workers {workers} has no effect; reduce-check runs "
+              "in one process", file=sys.stderr)
     for flag, low in (("budget", 0), ("limit", 1)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < low:
             parser.error(f"--{flag} must be >= {low}")
@@ -369,8 +326,6 @@ def main(argv: Optional[list] = None) -> int:
             args.count = rd.SAMPLED_COUNT
         if args.count < 1:
             parser.error("--count must be >= 1")
-        if args.workers > 1:
-            parser.error("--workers: sampled mode runs in one process")
         if args.budget is not None:
             parser.error("--budget: sampled mode draws exactly --count "
                          "instances; limit the work with --count")

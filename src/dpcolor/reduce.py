@@ -29,8 +29,8 @@ edges that touch a non-grouping vertex and ORs each instance over the
 non-grouping axes; the late factor ANDs the edges between two grouping
 vertices (only eliminate has any), which cannot see the non-grouping axes.
 An instance's row is the AND of one row of each.  The kernel also counts
-instances, blocks and built rows, stops on the budget and keeps the
-split=(i, n) share.  Each strategy is one reduction of those blocks:
+instances, blocks and built rows and stops on the budget.  Each strategy is
+one reduction of those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
 * "margin" (the precolored vertex): more than one dead precolor fails;
@@ -386,7 +386,7 @@ class _Leaf:
             for lo in range(0, self.count, step):
                 j = np.arange(lo, min(lo + step, self.count))
                 self.run.rows_built += len(j)
-                yield j, (factors[0][:, lo:lo + step] & factors[1]).T
+                yield j, (factors[0][:, lo:lo + len(j)] & factors[1]).T
             return
         # one axis per vectorized edge; each factor spans its own edges'
         # axes, in the mixed radix that numbers the instances
@@ -413,25 +413,21 @@ class _Leaf:
 
 
 class _Run:
-    """Counters, budget and split share of one exhaustive check.
+    """Counters and budget of one exhaustive check.
 
     `enumerated` counts instances, one maximal injection per free edge and
     residual choice, in every strategy.  The budget caps it: the kernel stops
     as soon as the next block would pass it.  `blocks` counts the leaf
-    blocks this share evaluated; `walked` also counts those it left to the
-    other shares.  `rows_built` counts the instance rows built from the
+    blocks evaluated.  `rows_built` counts the instance rows built from the
     factors (all of them, except where eliminate's line test rejects an
     instance on the factors).
     """
 
-    def __init__(self, budget: Optional[int],
-                 split: Optional[tuple[int, int]]):
+    def __init__(self, budget: Optional[int]):
         self.budget = budget
-        self.split = split
         self.enumerated = 0
         self.exhausted = False
         self.blocks = 0
-        self.walked = 0
         self.rows_built = 0
         self.t0 = time.monotonic()
 
@@ -456,8 +452,7 @@ class _Run:
         return self.verdict(NOT_REDUCIBLE, witness, **stats)
 
     def leaves(self, choices, group: Sequence[int], rest: Sequence[int],
-               straight, free, split: Optional[tuple[int, int]],
-               ) -> Iterator[_Leaf]:
+               straight, free) -> Iterator[_Leaf]:
         """Yield the instances of every residual choice, block by block.
 
         The candidate assignments of group + rest form a grid, group
@@ -471,7 +466,7 @@ class _Run:
         The walk fixes one option per edge, fewest options first, and ANDs
         early columns into the candidate mask, late ones into the group
         mask.  Every block vectorizes the tail edges and one slice of the
-        options of the last walked edge, as large as the early factor's
+        options of the walk's last edge, as large as the early factor's
         matmul, the late cube and the pair matrices allow (see
         _BLOCK_CELLS); that slice heads the leaf's `inner`, so instances
         keep the lexicographic order of the edges wherever the late edges
@@ -479,8 +474,7 @@ class _Run:
         the candidate mask, ORs each instance over the `rest` axes (one
         matmul of the head's and the tail's early masks, `_any_and`) and
         ANDs in the group mask; its late factor ANDs the vectorized late
-        edges over the group grid.  split=(i, n) keeps the leaf blocks
-        whose index is i modulo n.
+        edges over the group grid.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
@@ -564,9 +558,6 @@ class _Run:
                             return
                     return
                 for head in heads:
-                    self.walked += 1
-                    if split and (self.walked - 1) % split[1] != split[0]:
-                        continue
                     vec = head + inner
                     size = math.prod(len(t[1]) for t in vec)
                     count = size
@@ -652,7 +643,7 @@ def _check_product(cfg: Configuration, run: _Run) -> Verdict:
     import numpy as np
 
     for leaf in run.leaves(residual_choices(cfg), (), range(cfg.graph.n),
-                           cfg.tree, _free_edges(cfg), run.split):
+                           cfg.tree, _free_edges(cfg)):
         for at, alive in leaf.table():
             dead = np.flatnonzero(~alive[:, 0])
             if dead.size:
@@ -672,7 +663,7 @@ def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     rest = [x for x in range(cfg.graph.n) if x != v]
     worst = 0
     for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
-                           _free_edges(cfg), run.split):
+                           _free_edges(cfg)):
         for at, alive in leaf.table():
             nbad = alive.shape[1] - alive.sum(axis=1)
             over = np.flatnonzero(nbad > 1)
@@ -712,25 +703,18 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
     floors = {v: frozenset(range(1, cfg.floors[v] + 1))
               for v in range(cfg.graph.n)}
     colors = np.array(sorted(floors[cut]))
-    # Each pair of side instances is checked by the share that owns the
-    # first side's instance, so every share needs the second side's whole
-    # family; only share 0 books that enumeration, so that the shares'
-    # counts add up to the whole run's.
-    second = run if run.split is None or run.split[0] == 0 else \
-        _Run(run.budget, None)
     families = []
-    for side, side_run, split in ((comps[0], run, run.split),
-                                  (comps[1], second, None)):
+    for side in comps:
         inside = set(side) | {cut}
         edges = [e for e in sorted(cfg.graph.edges) if set(e) <= inside]
         family: dict[frozenset[int], dict] = {}
-        for leaf in side_run.leaves([floors], [cut], side, (), edges, split):
+        for leaf in run.leaves([floors], [cut], side, (), edges):
             for at, alive in leaf.table():
                 blocked = ~alive
                 for r in _first_rows(blocked):
                     family.setdefault(frozenset(colors[blocked[r]].tolist()),
                                       leaf.maps(at[r]))
-        if side_run.exhausted:
+        if run.exhausted:
             return run.verdict(INCONCLUSIVE)
         families.append(family)
     for bad_a, maps_a in families[0].items():
@@ -864,8 +848,7 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
         raise ValueError("straightened forest must avoid the pivot")
     rest = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
     for leaf in run.leaves(residual_choices(cfg, skip=(z,)), nbrs, rest,
-                           cfg.tree, _free_edges(cfg, exclude_vertex=z),
-                           run.split):
+                           cfg.tree, _free_edges(cfg, exclude_vertex=z)):
         res = [leaf.residuals[v] for v in nbrs]
         shape = [len(r) for r in res]
         keep = _factored_line_test(
@@ -932,14 +915,8 @@ def check_reducible(
     seed: int = 0,
     count: int = SAMPLED_COUNT,
     budget: Optional[int] = None,
-    split: Optional[tuple[int, int]] = None,
 ) -> Verdict:
-    """Exhaustive (mode='full') or seeded-sample (mode='sampled') check.
-
-    split=(i, n) checks the i-th of n disjoint shares of a full run: the
-    whole run is REDUCIBLE iff every share is, and the shares' `enumerated`
-    counts add up to the whole run's.
-    """
+    """Exhaustive (mode='full') or seeded-sample (mode='sampled') check."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget: {budget} is negative")
     if mode == "sampled":
@@ -947,7 +924,7 @@ def check_reducible(
     elif mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     else:
-        verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget, split))
+        verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget))
     if verdict.status == NOT_REDUCIBLE:
         assert verdict.witness is not None
         if not verify_witness(verdict.witness):

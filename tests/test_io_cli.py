@@ -219,12 +219,6 @@ class TestUsageErrors:
             capsys, "reduce-check", "--lemma", "L2", "--workers", "0")
         assert "--workers" in err
 
-    def test_sampled_rejects_workers(self, capsys):
-        err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
-            "sampled", "--seed", "1", "--workers", "2")
-        assert "--workers" in err
-
     def test_sampled_rejects_budget(self, capsys):
         err = self.usage_error(
             capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
@@ -361,49 +355,45 @@ class TestCli:
         _, b = run_cli(capsys, "detect", str(ASSETS / "cluster_07.json"))
         assert a == b
 
-    def test_worker_pool_same_verdict(self, capsys):
-        _, solo = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond")
-        _, multi = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond",
-                           "--workers", "2")
-        ra, rb = json.loads(solo), json.loads(multi)
-        for key in ("status", "enumerated", "blocks", "rows_built"):
-            assert ra[key] == rb[key]
+    @pytest.mark.parametrize("label",
+                             ["L4-diamond", "L5-special5", "L6-precolor"])
+    def test_workers_flag_runs_in_one_process(self, capsys, label):
+        # --workers still parses, has no effect and says so once on stderr
+        code, solo = run_cli(capsys, "reduce-check", "--lemma", label)
+        assert code == 0
+        assert cli.main(["reduce-check", "--lemma", label,
+                         "--workers", "2"]) == 0
+        multi = capsys.readouterr()
+        ra, rb = json.loads(solo), json.loads(multi.out)
+        ra.pop("seconds")
+        rb.pop("seconds")
+        assert ra == rb and "workers" not in rb and "pruned" not in rb
+        assert len(multi.err.splitlines()) == 1
+        assert "one process" in multi.err
 
-    @pytest.mark.parametrize("label", ["L5-special5", "L6-precolor"])
-    def test_workers_honoured_for_every_strategy(self, capsys, label):
-        _, solo = run_cli(capsys, "reduce-check", "--lemma", label)
-        _, multi = run_cli(capsys, "reduce-check", "--lemma", label,
-                           "--workers", "2")
-        ra, rb = json.loads(solo), json.loads(multi)
-        assert (ra["workers"], rb["workers"]) == (1, 2)
-        for key in ("status", "enumerated", "blocks", "rows_built",
-                    "worst_bad_colors"):
-            assert ra.get(key) == rb.get(key)
-        assert "pruned" not in rb
-
-    def test_workers_share_the_budget(self, capsys):
+    def test_workers_flag_keeps_the_budget(self, capsys):
         _, out = run_cli(capsys, "reduce-check", "--lemma", "L7-555",
                          "--budget", "1001", "--workers", "2")
         rep = json.loads(out)
         assert rep["status"] == "INCONCLUSIVE"
         assert rep["enumerated"] == 1001
 
-    def test_combined_verdict_keeps_worst_and_reason(self):
-        parts = [
-            ("REDUCIBLE", None, {"enumerated": 5, "blocks": 2,
-                                 "rows_built": 4, "worst_bad_colors": 1,
-                                 "seconds": 0.1}),
-            ("INCONCLUSIVE", None, {"enumerated": 3, "blocks": 1,
-                                    "rows_built": 3,
-                                    "worst_bad_colors": 0,
-                                    "reason": "budget exhausted",
-                                    "seconds": 0.2}),
-        ]
-        status, witness, stats = cli._combine_verdicts(parts)
-        assert status == "INCONCLUSIVE" and witness is None
-        assert stats == {"enumerated": 8, "blocks": 3, "rows_built": 7,
-                         "seconds": 0.2,
-                         "worst_bad_colors": 1, "reason": "budget exhausted"}
+    def test_sampled_mode_notes_workers_too(self, capsys):
+        # sampled mode gets the same notice and the same report; --workers 1
+        # writes nothing to stderr
+        argv = ["reduce-check", "--lemma", "L4-diamond", "--mode", "sampled",
+                "--seed", "1", "--count", "50"]
+        assert cli.main(argv + ["--workers", "1"]) == 0
+        solo = capsys.readouterr()
+        assert cli.main(argv + ["--workers", "2"]) == 0
+        multi = capsys.readouterr()
+        ra, rb = json.loads(solo.out), json.loads(multi.out)
+        ra.pop("seconds")
+        rb.pop("seconds")
+        assert ra == rb and ra["enumerated"] == 50
+        assert solo.err == ""
+        assert len(multi.err.splitlines()) == 1
+        assert "one process" in multi.err
 
     def test_text_format(self, capsys):
         code, out = run_cli(

@@ -89,15 +89,6 @@ class TestGoldenVerdictsCheap:
         assert v.status == INCONCLUSIVE
         assert "budget" in v.stats["reason"]
 
-    def test_split_shares_cover_product_space(self):
-        whole = check_reducible(CATALOG["L4-diamond"])
-        total = 0
-        for i in range(3):
-            part = check_reducible(CATALOG["L4-diamond"], split=(i, 3))
-            assert part.status == REDUCIBLE
-            total += part.stats["enumerated"]
-        assert total == whole.stats["enumerated"]
-
     def test_sampled_mode_deterministic(self):
         a = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=11,
                             count=200)
@@ -293,7 +284,7 @@ class TestAdversary:
 
 
 # ---------------------------------------------------------------------------
-# the mask kernel against the naive oracle, counters, budget and split
+# the mask kernel against the naive oracle, counters and budget
 
 ORACLE_LIMIT = 20000  # instances the oracle solves per example
 # for tests that check the kernel's order, not its verdict: configurations
@@ -449,7 +440,7 @@ BLOCKS = {
     "L2": 1, "L4-diamond": 36, "L5-special5": 72, "L6-precolor": 36,
     "L7-555": 24, "L8-556": 96, "CE-6": 1, "CE-7": 1,
 }
-# product (L4-diamond) has its budget and split tests above
+# product (L4-diamond) has its budget test above
 OTHER_STRATEGIES = ["L5-special5", "L6-precolor", "L7-555"]
 
 
@@ -496,17 +487,29 @@ class TestKernelCounters:
         assert v.status == REDUCIBLE
         assert v.stats["enumerated"] == ENUMERATED[label]
 
-    @pytest.mark.parametrize("label", OTHER_STRATEGIES)
-    def test_split_shares_sum_to_the_whole(self, label):
-        parts = [check_reducible(CATALOG[label], split=(i, 3))
-                 for i in range(3)]
-        assert [p.status for p in parts] == [REDUCIBLE] * 3
-        assert sum(p.stats["enumerated"] for p in parts) == ENUMERATED[label]
+    @pytest.mark.parametrize("budget", [1, 7776, 7777, 15551])
+    def test_condition_sides_share_one_budget(self, budget):
+        # L5-special5's two sides hold 7,776 instances each and count on
+        # one run: the budgets end inside the first side, at its end, just
+        # inside the second side and one short of the whole
+        v = check_reducible(CATALOG["L5-special5"], budget=budget)
+        assert v.status == INCONCLUSIVE
+        assert v.stats["enumerated"] == budget
+        assert v.stats["rows_built"] == budget
 
-    def test_split_share_finds_counterexample(self):
-        parts = [check_reducible(CATALOG["CE-7"], split=(i, 2))
-                 for i in range(2)]
-        assert NOT_REDUCIBLE in [p.status for p in parts]
+    @pytest.mark.parametrize("strategy", ["product", "margin"])
+    def test_budget_stops_before_the_failing_instance(self, strategy):
+        # a star whose center (floor 2) meets leaves of floors 1, 1 and 3:
+        # the 7th of its 24 instances fails, inside its only block
+        roles = {"margin_vertex": 0} if strategy == "margin" else {}
+        cfg = _config(4, [(0, 1), (0, 2), (0, 3)], (2, 1, 1, 3), (),
+                      strategy, **roles)
+        whole = check_reducible(cfg)
+        assert whole.status == NOT_REDUCIBLE
+        assert whole.stats["enumerated"] == 7
+        v = check_reducible(cfg, budget=6)
+        assert v.status == INCONCLUSIVE
+        assert v.stats["enumerated"] == v.stats["rows_built"] == 6
 
     def test_sampled_counts_instances_checked(self):
         # one edge between single-color lists: no instance has a transversal
@@ -536,7 +539,7 @@ class TestBlockCap:
     LABELS = sorted(set(ENUMERATED) - {"L8-556"})
 
     @pytest.mark.parametrize("cap", [1, 300])
-    def test_same_verdicts_and_shares(self, cap, monkeypatch):
+    def test_same_verdicts(self, cap, monkeypatch):
         default = {label: check_reducible(CATALOG[label])
                    for label in self.LABELS}
         monkeypatch.setattr(reduce, "_BLOCK_CELLS", cap)
@@ -545,16 +548,6 @@ class TestBlockCap:
             v = check_reducible(CATALOG[label])
             assert _outcome(v) == _outcome(default[label]), label
             more_blocks |= v.stats["blocks"] > default[label].stats["blocks"]
-            if v.status != REDUCIBLE:
-                continue
-            for n in (2, 3):
-                parts = [check_reducible(CATALOG[label], split=(i, n))
-                         for i in range(n)]
-                assert [p.status for p in parts] == [REDUCIBLE] * n
-                assert sum(p.stats["enumerated"] for p in parts) == \
-                    ENUMERATED[label]
-                assert sum(p.stats["blocks"] for p in parts) == \
-                    v.stats["blocks"]
         assert more_blocks  # the smaller cap really cuts smaller blocks
 
     @given(eliminate_configs(ORDER_LIMIT), st.sampled_from([1, 300]))
@@ -580,6 +573,28 @@ class TestBlockCap:
             assert v.stats["enumerated"] == budget
             # a budget that ends at the last instance (a failing one, if
             # the verdict is NOT_REDUCIBLE) changes nothing
+            assert _outcome(check_reducible(cfg, budget=total)) == \
+                _outcome(whole)
+
+    @pytest.mark.parametrize("configs", [product_configs, margin_configs,
+                                         condition_configs],
+                             ids=["product", "margin", "condition"])
+    @given(cap=st.sampled_from([1, 300, None]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_budget_ends_inside_an_unfactored_block(self, configs, cap, data):
+        # these blocks have no late edge: a block cut short by the budget
+        # builds, and reduces, only the rows of its counted instances; one
+        # short of the total stops just before a failing last instance
+        cfg, _ = data.draw(configs())
+        whole = check_reducible(cfg)
+        total = whole.stats["enumerated"]
+        with mock.patch.object(reduce, "_BLOCK_CELLS",
+                               cap or reduce._BLOCK_CELLS):
+            for budget in (data.draw(st.integers(0, total - 1)), total - 1):
+                v = check_reducible(cfg, budget=budget)
+                assert v.status == INCONCLUSIVE
+                assert v.stats["enumerated"] == budget
+                assert v.stats["rows_built"] == budget
             assert _outcome(check_reducible(cfg, budget=total)) == \
                 _outcome(whole)
 
@@ -707,9 +722,9 @@ class TestBlockMemory:
         cap = cap or reduce._BLOCK_CELLS
         rng = np.random.default_rng(3)
         with mock.patch.object(reduce, "_BLOCK_CELLS", cap):
-            leaf = next(reduce._Run(None, None).leaves(
+            leaf = next(reduce._Run(None).leaves(
                 residual_choices(cfg, skip=(z,)), nbrs, rest, cfg.tree,
-                reduce._free_edges(cfg, exclude_vertex=z), None))
+                reduce._free_edges(cfg, exclude_vertex=z)))
             # the whole table by broadcasting each factor over its own
             # edges' axes, and keep[e, l] moved to the instance order
             digits = [len(opts) for _, opts, _ in leaf.inner]
