@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graphs import (
-    Graph, PlaneGraph, _embed, _vertex_sides, interior_face_ids,
+    Graph, PlaneGraph, _embed, _face_flood, _vertex_sides, interior_face_ids,
 )
 from .patterns import LabeledPattern, catalog
 
@@ -42,32 +42,19 @@ def extract_clusters(pg: PlaneGraph) -> list[Cluster]:
 
     The outer face never joins a cluster even when it is a 3-face.
     """
-    tri = [f for f in pg.interior_faces() if f.degree == 3]
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for f in tri:
-        for e in pg.face_edges[f.id]:
-            by_edge.setdefault(e, []).append(f.id)
-    face_by_id = {f.id: f for f in tri}
+    tri = {f.id: f for f in pg.interior_faces() if f.degree == 3}
     seen: set[int] = set()
     out: list[Cluster] = []
-    for f in tri:
-        if f.id in seen:
+    for fid in tri:
+        if fid in seen:
             continue
-        comp = {f.id}
-        stack = [f.id]
-        while stack:
-            fid = stack.pop()
-            for e in pg.face_edges[fid]:
-                for nf in by_edge[e]:
-                    if nf not in comp and nf in face_by_id:
-                        comp.add(nf)
-                        stack.append(nf)
+        comp = _face_flood(pg, fid, within=tri)
         seen |= comp
         verts: set[int] = set()
         edges: set[tuple[int, int]] = set()
-        for fid in comp:
-            verts |= set(face_by_id[fid].walk)
-            edges |= set(pg.face_edges[fid])
+        for f in comp:
+            verts |= set(tri[f].walk)
+            edges |= set(pg.face_edges[f])
         out.append(Cluster(len(out), frozenset(comp), frozenset(verts), frozenset(edges)))
     return out
 
@@ -175,28 +162,14 @@ def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
     interior, exterior = _vertex_sides(pg, cycle, inner_faces)
     bad = False
     if inner_faces and all(pg.faces[fid].degree == 3 for fid in inner_faces):
-        if len(inner_faces) == 7 and _edge_connected(pg, inner_faces):
+        if len(inner_faces) == 7 and _face_flood(
+                pg, min(inner_faces), within=inner_faces) == inner_faces:
             bad = True
     return {
         "separating": bool(interior) and bool(exterior),
         "bad": bad,
         "good": not bad,
     }
-
-
-def _edge_connected(pg: PlaneGraph, face_ids: set[int]) -> bool:
-    ids = set(face_ids)
-    start = next(iter(ids))
-    comp = {start}
-    stack = [start]
-    while stack:
-        fid = stack.pop()
-        for e in pg.face_edges[fid]:
-            for nf in pg.faces_of_edge(*e):
-                if nf in ids and nf not in comp:
-                    comp.add(nf)
-                    stack.append(nf)
-    return comp == ids
 
 
 def has_good_outer_triangle(pg: PlaneGraph) -> bool:

@@ -127,35 +127,17 @@ def straighten(
     for e in tree_edges:
         if e not in inst.sigma:
             raise CoverError(f"tree edge {e} not in graph")
-    # check acyclicity via union-find
-    parent = list(range(inst.graph.n))
+    forest = Graph.from_edges(inst.graph.n, set(tree_edges))
+    if len(forest.components) != inst.graph.n - len(tree_edges):
+        raise CoverError("tree contains a cycle")
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj: dict[int, list[int]] = {}
-    for u, v in tree_edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise CoverError("tree contains a cycle")
-        parent[ru] = rv
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    k = inst.k
-    pi: list[tuple[int, ...]] = [identity(k)] * inst.graph.n
-    seen: set[int] = set()
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [root]
+    pi: list[tuple[int, ...]] = [identity(inst.k)] * inst.graph.n
+    for comp in forest.components:
+        seen = {comp[0]}
+        stack = [comp[0]]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v in forest.adjacency[u]:
                 if v in seen:
                     continue
                 seen.add(v)
@@ -171,7 +153,7 @@ def straighten(
         frozenset(pi[v][c - 1] for c in inst.available[v])
         for v in range(inst.graph.n)
     )
-    return CoverInstance(inst.graph, k, new_avail, new_sigma), tuple(pi)
+    return CoverInstance(inst.graph, inst.k, new_avail, new_sigma), tuple(pi)
 
 
 def residual(

@@ -284,15 +284,15 @@ def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos,
 
 
 def apply_rules(pg: PlaneGraph, infos: list[ClusterInfo], special6: set,
-                led: ChargeLedger,
-                order: tuple[str, ...] = RULE_ORDER) -> list:
-    """Run the discharging rules; returns report flags.  Mutates the ledger."""
+                led: ChargeLedger) -> list:
+    """Run the discharging rules in RULE_ORDER; returns report flags.
+    Mutates the ledger."""
     _fold_clusters(led, infos)
     face_cluster = {
         fid: info.cluster.id for info in infos for fid in info.cluster.face_ids
     }
     flags: list = []
-    for rule in order:
+    for rule in RULE_ORDER:
         if rule == "R5":
             _apply_r5(pg, led, face_cluster)
         elif rule == "R1":
@@ -522,8 +522,7 @@ class AuditReport:
         return out
 
 
-def audit(pg: PlaneGraph, force_rules: bool = False,
-          order: tuple[str, ...] = RULE_ORDER) -> AuditReport:
+def audit(pg: PlaneGraph, force_rules: bool = False) -> AuditReport:
     """Precondition checks, then exact discharging with verdict.
 
     With force_rules the rules run even when a precondition fails (useful for
@@ -538,7 +537,7 @@ def audit(pg: PlaneGraph, force_rules: bool = False,
         return AuditReport(pre, False, verdict="preconditions-violated")
     led = initial_charges(pg)
     before = led.total()
-    flags = apply_rules(pg, infos, special6, led, order)
+    flags = apply_rules(pg, infos, special6, led)
     after = led.total()
     ident = outer_identity(pg)
     caps = credit_caps_ok(pg, led, infos)

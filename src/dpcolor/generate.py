@@ -45,6 +45,8 @@ from .patterns import contains_butterfly
 
 Site = tuple[tuple[int, int], int, int]  # (face key, walk start, arity)
 
+MAX_TRIES = 400  # rejected insertions in a row before a graph is given up
+
 
 def _face_sites(walk: tuple[int, ...]) -> list[Site]:
     """(face key, walk start index, arity) choices in one interior face."""
@@ -174,14 +176,13 @@ def random_plane_graph(
     seed: int,
     target_n: int,
     forbid: Sequence[str] = ("7-cycle", "butterfly"),
-    max_tries: int = 400,
 ) -> PlaneGraph:
     """A plane graph with triangular outer face and about target_n vertices.
 
     Grown by seeded random vertex insertions.  An insertion that creates a
     forbidden substructure ("7-cycle", "butterfly") is rolled back; the
     check searches only through the new vertex, which is exact because the
-    graph before the insertion has none.  Returns early if max_tries
+    graph before the insertion has none.  Returns early if MAX_TRIES
     rejected insertions in a row accumulate before the target size, or as
     soon as every insertion site of the current graph has been rejected.
     """
@@ -190,7 +191,7 @@ def random_plane_graph(
     rejected: set[Site] = set()  # since the last accepted insertion
     bad_pairs: set[tuple[int, int]] = set()  # ends of a 5-edge path
     tries = 0
-    while (builder.n < target_n and tries < max_tries
+    while (builder.n < target_n and tries < MAX_TRIES
            and len(rejected) < len(builder.sites)):
         site = rng.choice(builder.sites)
         if site in rejected or not _insert(builder, site, forbid, bad_pairs):

@@ -95,6 +95,15 @@ class Graph:
                         stack.append(w)
         return tuple(comp)
 
+    @functools.cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components, each its vertices ascending, in the
+        order of their least vertex."""
+        out: dict[int, list[int]] = {}
+        for v, root in enumerate(self.component):
+            out.setdefault(root, []).append(v)
+        return tuple(map(tuple, out.values()))
+
     def is_connected(self) -> bool:
         return not any(self.component)
 
@@ -516,6 +525,24 @@ def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],
     return interior - exterior, exterior
 
 
+def _face_flood(pg: PlaneGraph, start: int, within=None,
+                blocked=()) -> set[int]:
+    """Ids of the faces reachable from face `start` across edges not in
+    `blocked`, through faces in `within` only (any face, if None)."""
+    seen = {start}
+    stack = [start]
+    face_edges, edge_faces = pg.face_edges, pg._edge_faces
+    while stack:
+        for e in face_edges[stack.pop()]:
+            if e in blocked:
+                continue
+            for nf in edge_faces[e]:
+                if nf not in seen and (within is None or nf in within):
+                    seen.add(nf)
+                    stack.append(nf)
+    return seen
+
+
 def interior_face_ids(pg: PlaneGraph, cycle: Sequence[int]) -> set[int]:
     """Ids of the faces strictly inside the cycle.
 
@@ -530,16 +557,6 @@ def interior_face_ids(pg: PlaneGraph, cycle: Sequence[int]) -> set[int]:
     }
     comp = pg.graph.component
     own = comp[cycle[0]]
-    side = {pg.outsides[own]}
-    stack = list(side)
-    face_edges, edge_faces = pg.face_edges, pg._edge_faces
-    while stack:
-        for e in face_edges[stack.pop()]:
-            if e in cyc_edges:
-                continue
-            for nf in edge_faces[e]:
-                if nf not in side:
-                    side.add(nf)
-                    stack.append(nf)
+    side = _face_flood(pg, pg.outsides[own], blocked=cyc_edges)
     return {f.id for f in pg.faces
             if f.id not in side and comp[f.walk[0]] == own}

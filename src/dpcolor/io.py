@@ -65,8 +65,7 @@ def _list(value, field: str, source: str,
 def _object(value, field: str, source: str) -> dict:
     """A JSON object, else a FormatError naming the field."""
     if type(value) is not dict:
-        raise FormatError(f"{source}: field {field}: {value!r} is not an "
-                          f"object keyed by vertex or edge")
+        raise FormatError(f"{source}: field {field}: {value!r} is not an object")
     return value
 
 
@@ -78,6 +77,8 @@ def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGra
                  for i, e in enumerate(_list(data["edges"], "edges", source))]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{source}: missing or malformed field: {exc}")
+    if n < 0:
+        raise FormatError(f"{source}: field n: {n} is negative")
     try:
         g = Graph.from_edges(n, edges)
     except GraphError as exc:
@@ -123,14 +124,8 @@ def graph_to_dict(g: Union[Graph, PlaneGraph], extra: Optional[dict] = None) -> 
     return data
 
 
-def write_graph_file(path: Union[str, Path], g: Union[Graph, PlaneGraph],
-                     extra: Optional[dict] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g, extra), fh, indent=1)
-        fh.write("\n")
-
-
 def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[int, dict]:
+    data = _object(data, "(top level)", source)
     try:
         k = _int(data["k"], "k", source)
         raw = data["sigma"]
@@ -206,7 +201,8 @@ def parse_config_file(path: Union[str, Path]):
             label=str(data.get("label", Path(path).stem)),
             graph=graph,
             names={str(r): _int(v, f"names[{r!r}]", src)
-                   for r, v in data.get("names", {}).items()},
+                   for r, v in _object(data.get("names", {}), "names",
+                                       src).items()},
             floors=tuple(_int(x, f"floors[{i}]", src)
                          for i, x in enumerate(data["floors"])),
             tree=tuple(edge_key(*(_int(u, f"tree[{i}]", src)

@@ -245,12 +245,6 @@ def pattern_from_dict(data: Mapping) -> LabeledPattern:
     )
 
 
-def builtin_assets_dir() -> str:
-    import importlib.resources
-
-    return str(importlib.resources.files("dpcolor") / "assets")
-
-
 def load_assets_dir(path: str) -> dict[str, LabeledPattern]:
     """All pattern assets in a directory, keyed by name."""
     import json

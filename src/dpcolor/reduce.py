@@ -108,7 +108,8 @@ class Configuration:
             if tuple(e) not in self.graph.edges:
                 raise ValueError(f"tree: {tuple(e)} is not a graph edge "
                                  f"(u, v) with u < v")
-        if len(_components(n, self.tree)) != n - len(self.tree):
+        forest = Graph.from_edges(n, set(self.tree))
+        if len(forest.components) != n - len(self.tree):
             raise ValueError("tree: the edges contain a cycle")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy: unknown {self.strategy!r}; choices: "
@@ -245,24 +246,6 @@ def extend_to_bijection(partial: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(full[c] for c in range(1, K + 1))
 
 
-def _components(n: int, edges) -> list[set[int]]:
-    """Vertex sets of the connected components of ({0..n-1}, edges)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    comps: dict[int, set[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values())
-
-
 def residual_choices(cfg: Configuration,
                      skip: Sequence[int] = ()) -> Iterator[dict[int, frozenset[int]]]:
     """Residual-set choices meeting the floors exactly, symmetry-reduced.
@@ -271,14 +254,11 @@ def residual_choices(cfg: Configuration,
     set is fixed to {1..floor}.  Within each forest component one designated
     vertex (lowest floor, then lowest id) is likewise canonical via a
     whole-component renaming; the rest range over all floor-sized subsets.
+    A vertex outside the forest is a component of its own, so it is the
+    designated vertex of its component.
     """
-    in_tree: set[int] = set()
-    for u, v in cfg.tree:
-        in_tree.update((u, v))
-    canonical: set[int] = set(range(cfg.graph.n)) - in_tree
-    for comp in _components(cfg.graph.n, cfg.tree):
-        rep = min(comp, key=lambda v: (cfg.floors[v], v))
-        canonical.add(rep)
+    canonical = {min(comp, key=lambda v: (cfg.floors[v], v))
+                 for comp in Graph.from_edges(cfg.graph.n, cfg.tree).components}
     vary = [v for v in range(cfg.graph.n)
             if v not in canonical and v not in skip and cfg.floors[v] < K]
     base = {
@@ -694,8 +674,8 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
     if cut is None or cfg.tree:
         raise ValueError(
             "condition strategy needs a cut vertex and no straightened forest")
-    comps = [sorted(c) for c in _components(
-        cfg.graph.n, [e for e in cfg.graph.edges if cut not in e])
+    comps = [c for c in Graph.from_edges(
+        cfg.graph.n, [e for e in cfg.graph.edges if cut not in e]).components
         if cut not in c]
     if len(comps) != 2:
         raise ValueError(

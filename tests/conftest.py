@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.resources
 import itertools
 import random
+from pathlib import Path
 
 from dpcolor.cover import CoverInstance
 from dpcolor.generate import PlaneBuilder, generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.patterns import catalog, plane_from_coords
+
+ASSETS = Path(str(importlib.resources.files("dpcolor") / "assets"))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

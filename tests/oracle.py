@@ -52,6 +52,12 @@ Triangle predicates: every 3-cycle split by a flood of the dual from the
 outer face, facial or not, which fixes what `clusters.cycle_predicates` and
 `clusters.separating_good_triangles` must return on connected embeddings.
 
+Components: a union-find over the edges, which fixes what
+`Graph.components` must return.
+
+Clusters: interior 3-faces grouped by pairwise shared edges, no flood,
+which fixes what `clusters.extract_clusters` must return.
+
 Straight edges: whether an edge's bijection is the identity.
 """
 
@@ -612,6 +618,55 @@ def flood_separating_good_triangles(pg: PlaneGraph):
         if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2))
         and (pred := flood_cycle_predicates(pg, tri))["separating"]
         and pred["good"]
+    ]
+
+
+def components(n: int, edges) -> list[tuple[int, ...]]:
+    """The connected components of ({0..n-1}, edges) by union-find, each
+    ascending, in the order of their least vertex."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    comps: dict[int, list[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return [tuple(c) for c in comps.values()]
+
+
+def clusters(pg: PlaneGraph) -> list[Cluster]:
+    """The clusters of `pg`, numbered by their least face id.
+
+    Every pair of interior 3-faces that share an edge is listed, and each
+    face takes the least label of such a pair until no label changes: the
+    labels then name the components of the shared-edge relation.
+    """
+    tri = [f.id for f in pg.interior_faces() if f.degree == 3]
+    edges = {f: set(pg.face_edges[f]) for f in tri}
+    touching = [(a, b) for a, b in itertools.combinations(tri, 2)
+                if edges[a] & edges[b]]
+    label = {f: f for f in tri}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in touching:
+            if label[a] != label[b]:
+                label[a] = label[b] = min(label[a], label[b])
+                changed = True
+    groups: dict[int, list[int]] = {}
+    for f in tri:
+        groups.setdefault(label[f], []).append(f)
+    return [
+        Cluster(i, frozenset(fs),
+                frozenset(v for f in fs for v in pg.faces[f].walk),
+                frozenset(e for f in fs for e in edges[f]))
+        for i, (_, fs) in enumerate(sorted(groups.items()))
     ]
 
 

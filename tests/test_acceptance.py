@@ -9,12 +9,11 @@ import itertools
 import json
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import petersen, random_graph, random_sigma
+from conftest import ASSETS, petersen, random_graph, random_sigma
 from dpcolor.clusters import classify_cluster, extract_clusters, \
     has_good_outer_triangle
 from dpcolor.cover import (
@@ -25,12 +24,11 @@ from dpcolor.discharge import OUTER, audit, outer_identity
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph, has_cycle_of_length
 from dpcolor.io import parse_cover_file, parse_graph_file
-from dpcolor.patterns import builtin_assets_dir, contains_butterfly
+from dpcolor.patterns import contains_butterfly
 from dpcolor.reduce import (
     NOT_REDUCIBLE, REDUCIBLE, check_reducible, config_catalog, verify_witness,
 )
 
-ASSETS = Path(builtin_assets_dir())
 CATALOG = config_catalog()
 
 

@@ -2,12 +2,11 @@
 
 import collections
 import json
-from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import audit_corpus
+from conftest import ASSETS, audit_corpus
 from dpcolor import clusters, graphs
 from dpcolor.clusters import (
     UNCLASSIFIED, classify_cluster, classifications, cycle_predicates,
@@ -18,12 +17,11 @@ from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import parse_graph_file
 from dpcolor.patterns import (
-    builtin_assets_dir, butterfly_pattern, catalog, cluster_pattern,
+    butterfly_pattern, catalog, cluster_pattern,
     contains_butterfly, load_assets_dir, pattern_from_dict,
 )
 from oracle import catalog_matches
 
-ASSETS = Path(builtin_assets_dir())
 
 
 def k4_plane():
@@ -39,6 +37,27 @@ class TestExtraction:
         assert len(cs) == 1
         assert cs[0].k == 3
         assert cs[0].vertices == frozenset(range(4))
+
+    def test_same_clusters_as_shared_edge_grouping(self):
+        pgs = audit_corpus() + [cluster_pattern(code).plane
+                                for code in range(1, 12)]
+        pgs += generate_corpus(30, seed=11, min_n=6, max_n=20)
+        # the disconnected hosts of TestDisconnectedEmbedding
+        k4 = TestDisconnectedEmbedding.K4
+        pgs += [with_triangle(k4, outer) for outer in (None, [4, 5, 6])]
+        for pg in audit_corpus()[::3]:
+            alone = PlaneGraph(pg.graph, pg.rotation)
+            n = alone.n
+            pgs += [with_triangle(alone, outer)
+                    for outer in (None, [n, n + 1, n + 2])]
+        pat = cluster_pattern(11).plane
+        pgs.append(with_triangle(pat, pat.faces[pat.outer_face].walk))
+        sizes = set()
+        for pg in pgs:
+            found = extract_clusters(pg)
+            assert found == oracle.clusters(pg)
+            sizes |= {c.k for c in found}
+        assert sizes >= set(range(1, 8))
 
     def test_outer_triangle_excluded(self):
         pg = cluster_pattern(1).plane

@@ -78,8 +78,10 @@ class TestStraighten:
     def test_rejects_cycle(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         inst = CoverInstance.straight(g, 2)
-        with pytest.raises(CoverError):
-            straighten(inst, [(0, 1), (1, 2), (0, 2)])
+        # a triangle, and one edge given twice
+        for tree in ([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 0)]):
+            with pytest.raises(CoverError, match="tree contains a cycle"):
+                straighten(inst, tree)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)

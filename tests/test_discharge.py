@@ -194,12 +194,16 @@ class TestRuleExactness:
             for v in set(pg.faces[pg.outer_face].walk):
                 assert rep.accounts[("v", v)] == 0
 
-    def test_rule_order_permutation_invariant(self):
+    def test_rule_order_permutation_invariant(self, monkeypatch):
         pg = CORPUS[1]
         base = audit(pg, force_rules=True).accounts
         for order in itertools.permutations(RULE_ORDER):
-            rep = audit(pg, force_rules=True, order=order)
+            monkeypatch.setattr(dpcolor.discharge, "RULE_ORDER", order)
+            rep = audit(pg, force_rules=True)
             assert rep.accounts == base
+            ran = list(dict.fromkeys(r[:2] for r, _, _, _ in rep.transfers
+                                     if r != "aggregate"))
+            assert ran == [r for r in order if r in ran]
 
     def test_five_plus_faces_pay_by_the_edge(self):
         # each R1a debit is 2 quarters across an edge to a triangle cluster

@@ -3,14 +3,13 @@
 import hashlib
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import petersen, random_graph, special_seven_host
+from conftest import ASSETS, petersen, random_graph, special_seven_host
 from dpcolor import generate, graphs
 from dpcolor.clusters import cluster_subgraph, extract_clusters
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
@@ -20,7 +19,7 @@ from dpcolor.graphs import (
     has_cycle_of_length, interior_face_ids,
 )
 from dpcolor.patterns import (
-    builtin_assets_dir, butterfly_pattern, catalog, cluster_pattern,
+    butterfly_pattern, catalog, cluster_pattern,
     contains_butterfly,
 )
 
@@ -44,6 +43,18 @@ class TestGraph:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert g.degree(1) == 2
         assert g.adjacency[0] == frozenset({1})
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_components_match_union_find(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.2, 0.5)))
+        assert list(g.components) == oracle.components(g.n, g.edges)
+
+    def test_components_keep_isolated_vertices(self):
+        g = Graph.from_edges(6, [(1, 4), (4, 2)])
+        assert g.components == ((0,), (1, 2, 4), (3,), (5,))
+        assert g.components == tuple(oracle.components(6, g.edges))
 
 
 class TestFaces:
@@ -150,7 +161,7 @@ class TestCycleSides:
 
 
 def asset_graphs():
-    for path in sorted(Path(builtin_assets_dir()).glob("*.json")):
+    for path in sorted(ASSETS.glob("*.json")):
         data = json.loads(path.read_text())
         yield path.stem, Graph.from_edges(data["n"], data["edges"])
 

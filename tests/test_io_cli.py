@@ -1,10 +1,10 @@
 """File formats, corpus ingestion, and the command-line front end."""
 
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import ASSETS
 from dpcolor import cli
 from dpcolor import reduce as rd
 from dpcolor.cover import CoverInstance
@@ -13,18 +13,15 @@ from dpcolor.io import (
     CorpusStats, FormatError, cover_to_dict, graph_from_dict, graph_to_dict,
     ingest_corpus, parse_cover_file, parse_config_file, parse_graph_file,
     parse_planar_code_line, sigma_from_dict, write_cover_file,
-    write_graph_file,
 )
-from dpcolor.patterns import builtin_assets_dir, butterfly_pattern
-
-ASSETS = Path(builtin_assets_dir())
+from dpcolor.patterns import butterfly_pattern
 
 
 class TestGraphFiles:
     def test_round_trip_plane(self, tmp_path):
         src = parse_graph_file(ASSETS / "cluster_05.json")
         out = tmp_path / "g.json"
-        write_graph_file(out, src)
+        out.write_text(json.dumps(graph_to_dict(src)))
         again = parse_graph_file(out)
         assert graph_to_dict(again) == graph_to_dict(src)
 
@@ -104,9 +101,9 @@ class TestCorpus:
         d.mkdir()
         from dpcolor.generate import generate_corpus
         for i, pg in enumerate(generate_corpus(6, seed=5, min_n=6, max_n=10)):
-            write_graph_file(d / f"g{i}.json", pg)
-        write_graph_file(d / "butterfly_host.json",
-                         butterfly_pattern().plane)
+            (d / f"g{i}.json").write_text(json.dumps(graph_to_dict(pg)))
+        (d / "butterfly_host.json").write_text(
+            json.dumps(graph_to_dict(butterfly_pattern().plane)))
         (d / "broken.json").write_text("{not json")
         return d
 
@@ -321,7 +318,7 @@ class TestCli:
     def test_discharge_audit(self, capsys, tmp_path):
         from dpcolor.generate import random_plane_graph
         path = tmp_path / "g.json"
-        write_graph_file(path, random_plane_graph(1, 9))
+        path.write_text(json.dumps(graph_to_dict(random_plane_graph(1, 9))))
         code, out = run_cli(
             capsys, "discharge", "audit", str(path), "--force-rules")
         rep = json.loads(out)
@@ -332,7 +329,7 @@ class TestCli:
     def test_discharge_explain(self, capsys, tmp_path):
         from dpcolor.generate import random_plane_graph
         path = tmp_path / "g.json"
-        write_graph_file(path, random_plane_graph(1, 9))
+        path.write_text(json.dumps(graph_to_dict(random_plane_graph(1, 9))))
         code, out = run_cli(
             capsys, "discharge", "explain", str(path), "--element", "OUTER")
         rep = json.loads(out)
@@ -344,7 +341,7 @@ class TestCli:
         d.mkdir()
         from dpcolor.generate import generate_corpus
         for i, pg in enumerate(generate_corpus(3, seed=9, min_n=6, max_n=9)):
-            write_graph_file(d / f"g{i}.json", pg)
+            (d / f"g{i}.json").write_text(json.dumps(graph_to_dict(pg)))
         code, out = run_cli(capsys, "corpus", str(d), "--filter",
                             "no-7-cycles")
         rep = json.loads(out)
@@ -435,6 +432,7 @@ class TestInputErrors:
         ({"tree": [[0, 2]]}, "tree: (0, 2) is not a graph edge"),
         ({"edges": [[0, 1], [1, 2], [0, 2]],
           "tree": [[0, 1], [1, 2], [0, 2]]}, "tree: the edges contain a cycle"),
+        ({"tree": [[0, 1], [1, 0]]}, "tree: the edges contain a cycle"),
         ({"strategy": "greedy"}, "strategy"),
     ])
     def test_reduce_check_bad_config(self, capsys, tmp_path, change, named):
@@ -500,6 +498,37 @@ class TestInputErrors:
         code = cli.main([a.format(path) for a in argv])
         err = capsys.readouterr().err
         assert code == 1 and named in err and "Traceback" not in err
+
+    MALFORMED = [
+        # a matching file that is not an object
+        (["solve", str(ASSETS / "cluster_01.json"), "--matching", "{}"], [],
+         "field (top level): [] is not an object"),
+        (["reduce-check", "--config", "{}"], {**PATH_CONFIG, "names": []},
+         "field names: [] is not an object"),
+        (["detect", "{}"], {"n": -2, "edges": []}, "field n: -2 is negative"),
+    ]
+
+    @pytest.mark.parametrize("argv,data,named", MALFORMED,
+                             ids=["matching", "names", "negative-n"])
+    def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
+                                                      argv, data, named):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = cli.main([a.format(path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ")
+        assert named in err and "Traceback" not in err
+
+    def test_corpus_skips_a_negative_vertex_count(self, capsys, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("3 bc,ca,ab\n" + json.dumps({"n": -2, "edges": []})
+                        + "\n")
+        code = cli.main(["corpus", str(path)])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert code == 0 and (rep["read"], rep["skipped"]) == (1, 1)
+        assert f"{path}:2: field n: -2 is negative" in err
+        assert "Traceback" not in err
 
     TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
                 "rotation": {"0": [1, 2], "1": [2, 0], "2": [0, 1]}}

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,13 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cover, random_graph
+from conftest import ASSETS, random_cover, random_graph
 from dpcolor.cover import (
     CoverInstance, brute_force_transversal, find_transversal,
 )
 from dpcolor.graphs import Graph
 from dpcolor.io import cover_to_dict, parse_cover_file
-from dpcolor.patterns import builtin_assets_dir
 from dpcolor import reduce
 from dpcolor.reduce import (
     INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
@@ -25,7 +23,6 @@ from dpcolor.reduce import (
     extend_to_bijection, maximal_injections, residual_choices, verify_witness,
 )
 
-ASSETS = Path(builtin_assets_dir())
 CATALOG = config_catalog()
 
 
