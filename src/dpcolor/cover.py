@@ -171,13 +171,17 @@ def residual(
 
 
 def is_independent(inst: CoverInstance, assignment: Mapping[int, int]) -> bool:
+    """Whether `assignment` picks, for each of its vertices v (0 <= v < n),
+    a color of v's list, and no cover edge joins two picked colors."""
+    n, avail = inst.graph.n, inst.available
+    for v, c in assignment.items():
+        if not 0 <= v < n or c not in avail[v]:
+            return False
     for (u, v), s in inst.sigma.items():
         cu, cv = assignment.get(u), assignment.get(v)
         if cu is not None and cv is not None and s[cu - 1] == cv:
             return False
-    return all(
-        c in inst.available[v] for v, c in assignment.items()
-    )
+    return True
 
 
 def find_transversal(

@@ -70,6 +70,7 @@ def _object(value, field: str, source: str) -> dict:
 
 
 def graph_from_dict(data: dict, source: str = "<dict>") -> Union[Graph, PlaneGraph]:
+    data = _object(data, "(top level)", source)
     try:
         n = _int(data["n"], "n", source)
         edges = [[_int(u, f"edges[{i}]", source)

@@ -3,7 +3,7 @@
 A configuration is a local graph with per-vertex residual-size floors: the
 question is whether, for every choice of residual color sets meeting the
 floors and every matching assignment on the local edges, an independent
-transversal exists.  Three sound reductions shrink the search:
+transversal exists.  Four sound reductions shrink the search:
 
 * Straightening (a designated spanning forest is fixed to the identity):
   every instance is equivalent to one with straight forest edges, because
@@ -16,6 +16,17 @@ transversal exists.  Three sound reductions shrink the search:
 * Maximal partial injections per free edge: dropping a cover edge only adds
   transversals, so only injections matching min(|A|,|B|) colors between the
   endpoint residual sets A, B need enumeration.
+* One residual choice per orbit: the renamings of a forest component's
+  colors that keep its designated set still permute the sets of its other
+  vertices, and only the first choice of each orbit in enumeration order
+  is checked (`residual_choices`).  Renaming one component maps each
+  instance to an isomorphic one: its tree edges stay identity maps,
+  maximal injections go to maximal injections, the eliminate adversary's
+  maps compose with the renaming, and the margin vertex keeps its number
+  of bad colors.  So a failing instance exists for every choice of an
+  orbit or for none, the first failing choice of the full enumeration is
+  the first of its orbit, and the verdict and witness are those of the
+  full enumeration; only `enumerated` and `blocks` shrink.
 
 All four strategies run on one mask kernel (`_Run.leaves`).  For each
 residual choice the candidate color assignments form a grid, one axis per
@@ -252,13 +263,23 @@ def residual_choices(cfg: Configuration,
 
     Vertices outside the straightened forest keep a free renaming, so their
     set is fixed to {1..floor}.  Within each forest component one designated
-    vertex (lowest floor, then lowest id) is likewise canonical via a
+    vertex (lowest floor f, then lowest id) is likewise canonical via a
     whole-component renaming; the rest range over all floor-sized subsets.
     A vertex outside the forest is a component of its own, so it is the
     designated vertex of its component.
+
+    The renamings of a component that keep {1..f}, Sym({1..f}) x
+    Sym({f+1..K}), still act on its other sets.  Of each orbit only the
+    first choice in enumeration order (the subsets of each varying vertex
+    in `itertools.combinations` order, the vertices in id order) is
+    yielded: a choice is dropped when one component's renaming maps that
+    component's tuple of subset ranks to a lexicographically smaller one.
+    Checking one component at a time is enough, because the first rank
+    that a product of renamings changes belongs to one component, and that
+    component's factor alone changes it the same way.
     """
-    canonical = {min(comp, key=lambda v: (cfg.floors[v], v))
-                 for comp in Graph.from_edges(cfg.graph.n, cfg.tree).components}
+    comps = Graph.from_edges(cfg.graph.n, cfg.tree).components
+    canonical = {min(comp, key=lambda v: (cfg.floors[v], v)) for comp in comps}
     vary = [v for v in range(cfg.graph.n)
             if v not in canonical and v not in skip and cfg.floors[v] < K]
     base = {
@@ -270,9 +291,32 @@ def residual_choices(cfg: Configuration,
                                                          cfg.floors[v])]
         for v in vary
     }
-    for combo in itertools.product(*(subsets[v] for v in vary)):
+    rank = {v: {s: r for r, s in enumerate(subsets[v])} for v in vary}
+    # per component with varying vertices: their positions in `vary`, and
+    # for each renaming of its group but the identity, the rank that each
+    # of their subsets goes to
+    groups = []
+    for comp in comps:
+        at = [i for i, v in enumerate(vary) if v in comp]
+        if not at:
+            continue
+        f = min(cfg.floors[v] for v in comp)
+        renamings = itertools.product(
+            itertools.permutations(range(1, f + 1)),
+            itertools.permutations(range(f + 1, K + 1)))
+        next(renamings)  # the identity
+        groups.append((at, [
+            [[rank[vary[i]][frozenset(pi[c - 1] for c in s)]
+              for s in subsets[vary[i]]] for i in at]
+            for pi in (low + high for low, high in renamings)]))
+    for ranks in itertools.product(*(range(len(subsets[v])) for v in vary)):
+        if any(tuple(image[ranks[i]] for image, i in zip(images, at)) < own
+               for at, renamed in groups
+               for own in [tuple(ranks[i] for i in at)]
+               for images in renamed):
+            continue
         choice = dict(base)
-        choice.update(dict(zip(vary, combo)))
+        choice.update((v, subsets[v][r]) for v, r in zip(vary, ranks))
         yield choice
 
 
@@ -396,11 +440,11 @@ class _Run:
     """Counters and budget of one exhaustive check.
 
     `enumerated` counts instances, one maximal injection per free edge and
-    residual choice, in every strategy.  The budget caps it: the kernel stops
-    as soon as the next block would pass it.  `blocks` counts the leaf
-    blocks evaluated.  `rows_built` counts the instance rows built from the
-    factors (all of them, except where eliminate's line test rejects an
-    instance on the factors).
+    residual choice that `residual_choices` yields, in every strategy.  The
+    budget caps it: the kernel stops as soon as the next block would pass
+    it.  `blocks` counts the leaf blocks evaluated.  `rows_built` counts the
+    instance rows built from the factors (all of them, except where
+    eliminate's line test rejects an instance on the factors).
     """
 
     def __init__(self, budget: Optional[int]):

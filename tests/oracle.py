@@ -24,10 +24,14 @@ can block, found pair by pair of live profiles.
 Distinct rows: the first occurrence of each distinct row of a boolean
 table, by `np.unique` over the packed rows.
 
+Residual choices: every choice of the kernel's enumeration before its
+orbit reduction, and the choices that come first in their orbit, found by
+applying every renaming of the group to every choice.
+
 Eliminate order: the first instance of an eliminate configuration that
-pivot maps block, with the instances listed in the kernel's documented
-order by itertools and each one's live profiles found by trying every
-coloring of the vertices off the pivot's neighborhood.
+pivot maps block, with the instances of every residual choice listed in the
+kernel's documented order by itertools and each one's live profiles found
+by trying every coloring of the vertices off the pivot's neighborhood.
 
 Greedy certificates: a 'color ... in order' proof step, checked on every
 instance of the symmetry-reduced enumeration by trying every greedy choice.
@@ -77,7 +81,7 @@ from dpcolor.graphs import Graph, PlaneGraph, edge_key, find_cycle_of_length
 from dpcolor.patterns import catalog, contains_butterfly
 from dpcolor.reduce import (
     K, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
-    build_witness, maximal_injections, residual_choices,
+    build_witness, maximal_injections,
 )
 
 
@@ -204,29 +208,94 @@ def first_rows(table) -> list[int]:
     return sorted(first.tolist())
 
 
+def residual_choices(cfg: Configuration, skip: Sequence[int] = ()):
+    """Every residual-set choice, before the kernel drops all but the first
+    of each orbit.
+
+    Each forest component's designated vertex (lowest floor, then lowest
+    id) gets {1..floor}, and so does each vertex outside the forest (a
+    component of its own) and each full-floor vertex; every other vertex
+    takes every floor-sized subset, in `itertools.combinations` order,
+    the vertices in id order.  Vertices in `skip` get no set.
+    """
+    designated = {min(comp, key=lambda v: (cfg.floors[v], v))
+                  for comp in components(cfg.graph.n, cfg.tree)}
+    vary = [v for v in range(cfg.graph.n)
+            if v not in designated and v not in skip and cfg.floors[v] < K]
+    base = {v: frozenset(range(1, cfg.floors[v] + 1))
+            for v in range(cfg.graph.n) if v not in skip}
+    for combo in itertools.product(*(
+            [frozenset(s) for s in itertools.combinations(range(1, K + 1),
+                                                          cfg.floors[v])]
+            for v in vary)):
+        yield {**base, **dict(zip(vary, combo))}
+
+
+def _choice_key(choice: Mapping[int, frozenset[int]]) -> tuple:
+    return tuple(sorted(choice.items()))
+
+
+def orbit_first_choices(cfg: Configuration,
+                        skip: Sequence[int] = ()) -> list[dict]:
+    """The choices of `residual_choices` that come first in their orbit.
+
+    A renaming of a forest component is a permutation of 1..K that maps
+    its designated vertex's set onto itself; it renames the sets of every
+    vertex of the component.  The group is the product of the components'
+    renamings, and a choice's orbit is every choice that one element of
+    the group turns it into: each component's images under its own
+    renamings, in every combination.
+    """
+    choices = list(residual_choices(cfg, skip))
+    position = {_choice_key(c): i for i, c in enumerate(choices)}
+    comps = components(cfg.graph.n, cfg.tree)
+    groups = []
+    for comp in comps:
+        d = min(comp, key=lambda v: (cfg.floors[v], v))
+        fixed = set(range(1, cfg.floors[d] + 1))
+        groups.append([dict(zip(range(1, K + 1), p))
+                       for p in itertools.permutations(range(1, K + 1))
+                       if {p[c - 1] for c in fixed} == fixed])
+    out = []
+    for i, choice in enumerate(choices):
+        members = [v for comp in comps for v in comp if v in choice]
+        images = [{tuple(frozenset(pi[c] for c in choice[v])
+                         for v in comp if v in choice) for pi in group}
+                  for comp, group in zip(comps, groups)]
+        orbit = [dict(zip(members, itertools.chain(*sets)))
+                 for sets in itertools.product(*images)]
+        if min(position[_choice_key(o)] for o in orbit) == i:
+            out.append(choice)
+    return out
+
+
 def first_failure(cfg: Configuration):
     """(count, residuals, edge maps) of the first eliminate instance that
     pivot maps block, or None.
 
-    Instances come in the order the kernel documents: residual choices as
-    `residual_choices` yields them, then one maximal injection per free
-    edge off the pivot, lexicographically, with the edges sorted by option
-    count (ties by edge).  `count` numbers the instance from 1; the edge
-    maps include the blocking pivot maps.
+    Instances come in the order the kernel documents, over every residual
+    choice: choices as `residual_choices` yields them, then one maximal
+    injection per free edge off the pivot, lexicographically, with the
+    edges sorted by option count (ties by edge).  `count` numbers the
+    instance from 1 among the instances of orbit-first choices, the only
+    ones the kernel enumerates; the edge maps include the blocking pivot
+    maps.
     """
     z = cfg.pivot
     nbrs = sorted(cfg.graph.adjacency[z])
     others = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
     tree = set(cfg.tree)
     free = [e for e in sorted(cfg.graph.edges) if e not in tree and z not in e]
+    first = {_choice_key(c) for c in orbit_first_choices(cfg, skip=(z,))}
     count = 0
     for residuals in residual_choices(cfg, skip=(z,)):
+        counted = _choice_key(residuals) in first
         options = sorted(
             ((e, maximal_injections(residuals[e[0]], residuals[e[1]]))
              for e in free), key=lambda t: len(t[1]))
         res = [residuals[v] for v in nbrs]
         for combo in itertools.product(*(opts for _, opts in options)):
-            count += 1
+            count += counted
             maps = {e: m for (e, _), m in zip(options, combo)}
 
             def proper(color) -> bool:

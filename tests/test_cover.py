@@ -148,6 +148,27 @@ class TestResidual:
             assert len(residual(inst, assigned, v)) >= 4 - nbrs
 
 
+class TestIsIndependent:
+    # the path 0-1 with k = 2, the lists {1, 2} and {1}, and the edge map
+    # swapping the two colors
+    INST = CoverInstance(Graph.from_edges(2, [(0, 1)]), 2,
+                         (frozenset({1, 2}), frozenset({1})), {(0, 1): (2, 1)})
+
+    @pytest.mark.parametrize("assignment,independent", [
+        ({}, True),
+        ({0: 1, 1: 1}, True),
+        ({0: 2, 1: 1}, False),  # 2 at 0 is matched to 1 at 1
+        ({0: 2}, True),
+        ({1: 2}, False),  # 2 is not in 1's list
+        ({-1: 1}, False),  # no vertex -1, though vertex n - 1 lists 1
+        ({2: 1}, False),  # no vertex n
+        ({0: 3, 1: 1}, False),  # a color above k on the edge
+        ({0: 0, 1: 1}, False),  # and one below 1
+    ])
+    def test_assignments(self, assignment, independent):
+        assert is_independent(self.INST, assignment) is independent
+
+
 class TestSolver:
     def test_triangle_straight_k2_none(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

@@ -519,6 +519,40 @@ class TestInputErrors:
         assert code == 1 and err.startswith("error: ")
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "{}"],
+        ["solve", "{}", "--k", "4"],
+        ["solve", "{}"],
+        ["witness-verify", "{}"],
+        ["reduce-check", "--config", "{}"],
+        ["discharge", "audit", "{}"],
+    ], ids=["detect", "solve-graph", "solve-cover", "witness-verify",
+            "reduce-check-config", "discharge-audit"])
+    @pytest.mark.parametrize("data", [[], "abc"], ids=["array", "string"])
+    def test_top_level_that_is_not_an_object(self, capsys, tmp_path, argv,
+                                              data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = cli.main([a.format(path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ")
+        assert f"field (top level): {data!r} is not an object" in err
+        assert "Traceback" not in err
+
+    def test_corpus_skips_a_top_level_array(self, capsys, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("3 bc,ca,ab\n[]\n")
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "a.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        (d / "b.json").write_text("[]")
+        for corpus in (path, d):
+            code = cli.main(["corpus", str(corpus)])
+            out, err = capsys.readouterr()
+            rep = json.loads(out)
+            assert code == 0 and (rep["read"], rep["skipped"]) == (1, 1)
+            assert "Traceback" not in err
+
     def test_corpus_skips_a_negative_vertex_count(self, capsys, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("3 bc,ca,ab\n" + json.dumps({"n": -2, "edges": []})

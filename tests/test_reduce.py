@@ -52,12 +52,15 @@ class TestBuildingBlocks:
         assert len(choices) == 1
         assert choices[0][cfg.vertex("x")] == frozenset({1, 2})
 
-    def test_residual_choices_vary_tree_non_reps(self):
-        cfg = CATALOG["L7-555"]
-        choices = list(residual_choices(cfg))
-        # tree component {u,v,w,x,y}: rep is canonical, x and y are full
-        # (floor 4), so u or w and v vary over floor-sized subsets
-        assert len(choices) > 1
+    @pytest.mark.parametrize("label,count", [("L7-555", 8), ("L8-556", 6)])
+    def test_residual_choices_vary_tree_non_reps(self, label, count):
+        cfg = CATALOG[label]
+        choices = list(residual_choices(cfg, skip=(cfg.pivot,)))
+        # tree component {u,v,w,x,y}: the designated vertex is canonical,
+        # x and y are full (floor 4), and the two others vary over the
+        # floor-sized subsets, one choice per orbit of the renamings that
+        # keep the designated set
+        assert len(choices) == count
         reps = {tuple(sorted(c.items())) for c in choices}
         assert len(reps) == len(choices)
 
@@ -430,12 +433,12 @@ class TestOracleAgreement:
 
 ENUMERATED = {
     "L2": 1, "L4-diamond": 7776, "L5-special5": 15552,
-    "L6-precolor": 124416, "L7-555": 41472, "L8-556": 1327104,
+    "L6-precolor": 124416, "L7-555": 13824, "L8-556": 497664,
     "CE-6": 4, "CE-7": 1729,
 }
 BLOCKS = {
     "L2": 1, "L4-diamond": 36, "L5-special5": 72, "L6-precolor": 36,
-    "L7-555": 24, "L8-556": 96, "CE-6": 1, "CE-7": 1,
+    "L7-555": 8, "L8-556": 36, "CE-6": 1, "CE-7": 1,
 }
 # product (L4-diamond) has its budget test above
 OTHER_STRATEGIES = ["L5-special5", "L6-precolor", "L7-555"]
@@ -448,7 +451,7 @@ class TestKernelCounters:
         assert v.status == CATALOG[label].expect
         assert v.stats["enumerated"] == ENUMERATED[label]
         # L7-555 and L8-556: one block per option of the walked edge per
-        # residual choice (24 = 24 x 1 and 96 = 16 x 6)
+        # orbit-first residual choice (8 = 8 x 1 and 36 = 6 x 6)
         assert v.stats["blocks"] == BLOCKS[label]
 
     @pytest.mark.parametrize("label", sorted(ENUMERATED))
@@ -907,3 +910,65 @@ class TestEliminateOrder:
         assert v.stats["enumerated"] == count == ENUMERATED["CE-7"]
         assert cover_to_dict(v.witness) == \
             cover_to_dict(reduce.build_witness(cfg, residuals, maps))
+
+
+# the counts of the enumeration that checks every residual choice, not only
+# the first of each orbit
+UNREDUCED = {"L7-555": 41472, "L8-556": 1327104}
+FORESTED = pytest.mark.parametrize(
+    "configs", [product_configs, margin_configs, eliminate_configs],
+    ids=["product", "margin", "eliminate"])
+
+
+def _unreduced(cfg):
+    """check_reducible over every residual choice (tests/oracle.py's)."""
+    with mock.patch.object(reduce, "residual_choices",
+                           oracle.residual_choices):
+        return check_reducible(cfg)
+
+
+def _same_answers(on, off):
+    assert on.status == off.status
+    assert (on.witness and cover_to_dict(on.witness)) == \
+        (off.witness and cover_to_dict(off.witness))
+    for key in ("bad_colors", "profiles", "worst_bad_colors"):
+        assert on.stats.get(key) == off.stats.get(key), key
+    assert on.stats["enumerated"] <= off.stats["enumerated"]
+
+
+class TestOrbitReduction:
+    """The kernel checks one residual choice per orbit of the renamings
+    that keep every designated set, the first in enumeration order, and
+    answers as the enumeration of every choice does."""
+
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_catalog_choices_are_the_oracles(self, label):
+        cfg = CATALOG[label]
+        skip = () if cfg.pivot is None else (cfg.pivot,)
+        assert list(residual_choices(cfg, skip)) == \
+            oracle.orbit_first_choices(cfg, skip)
+
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_catalog_answers_without_the_filter(self, label):
+        on, off = check_reducible(CATALOG[label]), _unreduced(CATALOG[label])
+        _same_answers(on, off)
+        assert off.stats["enumerated"] == UNREDUCED.get(
+            label, ENUMERATED[label])
+
+    @FORESTED
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_choices_are_the_oracles(self, configs, data):
+        cfg, _ = data.draw(configs())
+        assume(cfg.tree)
+        skip = () if cfg.pivot is None else (cfg.pivot,)
+        assert list(residual_choices(cfg, skip)) == \
+            oracle.orbit_first_choices(cfg, skip)
+
+    @FORESTED
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_answers_without_the_filter(self, configs, data):
+        cfg, _ = data.draw(configs())
+        assume(cfg.tree)
+        _same_answers(check_reducible(cfg), _unreduced(cfg))
