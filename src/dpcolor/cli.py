@@ -144,11 +144,7 @@ def cmd_reduce_check(args) -> dict:
                 f"unknown configuration {args.lemma!r}; "
                 f"choices: {', '.join(sorted(catalog))}")
         cfg = catalog[args.lemma]
-    if args.mode == "sampled":
-        v = rd.check_reducible(cfg, mode="sampled", seed=args.seed,
-                               count=args.count)
-    else:
-        v = rd.check_reducible(cfg, budget=args.budget)
+    v = rd.check_reducible(cfg, budget=args.budget)
     report = {
         "label": cfg.label,
         "status": v.status,
@@ -273,11 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp = rp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--lemma", help="built-in configuration label")
     grp.add_argument("--config", help="configuration file")
-    rp.add_argument("--mode", choices=("full", "sampled"), default="full")
-    rp.add_argument("--seed", type=int, help="sampled mode only")
-    rp.add_argument("--count", type=int,
-                    help=f"sampled mode only (default {rd.SAMPLED_COUNT})")
-    rp.add_argument("--budget", type=int)
+    rp.add_argument("--budget", type=int,
+                    help="stop after this many instances (INCONCLUSIVE)")
     # kept so that older scripts still parse; every check runs in one process
     rp.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     rp.add_argument("--save-witness", help="write counterexample cover here")
@@ -307,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 2 <= getattr(args, "k", 4) <= 8:
-        parser.error(f"--k must be in [2, 8], got {args.k}")
+    if not dio.K_MIN <= getattr(args, "k", 4) <= dio.K_MAX:
+        parser.error(f"--k must be in [{dio.K_MIN}, {dio.K_MAX}], "
+                     f"got {args.k}")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         parser.error("--workers must be >= 1")
@@ -318,22 +312,6 @@ def main(argv: Optional[list] = None) -> int:
     for flag, low in (("budget", 0), ("limit", 1)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < low:
             parser.error(f"--{flag} must be >= {low}")
-    if getattr(args, "mode", "full") == "sampled":
-        # sampled mode draws one seeded sequence of exactly --count instances
-        if args.seed is None:
-            parser.error("sampled mode requires --seed")
-        if args.count is None:
-            args.count = rd.SAMPLED_COUNT
-        if args.count < 1:
-            parser.error("--count must be >= 1")
-        if args.budget is not None:
-            parser.error("--budget: sampled mode draws exactly --count "
-                         "instances; limit the work with --count")
-    elif args.verb == "reduce-check":
-        for flag in ("seed", "count"):
-            if getattr(args, flag) is not None:
-                parser.error(f"--{flag}: full mode enumerates every "
-                             "instance and draws none; use --mode sampled")
     try:
         if args.verb == "solve":
             report = cmd_solve(args)

@@ -6,7 +6,8 @@ Graph file (JSON):
      "outer_face": [boundary walk]                         (optional)
      "labels": {"u": vertex, ...}, "code": int             (catalog assets)}
 
-Matching file: {"k": int, "sigma": {"u-v": [images of 1..k], ...}} with u < v.
+Matching file: {"k": int in [2, 8], "sigma": {"u-v": [images of 1..k], ...}}
+with u < v.
 Cover/witness file: graph fields plus k, sigma, and "available": {"v": [colors]}.
 """
 
@@ -25,6 +26,9 @@ from .graphs import (
     Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
     edge_key,
 )
+
+
+K_MIN, K_MAX = 2, 8  # the color counts k of --k and of matching/cover files
 
 
 class FormatError(ValueError):
@@ -132,6 +136,9 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
         raw = data["sigma"]
     except KeyError as exc:
         raise FormatError(f"{source}: missing field {exc}")
+    if not K_MIN <= k <= K_MAX:
+        raise FormatError(
+            f"{source}: field k: {k} is not in [{K_MIN}, {K_MAX}]")
     sigma = {}
     for key, images in _object(raw, "sigma", source).items():
         try:
@@ -140,9 +147,12 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
             raise FormatError(f"{source}: sigma key {key!r} is not 'u-v'")
         if (u, v) != edge_key(u, v):
             raise FormatError(f"{source}: sigma key {key!r} must have u < v")
+        images = _list(images, f"sigma[{key!r}]", source)
+        if len(images) != k:
+            raise FormatError(f"{source}: field sigma[{key!r}]: lists "
+                              f"{len(images)} images, not k = {k}")
         sigma[(u, v)] = tuple(
-            _int(c, f"sigma[{key!r}]", source)
-            for c in _list(images, f"sigma[{key!r}]", source))
+            _int(c, f"sigma[{key!r}]", source) for c in images)
     missing = set(graph.edges) - set(sigma)
     if missing:
         raise FormatError(f"{source}: sigma missing edges {sorted(missing)}")
@@ -205,10 +215,12 @@ def parse_config_file(path: Union[str, Path]):
                    for r, v in _object(data.get("names", {}), "names",
                                        src).items()},
             floors=tuple(_int(x, f"floors[{i}]", src)
-                         for i, x in enumerate(data["floors"])),
+                         for i, x in enumerate(
+                             _list(data["floors"], "floors", src))),
             tree=tuple(edge_key(*(_int(u, f"tree[{i}]", src)
                                   for u in _list(e, f"tree[{i}]", src, 2)))
-                       for i, e in enumerate(data.get("tree", []))),
+                       for i, e in enumerate(
+                           _list(data.get("tree", []), "tree", src))),
             strategy=str(data["strategy"]),
             pivot=data.get("pivot"),
             cut=data.get("cut"),

@@ -232,29 +232,32 @@ _BUTTERFLY = butterfly_pattern().graph
 _CATALOG = {code: cluster_pattern(code) for code in range(1, 12)}
 
 
-def pattern_from_dict(data: Mapping) -> LabeledPattern:
-    """LabeledPattern from an asset dictionary (graph fields + labels/code)."""
-    from .io import graph_from_dict
+def pattern_from_dict(data: Mapping, source: str = "<dict>") -> LabeledPattern:
+    """LabeledPattern from an asset dictionary (graph fields + labels/code);
+    errors are FormatErrors that name `source` and the field."""
+    from .io import FormatError, _int, _object, graph_from_dict
 
-    pg = graph_from_dict(dict(data))
+    pg = graph_from_dict(data, source)
     if not isinstance(pg, PlaneGraph):
-        raise ValueError("pattern asset must carry a rotation system")
-    labels = {lbl: int(v) for lbl, v in data.get("labels", {}).items()}
-    return LabeledPattern(
-        str(data.get("name", "pattern")), pg, labels, int(data.get("code", 0))
-    )
+        raise FormatError(f"{source}: pattern asset must carry a rotation system")
+    labels = {lbl: _int(v, f"labels[{lbl!r}]", source) for lbl, v in
+              _object(data.get("labels", {}), "labels", source).items()}
+    return LabeledPattern(str(data.get("name", "pattern")), pg, labels,
+                          _int(data.get("code", 0), "code", source))
 
 
 def load_assets_dir(path: str) -> dict[str, LabeledPattern]:
     """All pattern assets in a directory, keyed by name."""
-    import json
     from pathlib import Path
 
+    from .io import FormatError, _load_json
+
+    if not Path(path).is_dir():
+        raise FormatError(f"{path}: no such directory of pattern assets")
     out = {}
     for entry in sorted(Path(path).glob("*.json")):
-        with open(entry) as fh:
-            data = json.load(fh)
-        if "labels" in data or "code" in data or "name" in data:
-            pat = pattern_from_dict(data)
+        data = _load_json(entry)
+        if isinstance(data, dict) and data.keys() & {"labels", "code", "name"}:
+            pat = pattern_from_dict(data, str(entry))
             out[pat.name] = pat
     return out

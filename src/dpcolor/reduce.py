@@ -77,8 +77,6 @@ REDUCIBLE = "REDUCIBLE"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-SAMPLED_COUNT = 1000  # instances a sampled check draws by default
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -736,8 +734,9 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
             for at, alive in leaf.table():
                 blocked = ~alive
                 for r in _first_rows(blocked):
-                    family.setdefault(frozenset(colors[blocked[r]].tolist()),
-                                      leaf.maps(at[r]))
+                    key = frozenset(colors[blocked[r]].tolist())
+                    if key not in family:
+                        family[key] = leaf.maps(at[r])
         if run.exhausted:
             return run.verdict(INCONCLUSIVE)
         families.append(family)
@@ -910,45 +909,19 @@ _STRATEGIES = {
 }
 
 
-def _check_sampled(cfg: Configuration, seed: int, count: int) -> Verdict:
-    import random
-
-    rng = random.Random(seed)
-    free = _free_edges(cfg)
-    t0 = time.monotonic()
-    for checked in range(1, count + 1):
-        residuals = {
-            v: frozenset(rng.sample(range(1, K + 1), cfg.floors[v]))
-            for v in range(cfg.graph.n)
-        }
-        maps = {(u, v): rng.choice(maximal_injections(residuals[u],
-                                                      residuals[v]))
-                for u, v in free}
-        witness = build_witness(cfg, residuals, maps)
-        if find_transversal(witness) is None:
-            return Verdict(NOT_REDUCIBLE, witness, {
-                "enumerated": checked, "seconds": time.monotonic() - t0})
-    return Verdict(INCONCLUSIVE, stats={
-        "enumerated": count, "reason": "sampled run found no counterexample",
-        "seconds": time.monotonic() - t0})
-
-
 def check_reducible(
     cfg: Configuration,
     mode: str = "full",
-    seed: int = 0,
-    count: int = SAMPLED_COUNT,
     budget: Optional[int] = None,
 ) -> Verdict:
-    """Exhaustive (mode='full') or seeded-sample (mode='sampled') check."""
+    """Exhaustive check of every instance, up to `budget` instances."""
+    # full enumeration is the only mode; the keyword stays because existing
+    # callers (bench/workloads.py, scripts/find_gadgets.py) pass mode="full"
+    if mode != "full":
+        raise ValueError(f"mode: {mode!r} is not 'full'")
     if budget is not None and budget < 0:
         raise ValueError(f"budget: {budget} is negative")
-    if mode == "sampled":
-        verdict = _check_sampled(cfg, seed, count)
-    elif mode != "full":
-        raise ValueError(f"unknown mode {mode!r}")
-    else:
-        verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget))
+    verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget))
     if verdict.status == NOT_REDUCIBLE:
         assert verdict.witness is not None
         if not verify_witness(verdict.witness):

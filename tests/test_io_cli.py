@@ -206,21 +206,10 @@ class TestUsageErrors:
             capsys, "solve", str(ASSETS / "cluster_01.json"), "--k", "9")
         assert "--k" in err
 
-    def test_sampled_needs_seed(self, capsys):
-        err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L2", "--mode", "sampled")
-        assert "--seed" in err
-
     def test_workers_positive(self, capsys):
         err = self.usage_error(
             capsys, "reduce-check", "--lemma", "L2", "--workers", "0")
         assert "--workers" in err
-
-    def test_sampled_rejects_budget(self, capsys):
-        err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
-            "sampled", "--seed", "1", "--budget", "5")
-        assert "--budget" in err
 
     def test_budget_not_negative(self, capsys):
         err = self.usage_error(
@@ -229,21 +218,14 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match="budget"):
             rd.check_reducible(rd.config_catalog()["L4-diamond"], budget=-5)
 
-    def test_sampled_count_positive(self, capsys):
+    @pytest.mark.parametrize("flag", [["--mode", "sampled"], ["--seed", "1"],
+                                      ["--count", "5"]])
+    def test_sampled_mode_flags_are_gone(self, capsys, flag):
+        # full enumeration is the one way to decide a configuration, and
+        # --budget the one way to bound it
         err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L4-diamond", "--mode",
-            "sampled", "--seed", "1", "--count", "-3")
-        assert "--count" in err
-
-    def test_full_mode_rejects_count(self, capsys):
-        err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L4-diamond", "--count", "5")
-        assert "--count" in err
-
-    def test_full_mode_rejects_seed(self, capsys):
-        err = self.usage_error(
-            capsys, "reduce-check", "--lemma", "L4-diamond", "--seed", "1")
-        assert "--seed" in err
+            capsys, "reduce-check", "--lemma", "L4-diamond", *flag)
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_limit_positive(self, capsys):
         for limit in ("0", "-1"):
@@ -293,11 +275,6 @@ class TestCli:
         rep = json.loads(out)
         assert code == 0 and rep["status"] == "REDUCIBLE"
         assert rep["enumerated"] == 7776
-
-    def test_reduce_check_sampled_draws_1000_by_default(self, capsys):
-        code, out = run_cli(capsys, "reduce-check", "--lemma", "L4-diamond",
-                            "--mode", "sampled", "--seed", "1")
-        assert code == 0 and json.loads(out)["enumerated"] == 1000
 
     def test_reduce_check_counterexample_exit_zero(self, capsys):
         code, out = run_cli(capsys, "reduce-check", "--lemma", "CE-6")
@@ -355,9 +332,12 @@ class TestCli:
     @pytest.mark.parametrize("label",
                              ["L4-diamond", "L5-special5", "L6-precolor"])
     def test_workers_flag_runs_in_one_process(self, capsys, label):
-        # --workers still parses, has no effect and says so once on stderr
-        code, solo = run_cli(capsys, "reduce-check", "--lemma", label)
-        assert code == 0
+        # --workers still parses, has no effect and says so once on stderr;
+        # --workers 1 writes nothing there
+        assert cli.main(["reduce-check", "--lemma", label,
+                         "--workers", "1"]) == 0
+        solo, err = capsys.readouterr()
+        assert err == ""
         assert cli.main(["reduce-check", "--lemma", label,
                          "--workers", "2"]) == 0
         multi = capsys.readouterr()
@@ -374,23 +354,6 @@ class TestCli:
         rep = json.loads(out)
         assert rep["status"] == "INCONCLUSIVE"
         assert rep["enumerated"] == 1001
-
-    def test_sampled_mode_notes_workers_too(self, capsys):
-        # sampled mode gets the same notice and the same report; --workers 1
-        # writes nothing to stderr
-        argv = ["reduce-check", "--lemma", "L4-diamond", "--mode", "sampled",
-                "--seed", "1", "--count", "50"]
-        assert cli.main(argv + ["--workers", "1"]) == 0
-        solo = capsys.readouterr()
-        assert cli.main(argv + ["--workers", "2"]) == 0
-        multi = capsys.readouterr()
-        ra, rb = json.loads(solo.out), json.loads(multi.out)
-        ra.pop("seconds")
-        rb.pop("seconds")
-        assert ra == rb and ra["enumerated"] == 50
-        assert solo.err == ""
-        assert len(multi.err.splitlines()) == 1
-        assert "one process" in multi.err
 
     def test_text_format(self, capsys):
         code, out = run_cli(
@@ -506,10 +469,22 @@ class TestInputErrors:
         (["reduce-check", "--config", "{}"], {**PATH_CONFIG, "names": []},
          "field names: [] is not an object"),
         (["detect", "{}"], {"n": -2, "edges": []}, "field n: -2 is negative"),
+        (["reduce-check", "--config", "{}"], {**PATH_CONFIG, "floors": 2},
+         "field floors: 2 is not an array"),
+        (["reduce-check", "--config", "{}"], {**PATH_CONFIG, "tree": 0},
+         "field tree: 0 is not an array"),
+        # k outside [2, 8], and a sigma entry that does not list k images
+        (["solve", str(ASSETS / "cluster_01.json"), "--matching", "{}"],
+         {"k": 9, "sigma": {}}, "field k: 9 is not in [2, 8]"),
+        (["solve", "{}"], {**COVER, "k": 1}, "field k: 1 is not in [2, 8]"),
+        (["solve", "{}"], {**COVER, "sigma": {"0-1": [2, 1, 3]}},
+         "field sigma['0-1']: lists 3 images, not k = 2"),
     ]
 
     @pytest.mark.parametrize("argv,data,named", MALFORMED,
-                             ids=["matching", "names", "negative-n"])
+                             ids=["matching", "names", "negative-n", "floors",
+                                  "tree", "matching-k9", "cover-k1",
+                                  "sigma-length"])
     def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
                                                       argv, data, named):
         path = tmp_path / "input.json"
@@ -609,3 +584,25 @@ class TestInputErrors:
         path.write_text(json.dumps({**self.PATH_CONFIG, "tree": [[0, 1]]}))
         code, out = run_cli(capsys, "reduce-check", "--config", str(path))
         assert code == 0 and json.loads(out)["status"] == "REDUCIBLE"
+
+    @pytest.mark.parametrize("change,named", [
+        ({"labels": []}, "field labels: [] is not an object"),
+        ({"labels": {"u": 1.5}}, "field labels['u']: 1.5 is not an integer"),
+        ({"code": "two"}, "field code: 'two' is not an integer"),
+    ])
+    def test_detect_bad_asset_names_its_file(self, capsys, tmp_path, change,
+                                             named):
+        asset = json.loads((ASSETS / "butterfly.json").read_text())
+        (tmp_path / "bad.json").write_text(json.dumps({**asset, **change}))
+        code = cli.main(["detect", str(ASSETS / "butterfly.json"),
+                         "--assets", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: {named}")
+
+    def test_detect_missing_assets_dir(self, capsys, tmp_path):
+        code = cli.main(["detect", str(ASSETS / "butterfly.json"),
+                         "--assets", str(tmp_path / "nowhere")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert str(tmp_path / "nowhere") in err and "Traceback" not in err

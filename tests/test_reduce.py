@@ -89,12 +89,9 @@ class TestGoldenVerdictsCheap:
         assert v.status == INCONCLUSIVE
         assert "budget" in v.stats["reason"]
 
-    def test_sampled_mode_deterministic(self):
-        a = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=11,
-                            count=200)
-        b = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=11,
-                            count=200)
-        assert a.status == b.status == INCONCLUSIVE
+    def test_full_is_the_only_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            check_reducible(CATALOG["L2"], mode="sampled")
 
 
 class TestCounterexampleGadgets:
@@ -225,15 +222,13 @@ class TestWitnessContract:
         assert CATALOG["CE-6"].expect == NOT_REDUCIBLE
         assert CATALOG["L8-556"].expect == REDUCIBLE
 
-    @pytest.mark.parametrize("mode", ["full", "sampled"])
-    def test_every_not_reducible_witness_is_verified(self, mode,
-                                                     monkeypatch):
+    def test_every_not_reducible_witness_is_verified(self, monkeypatch):
         # one edge between single-color lists: no instance has a transversal
         cfg = Configuration("clash", Graph.from_edges(2, [(0, 1)]),
                             {"a": 0, "b": 1}, (1, 1), (), "product")
         monkeypatch.setattr(reduce, "verify_witness", lambda w: False)
         with pytest.raises(AssertionError, match="admits a transversal"):
-            check_reducible(cfg, mode=mode, seed=3, count=50)
+            check_reducible(cfg)
 
 
 @st.composite
@@ -497,6 +492,17 @@ class TestKernelCounters:
         assert v.stats["enumerated"] == budget
         assert v.stats["rows_built"] == budget
 
+    def test_condition_builds_maps_once_per_family_member(self, monkeypatch):
+        # a blocked cut-color set gets the edge maps of its first instance
+        # only: one maps() call per member of the two sides' families
+        calls = []
+        maps = reduce._Leaf.maps
+        monkeypatch.setattr(reduce._Leaf, "maps",
+                            lambda leaf, j: calls.append(j) or maps(leaf, j))
+        v = check_reducible(CATALOG["L5-special5"])
+        assert v.status == REDUCIBLE
+        assert len(calls) == sum(map(len, v.stats["families"])) == 8
+
     @pytest.mark.parametrize("strategy", ["product", "margin"])
     def test_budget_stops_before_the_failing_instance(self, strategy):
         # a star whose center (floor 2) meets leaves of floors 1, 1 and 3:
@@ -510,17 +516,6 @@ class TestKernelCounters:
         v = check_reducible(cfg, budget=6)
         assert v.status == INCONCLUSIVE
         assert v.stats["enumerated"] == v.stats["rows_built"] == 6
-
-    def test_sampled_counts_instances_checked(self):
-        # one edge between single-color lists: no instance has a transversal
-        cfg = Configuration("clash", Graph.from_edges(2, [(0, 1)]),
-                            {"a": 0, "b": 1}, (1, 1), (), "product")
-        v = check_reducible(cfg, mode="sampled", seed=3, count=50)
-        assert v.status == NOT_REDUCIBLE
-        assert v.stats["enumerated"] == 1
-        v = check_reducible(CATALOG["L4-diamond"], mode="sampled", seed=3,
-                            count=50)
-        assert v.status == INCONCLUSIVE and v.stats["enumerated"] == 50
 
 
 def _outcome(v):
