@@ -216,11 +216,9 @@ def cmd_corpus(args) -> dict:
     for g in dio.ingest_corpus(args.input, tuple(args.filter or ()), stats):
         graph = g.graph if isinstance(g, PlaneGraph) else g
         row: dict = {"n": graph.n, "m": graph.m}
-        if not args.no_solve:
-            inst = CoverInstance.straight(graph, args.k)
-            found = find_transversal(inst)
-            row["solve"] = "FOUND" if found is not None else "NONE"
-        if not args.no_audit and isinstance(g, PlaneGraph):
+        found = find_transversal(CoverInstance.straight(graph, args.k))
+        row["solve"] = "FOUND" if found is not None else "NONE"
+        if isinstance(g, PlaneGraph):
             rep = dc.audit(g, force_rules=True)
             row["audit"] = rep.verdict
             row["outer"] = dc.fmt_quarters(rep.accounts["OUTER"])
@@ -291,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("input")
     cp.add_argument("--filter", action="append", choices=tuple(dio.FILTERS))
     cp.add_argument("--k", type=int, default=4)
-    cp.add_argument("--no-solve", action="store_true")
-    cp.add_argument("--no-audit", action="store_true")
     cp.add_argument("--limit", type=int)
     return p
 

@@ -1,4 +1,4 @@
-"""DP-coloring covers: matching assignments, straightening, transversal search.
+"""DP-coloring covers: matching assignments and the transversal search.
 
 Colors are local names 1..k per vertex.  Each edge {u,v} (stored with u < v)
 carries a bijection on {1..k}: the cover edge set {(u,c)-(v, sigma(c))}.
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, edge_key
+from .graphs import Graph
 
 
 class CoverError(ValueError):
@@ -30,11 +30,6 @@ def invert(sigma: Sequence[int]) -> tuple[int, ...]:
     for c, img in enumerate(sigma, start=1):
         inv[img - 1] = c
     return tuple(inv)
-
-
-def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """outer o inner, both as 1-based image tuples."""
-    return tuple(outer[inner[c - 1] - 1] for c in range(1, len(inner) + 1))
 
 
 @dataclass(frozen=True)
@@ -76,23 +71,6 @@ class CoverInstance:
         sig = {e: identity(k) for e in graph.edges}
         return CoverInstance(graph, k, avail, sig)
 
-    def edge_map(self, u: int, v: int) -> tuple[int, ...]:
-        """Bijection carrying colors of u to the matched colors of v."""
-        key = edge_key(u, v)
-        if key not in self.sigma:
-            raise CoverError(f"({u},{v}) is not an edge")
-        s = self.sigma[key]
-        return s if key == (u, v) else invert(s)
-
-    def conflicts(self, u: int, cu: int, v: int, cv: int) -> bool:
-        """True iff cover vertices (u,cu) and (v,cv) are adjacent."""
-        return self.edge_map(u, v)[cu - 1] == cv
-
-    def with_available(self, available: Sequence[Iterable[int]]) -> "CoverInstance":
-        return CoverInstance(
-            self.graph, self.k, tuple(frozenset(a) for a in available), self.sigma
-        )
-
     @functools.cached_property
     def _nbrs(self) -> list[list[tuple[int, tuple[int, ...]]]]:
         """Per vertex v, the pairs (u, table) of its neighbors u and the
@@ -113,61 +91,6 @@ class CoverInstance:
     @functools.cached_property
     def _degrees(self) -> tuple[int, ...]:
         return tuple(len(adj) for adj in self.graph.adjacency)
-
-
-def straighten(
-    inst: CoverInstance, tree: Iterable[Sequence[int]]
-) -> tuple[CoverInstance, tuple[tuple[int, ...], ...]]:
-    """Rename colors so that every edge of the forest `tree` is straight.
-
-    Returns the renamed instance and per-vertex renamings pi_v (old -> new
-    names).  Transversals correspond bijectively: t'(v) = pi_v(t(v)).
-    """
-    tree_edges = [edge_key(e[0], e[1]) for e in tree]
-    for e in tree_edges:
-        if e not in inst.sigma:
-            raise CoverError(f"tree edge {e} not in graph")
-    forest = Graph.from_edges(inst.graph.n, set(tree_edges))
-    if len(forest.components) != inst.graph.n - len(tree_edges):
-        raise CoverError("tree contains a cycle")
-
-    pi: list[tuple[int, ...]] = [identity(inst.k)] * inst.graph.n
-    for comp in forest.components:
-        seen = {comp[0]}
-        stack = [comp[0]]
-        while stack:
-            u = stack.pop()
-            for v in forest.adjacency[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                # want pi_v o sigma_uv o pi_u^-1 = id  =>  pi_v = pi_u o sigma_uv^-1
-                s_uv = inst.edge_map(u, v)
-                pi[v] = compose(pi[u], invert(s_uv))
-                stack.append(v)
-
-    new_sigma = {}
-    for (u, v), s in inst.sigma.items():
-        new_sigma[(u, v)] = compose(pi[v], compose(s, invert(pi[u])))
-    new_avail = tuple(
-        frozenset(pi[v][c - 1] for c in inst.available[v])
-        for v in range(inst.graph.n)
-    )
-    return CoverInstance(inst.graph, inst.k, new_avail, new_sigma), tuple(pi)
-
-
-def residual(
-    inst: CoverInstance, partial: Mapping[int, int], v: int
-) -> frozenset[int]:
-    """Available colors of v not matched to an assigned neighbor's color."""
-    if v in partial:
-        raise CoverError(f"vertex {v} is already assigned")
-    out = set(inst.available[v])
-    for u in inst.graph.adjacency[v]:
-        cu = partial.get(u)
-        if cu is not None:
-            out.discard(inst.edge_map(u, v)[cu - 1])
-    return frozenset(out)
 
 
 def is_independent(inst: CoverInstance, assignment: Mapping[int, int]) -> bool:
@@ -251,8 +174,9 @@ def _prepare(inst: CoverInstance, assignment: Mapping[int, int],
     """The search's tables, residual masks and states under `assignment`.
 
     Tables: the instance's `_nbrs`, shared, not copied.  Masks: per vertex,
-    the residual (see `residual`) with bit c - 1 for color c; fixed once the
-    vertex is assigned.  States: _SET if assigned, else _OUT.  Only the
+    the residual (its list colors that no assigned neighbor's color is
+    matched to) with bit c - 1 for color c; fixed once the vertex is
+    assigned.  States: _SET if assigned, else _OUT.  Only the
     masks and states are built per call.  Raises CoverError naming the
     first two assigned vertices whose colors the cover matches.
     """

@@ -124,9 +124,6 @@ class Configuration:
             raise ValueError(f"strategy: unknown {self.strategy!r}; choices: "
                              f"{', '.join(sorted(_STRATEGIES))}")
 
-    def vertex(self, name: str) -> int:
-        return self.names[name]
-
 
 @dataclass
 class Verdict:
@@ -915,8 +912,8 @@ def check_reducible(
     budget: Optional[int] = None,
 ) -> Verdict:
     """Exhaustive check of every instance, up to `budget` instances."""
-    # full enumeration is the only mode; the keyword stays because existing
-    # callers (bench/workloads.py, scripts/find_gadgets.py) pass mode="full"
+    # full enumeration is the only mode; the keyword stays because
+    # bench/workloads.py passes mode="full"
     if mode != "full":
         raise ValueError(f"mode: {mode!r} is not 'full'")
     if budget is not None and budget < 0:

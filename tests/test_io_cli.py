@@ -7,7 +7,7 @@ import pytest
 from conftest import ASSETS
 from dpcolor import cli
 from dpcolor import reduce as rd
-from dpcolor.cover import CoverInstance
+from dpcolor.cover import CoverInstance, is_independent
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import (
     CorpusStats, FormatError, cover_to_dict, graph_from_dict, graph_to_dict,
@@ -233,6 +233,17 @@ class TestUsageErrors:
                 capsys, "corpus", str(ASSETS), "--limit", limit)
             assert "--limit" in err
 
+    @pytest.mark.parametrize("flag", ["--no-solve", "--no-audit"])
+    def test_corpus_skip_flags_are_gone(self, capsys, flag):
+        # every corpus row is solved, and every plane one audited
+        err = self.usage_error(capsys, "corpus", str(ASSETS), flag)
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_explain_needs_an_element(self, capsys):
+        err = self.usage_error(
+            capsys, "discharge", "explain", str(ASSETS / "cluster_01.json"))
+        assert "--element" in err
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -254,6 +265,25 @@ class TestCli:
         code, out = run_cli(capsys, "solve", str(path), "--k", "2")
         assert code == 0
         assert json.loads(out)["verdict"] == "NONE"
+
+    def test_solve_with_a_matching_file(self, capsys, tmp_path):
+        # the straight triangle has no 2-transversal; one swapped edge
+        # gives it one
+        graph = tmp_path / "c3.json"
+        graph.write_text(json.dumps(
+            {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        sigma = {(0, 1): (1, 2), (1, 2): (1, 2), (0, 2): (2, 1)}
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps(
+            {"k": 2, "sigma": {f"{u}-{v}": s for (u, v), s in sigma.items()}}))
+        code, out = run_cli(capsys, "solve", str(graph), "--matching",
+                            str(matching))
+        rep = json.loads(out)
+        assert code == 0 and rep["verdict"] == "FOUND" and rep["k"] == 2
+        inst = CoverInstance(Graph.from_edges(3, list(sigma)), 2,
+                             (frozenset({1, 2}),) * 3, sigma)
+        assignment = {int(v): c for v, c in rep["assignment"].items()}
+        assert len(assignment) == 3 and is_independent(inst, assignment)
 
     def test_detect_cluster_10(self, capsys):
         code, out = run_cli(capsys, "detect", str(ASSETS / "cluster_10.json"))
@@ -312,6 +342,22 @@ class TestCli:
         rep = json.loads(out)
         assert code == 0 and rep["element"] == "OUTER"
         assert rep["transfers"]
+
+    def test_discharge_audit_text_nests_the_checks(self, capsys):
+        code, out = run_cli(capsys, "discharge", "audit",
+                            str(ASSETS / "cluster_01.json"), "--format",
+                            "text")
+        lines = out.splitlines()
+        assert code == 0 and "{" not in out
+        at = lines.index("class_checks:")
+        assert lines[at + 1:at + 3] == ["  no-7-cycle:", "    ok: True"]
+
+    def test_corpus_limit(self, capsys):
+        code, out = run_cli(capsys, "corpus", str(ASSETS), "--limit", "2")
+        rep = json.loads(out)
+        assert code == 0 and rep["passed"] == 2 and len(rep["graphs"]) == 2
+        assert all(row["solve"] == "FOUND" and "audit" in row
+                   for row in rep["graphs"])
 
     def test_corpus_verb(self, capsys, tmp_path):
         d = tmp_path / "c"
@@ -375,6 +421,7 @@ class TestInputErrors:
         ("0=9", "precolor 9 of vertex 0"),  # color not in the list
         ("0", "'0'"),  # no color
         ("0=a", "'0=a'"),  # color not an integer
+        ("0=1,0=2", "vertex 0 is precolored twice"),
     ])
     def test_solve_bad_precolor(self, capsys, precolor, named):
         code = cli.main(["solve", str(ASSETS / "cluster_01.json"), "--k", "4",
@@ -397,6 +444,23 @@ class TestInputErrors:
           "tree": [[0, 1], [1, 2], [0, 2]]}, "tree: the edges contain a cycle"),
         ({"tree": [[0, 1], [1, 0]]}, "tree: the edges contain a cycle"),
         ({"strategy": "greedy"}, "strategy"),
+        # each strategy's roles, checked before any instance is enumerated
+        ({"strategy": "margin"}, "margin strategy needs a margin vertex"),
+        ({"strategy": "condition", "cut": 1, "tree": [[0, 1]]},
+         "condition strategy needs a cut vertex and no straightened forest"),
+        ({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "floors": [2, 2, 2, 2],
+          "strategy": "condition", "cut": 0},
+         "condition strategy needs exactly two sides, got 3"),
+        ({"strategy": "eliminate"}, "eliminate strategy needs a pivot"),
+        ({"strategy": "eliminate", "pivot": 1},
+         "eliminate strategy needs a full-floor pivot"),
+        ({"n": 4, "edges": [[0, 3], [1, 3], [2, 3]], "floors": [2, 2, 2, 4],
+          "strategy": "eliminate", "pivot": 3},
+         "eliminate strategy needs a degree-4 pivot"),
+        ({"n": 5, "edges": [[0, 4], [1, 4], [2, 4], [3, 4]],
+          "floors": [2, 2, 2, 2, 4], "tree": [[0, 4]],
+          "strategy": "eliminate", "pivot": 4},
+         "straightened forest must avoid the pivot"),
     ])
     def test_reduce_check_bad_config(self, capsys, tmp_path, change, named):
         path = tmp_path / "cfg.json"
@@ -479,12 +543,15 @@ class TestInputErrors:
         (["solve", "{}"], {**COVER, "k": 1}, "field k: 1 is not in [2, 8]"),
         (["solve", "{}"], {**COVER, "sigma": {"0-1": [2, 1, 3]}},
          "field sigma['0-1']: lists 3 images, not k = 2"),
+        # an account that the ledger does not hold
+        (["discharge", "explain", str(ASSETS / "cluster_01.json"),
+          "--element", "v99"], {}, "no ledger account 'v99'"),
     ]
 
     @pytest.mark.parametrize("argv,data,named", MALFORMED,
                              ids=["matching", "names", "negative-n", "floors",
                                   "tree", "matching-k9", "cover-k1",
-                                  "sigma-length"])
+                                  "sigma-length", "explain-element"])
     def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
                                                       argv, data, named):
         path = tmp_path / "input.json"

@@ -1,6 +1,7 @@
 """Reducibility checker: strategies, golden verdicts, proof-structure facts."""
 
 import itertools
+import json
 import random
 from unittest import mock
 
@@ -16,7 +17,7 @@ from dpcolor.cover import (
 )
 from dpcolor.graphs import Graph
 from dpcolor.io import cover_to_dict, parse_cover_file
-from dpcolor import reduce
+from dpcolor import cli, reduce
 from dpcolor.reduce import (
     INCONCLUSIVE, NOT_REDUCIBLE, REDUCIBLE, Configuration, _adversary_blocks,
     check_reducible, config_catalog,
@@ -50,7 +51,7 @@ class TestBuildingBlocks:
         cfg = CATALOG["L4-diamond"]
         choices = list(residual_choices(cfg))
         assert len(choices) == 1
-        assert choices[0][cfg.vertex("x")] == frozenset({1, 2})
+        assert choices[0][cfg.names["x"]] == frozenset({1, 2})
 
     @pytest.mark.parametrize("label,count", [("L7-555", 8), ("L8-556", 6)])
     def test_residual_choices_vary_tree_non_reps(self, label, count):
@@ -288,19 +289,26 @@ ORDER_LIMIT = 2_000_000
 
 
 def _grow_edges(draw, floors, required, optional, canonical,
-                limit=ORACLE_LIMIT):
+                limit=ORACLE_LIMIT, forested=False):
     """The required edges, then each optional one that a coin admits and
-    that keeps the oracle within `limit` instances."""
+    that keeps the oracle within `limit` instances.  With `forested` the
+    first optional edge that keeps it within `limit` needs no coin."""
     edges = list(required)
     assume(oracle.instance_count(floors, edges, canonical) <= limit)
     for e in draw(st.permutations(optional)):
-        if draw(st.booleans()) and oracle.instance_count(
+        free = forested and len(edges) == len(required)
+        if (free or draw(st.booleans())) and oracle.instance_count(
                 floors, edges + [e], canonical) <= limit:
             edges.append(e)
+    # rare: no optional edge keeps the oracle within `limit`
+    assume(not forested or len(edges) > len(required))
     return sorted(edges)
 
 
-def _draw_forest(draw, edges):
+def _draw_forest(draw, edges, forested=False):
+    """A forest of `edges`, each edge that joins two trees taken by a coin.
+    With `forested` the first such edge needs no coin, so the forest is
+    empty only if `edges` is."""
     parent = {}
 
     def find(x):
@@ -310,7 +318,8 @@ def _draw_forest(draw, edges):
 
     tree = []
     for u, v in edges:
-        if find(u) != find(v) and draw(st.booleans()):
+        if find(u) != find(v) and (forested and not tree
+                                   or draw(st.booleans())):
             parent[find(u)] = find(v)
             tree.append((u, v))
     return tuple(tree)
@@ -327,27 +336,30 @@ def _config(n, edges, floors, tree, strategy, **roles):
 # every list, which leaves room for more edges within ORACLE_LIMIT.
 
 @st.composite
-def product_configs(draw):
+def product_configs(draw, forested=False):
     canonical = draw(st.booleans())
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(2 if forested else 1, 5))
     floors = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     edges = _grow_edges(draw, floors, [],
-                        list(itertools.combinations(range(n), 2)), canonical)
-    cfg = _config(n, edges, floors, _draw_forest(draw, edges), "product")
+                        list(itertools.combinations(range(n), 2)), canonical,
+                        forested=forested)
+    cfg = _config(n, edges, floors, _draw_forest(draw, edges, forested),
+                  "product")
     return cfg, canonical
 
 
 @st.composite
-def margin_configs(draw):
+def margin_configs(draw, forested=False):
     canonical = draw(st.booleans())
     n = draw(st.integers(2, 5))
     floors = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     v = draw(st.integers(0, n - 1))
     floors[v] = draw(st.integers(2, 4))
     edges = _grow_edges(draw, floors, [],
-                        list(itertools.combinations(range(n), 2)), canonical)
-    cfg = _config(n, edges, floors, _draw_forest(draw, edges), "margin",
-                  margin_vertex=v)
+                        list(itertools.combinations(range(n), 2)), canonical,
+                        forested=forested)
+    cfg = _config(n, edges, floors, _draw_forest(draw, edges, forested),
+                  "margin", margin_vertex=v)
     return cfg, canonical
 
 
@@ -370,7 +382,7 @@ def condition_configs(draw):
 
 
 @st.composite
-def eliminate_configs(draw, limit=ORACLE_LIMIT):
+def eliminate_configs(draw, limit=ORACLE_LIMIT, forested=False):
     # pivot 4, its four neighbors 0..3 and maybe vertex 5 off the pivot's
     # neighborhood, so that edges between two neighbors (late in the kernel)
     # and edges to vertex 5 (early) sort in either order; with every list
@@ -382,8 +394,8 @@ def eliminate_configs(draw, limit=ORACLE_LIMIT):
     edges = _grow_edges(
         draw, floors, [(v, 4) for v in range(4)],
         [e for e in itertools.combinations(range(n), 2) if 4 not in e], True,
-        limit)
-    tree = _draw_forest(draw, [e for e in edges if 4 not in e])
+        limit, forested)
+    tree = _draw_forest(draw, [e for e in edges if 4 not in e], forested)
     return _config(n, edges, floors, tree, "eliminate", pivot=4), True
 
 
@@ -463,10 +475,18 @@ class TestKernelCounters:
 
     @pytest.mark.parametrize("label,name", [("CE-6", "ce6.json"),
                                             ("CE-7", "ce7.json")])
-    def test_witness_equals_frozen_asset(self, label, name):
+    def test_witness_equals_frozen_asset(self, label, name, tmp_path,
+                                         capsys):
         v = check_reducible(CATALOG[label])
         frozen = parse_cover_file(ASSETS / name)
         assert cover_to_dict(v.witness) == cover_to_dict(frozen)
+        # the CLI is how the shipped assets are regenerated
+        saved = tmp_path / name
+        assert cli.main(["reduce-check", "--lemma", label,
+                         "--save-witness", str(saved)]) == 0
+        assert json.loads(capsys.readouterr().out)["witness_file"] == \
+            str(saved)
+        assert saved.read_bytes() == (ASSETS / name).read_bytes()
 
     @pytest.mark.parametrize("label", OTHER_STRATEGIES + ["L8-556"])
     def test_budget_stops_the_enumeration(self, label):
@@ -954,8 +974,8 @@ class TestOrbitReduction:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_choices_are_the_oracles(self, configs, data):
-        cfg, _ = data.draw(configs())
-        assume(cfg.tree)
+        cfg, _ = data.draw(configs(forested=True))
+        assert cfg.tree
         skip = () if cfg.pivot is None else (cfg.pivot,)
         assert list(residual_choices(cfg, skip)) == \
             oracle.orbit_first_choices(cfg, skip)
@@ -964,6 +984,5 @@ class TestOrbitReduction:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_same_answers_without_the_filter(self, configs, data):
-        cfg, _ = data.draw(configs())
-        assume(cfg.tree)
+        cfg, _ = data.draw(configs(forested=True))
         _same_answers(check_reducible(cfg), _unreduced(cfg))
