@@ -114,7 +114,6 @@ def cmd_detect(args) -> dict:
         role: v for role, v in sorted(bf.items())}
     if isinstance(g, PlaneGraph):
         report["faces"] = len(g.faces)
-        report["euler_ok"] = g.euler_check()
         report["clusters"] = [{
             "cluster": info.cluster.id,
             "faces": info.cluster.k,

@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import (
-    Graph, PlaneGraph, _embed, _face_flood, _vertex_sides, interior_face_ids,
-)
+from .graphs import Graph, PlaneGraph, _embed, _face_flood, edge_key
 from .patterns import LabeledPattern, catalog
 
 UNCLASSIFIED = 0
@@ -146,9 +144,15 @@ def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
     Separating: interior and exterior both hold vertices.  Bad: the cycle
     plus its interior consists of seven edge-connected 3-faces (the largest
     catalog shape).  Good: not bad.  The walk of an interior face bounds
-    that face alone, so it is neither separating nor bad; any other
-    triangle, the outer face's included, is split by a flood of the dual
-    (`interior_face_ids`).
+    that face alone, so it is neither separating nor bad.
+
+    The embedding is plane, so a triangle splits the faces of its
+    component into two sides, each connected in the dual without crossing
+    it (Jordan curve theorem).  A side with no vertex off the triangle is
+    one face: the outer face's walk does not separate, and every other
+    triangle does.  The inside is the side without the component's outside
+    face (`PlaneGraph.outsides`).  Each side is flooded from a face on one
+    triangle edge until it holds 8 faces, enough to tell seven 3-faces.
     """
     if len(cycle) != 3 or len(set(cycle)) != 3:
         raise ValueError("cycle must be a triangle")
@@ -156,20 +160,17 @@ def cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:
         if not pg.graph.has_edge(cycle[i], cycle[(i + 1) % 3]):
             raise ValueError("cycle vertices are not mutually adjacent")
     tri = frozenset(cycle)
-    if tri in pg.facial_triangles and tri != set(pg.faces[pg.outer_face].walk):
+    outer = tri == set(pg.faces[pg.outer_face].walk)
+    if tri in pg.facial_triangles and not outer:
         return {"separating": False, "bad": False, "good": True}
-    inner_faces = interior_face_ids(pg, cycle)
-    interior, exterior = _vertex_sides(pg, cycle, inner_faces)
-    bad = False
-    if inner_faces and all(pg.faces[fid].degree == 3 for fid in inner_faces):
-        if len(inner_faces) == 7 and _face_flood(
-                pg, min(inner_faces), within=inner_faces) == inner_faces:
-            bad = True
-    return {
-        "separating": bool(interior) and bool(exterior),
-        "bad": bad,
-        "good": not bad,
-    }
+    blocked = {edge_key(cycle[i], cycle[(i + 1) % 3]) for i in range(3)}
+    outside = pg.outsides[pg.graph.component[cycle[0]]]
+    sides = (_face_flood(pg, f, blocked=blocked, cap=7)
+             for f in pg.faces_of_edge(cycle[0], cycle[1]))
+    bad = any(len(side) == 7 and outside not in side
+              and all(pg.faces[f].degree == 3 for f in side)
+              for side in sides)
+    return {"separating": not outer, "bad": bad, "good": not bad}
 
 
 def has_good_outer_triangle(pg: PlaneGraph) -> bool:
@@ -182,8 +183,9 @@ def has_good_outer_triangle(pg: PlaneGraph) -> bool:
 def separating_good_triangles(pg: PlaneGraph) -> list[tuple[int, int, int]]:
     """All separating good 3-cycles of the embedding.
 
-    A face's walk is never separating (one of its sides is that face
-    alone), so only the other triangles are tested.
+    A triangle separates exactly when it is not a face's walk (see
+    `cycle_predicates`), so only the other triangles are tested, for
+    goodness.
     """
     out = []
     g = pg.graph
@@ -194,7 +196,6 @@ def separating_good_triangles(pg: PlaneGraph) -> list[tuple[int, int, int]]:
             for w in sorted(g.adjacency[u] & g.adjacency[v]):
                 if w <= v or frozenset((u, v, w)) in pg.facial_triangles:
                     continue
-                pred = cycle_predicates(pg, [u, v, w])
-                if pred["separating"] and pred["good"]:
+                if cycle_predicates(pg, [u, v, w])["good"]:
                     out.append((u, v, w))
     return out

@@ -2,9 +2,11 @@
 
 Vertices are integers 0..n-1.  An embedding is given by a rotation system
 (cyclic neighbor order per vertex); faces are traced from darts, so the face
-structure is purely combinatorial.  No planarity testing happens here: a
-rotation system that traces F faces with V - E + F = 2 on a connected graph
-is accepted as a plane embedding.
+structure is purely combinatorial.  On a connected graph with an edge, a
+rotation system of genus g traces F faces with V - E + F = 2 - 2g, so it is a
+plane embedding exactly when that is 2.  An isolated vertex has no darts, so
+no face: it counts 1.  As no component counts more than that, PlaneGraph
+checks the sum over the components and rejects any other rotation system.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class Graph:
             out.setdefault(root, []).append(v)
         return tuple(map(tuple, out.values()))
 
-    def is_connected(self) -> bool:
-        return not any(self.component)
-
 
 @dataclass(frozen=True)
 class Face:
@@ -170,6 +169,9 @@ def _default_outer(faces: Sequence[Face]) -> int:
 class PlaneGraph:
     """Graph plus rotation system; faces and outer face derived on construction.
 
+    A rotation system that is not a plane embedding (see the module
+    docstring) raises MalformedEmbeddingError.
+
     The outer face may be given as a boundary walk; otherwise it defaults to a
     face of maximum degree, ties broken by smallest canonical walk.
 
@@ -203,6 +205,13 @@ class PlaneGraph:
             self.faces = tuple(_trace_faces(rotation))
         else:
             self.faces = tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
+        euler = graph.n - graph.m + len(self.faces)
+        plane = sum(2 if graph.adjacency[v] else 1
+                    for v, root in enumerate(graph.component) if v == root)
+        if euler != plane:
+            raise MalformedEmbeddingError(
+                f"rotation system is not a plane embedding: "
+                f"V - E + F = {euler}, not {plane}")
         self.outer_face = self._pick_outer(outer_walk)
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:
@@ -219,11 +228,6 @@ class PlaneGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def euler_check(self) -> bool:
-        if not self.graph.is_connected():
-            return True
-        return self.graph.n - self.graph.m + len(self.faces) == 2
 
     def faces_of_edge(self, u: int, v: int) -> list[int]:
         """Ids of the faces on the two sides of edge uv (equal for a bridge)."""
@@ -501,34 +505,11 @@ def _embed(
         untried[i] = cand
 
 
-def _vertex_sides(pg: PlaneGraph, cycle: Sequence[int],
-                  inner: set[int]) -> tuple[set[int], set[int]]:
-    """(interior, exterior) vertex sets given the ids of the inner faces.
-
-    Only the cycle's component is split: other components are on neither
-    side.
-    """
-    on_cycle = set(cycle)
-    exterior: set[int] = set()
-    interior: set[int] = set()
-    comp = pg.graph.component
-    own = comp[cycle[0]]
-    for f in pg.faces:
-        if comp[f.walk[0]] != own:
-            continue
-        verts = set(f.walk) - on_cycle
-        if f.id in inner:
-            interior |= verts
-        else:
-            exterior |= verts
-    # vertices seen on both sides would mean the "cycle" does not separate
-    return interior - exterior, exterior
-
-
-def _face_flood(pg: PlaneGraph, start: int, within=None,
-                blocked=()) -> set[int]:
+def _face_flood(pg: PlaneGraph, start: int, within=None, blocked=(),
+                cap: Optional[int] = None) -> set[int]:
     """Ids of the faces reachable from face `start` across edges not in
-    `blocked`, through faces in `within` only (any face, if None)."""
+    `blocked`, through faces in `within` only (any face, if None).  With a
+    `cap`, the flood stops as soon as it holds cap + 1 faces."""
     seen = {start}
     stack = [start]
     face_edges, edge_faces = pg.face_edges, pg._edge_faces
@@ -539,24 +520,7 @@ def _face_flood(pg: PlaneGraph, start: int, within=None,
             for nf in edge_faces[e]:
                 if nf not in seen and (within is None or nf in within):
                     seen.add(nf)
+                    if cap is not None and len(seen) > cap:
+                        return seen
                     stack.append(nf)
     return seen
-
-
-def interior_face_ids(pg: PlaneGraph, cycle: Sequence[int]) -> set[int]:
-    """Ids of the faces strictly inside the cycle.
-
-    Faces are split by flooding the dual graph, without crossing cycle
-    edges, from the outside of the cycle's component (see
-    `PlaneGraph.outsides`: the outer face, when the component holds it);
-    the faces of that component not reached are inside.  Faces of other
-    components are never inside.
-    """
-    cyc_edges = {
-        edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    }
-    comp = pg.graph.component
-    own = comp[cycle[0]]
-    side = _face_flood(pg, pg.outsides[own], blocked=cyc_edges)
-    return {f.id for f in pg.faces
-            if f.id not in side and comp[f.walk[0]] == own}

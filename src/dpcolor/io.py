@@ -175,6 +175,10 @@ def parse_cover_file(path: Union[str, Path]) -> CoverInstance:
                                      f"available['{v}']", str(path)))
             for v in range(graph.n)
         )
+        for v, colors in enumerate(avail):
+            if not all(1 <= c <= k for c in colors):
+                raise FormatError(f"{path}: field available['{v}']: "
+                                  f"{sorted(colors)} is not a subset of 1..{k}")
     return CoverInstance(graph, k, avail, sigma)
 
 

@@ -102,8 +102,9 @@ class Configuration:
             raise ValueError(f"floors: {len(self.floors)} entries for "
                              f"{n} vertices")
         for v, f in enumerate(self.floors):
-            if type(f) is not int or not 0 <= f <= K:
-                raise ValueError(f"floors[{v}] = {f!r} is not in 0..{K}")
+            # a vertex with no residual color is never reducible
+            if type(f) is not int or not 1 <= f <= K:
+                raise ValueError(f"floors[{v}] = {f!r} is not in 1..{K}")
         for role in ("pivot", "cut", "margin_vertex"):
             v = getattr(self, role)
             if v is not None and not is_vertex(v):
@@ -504,8 +505,14 @@ class _Run:
         for residuals in choices:
             domains = [sorted(residuals[v]) for v in order]
             cells = math.prod(map(len, domains))
-            grid = np.meshgrid(*domains, indexing="ij")
-            color = {v: g.ravel() for v, g in zip(order, grid)}
+            # each vertex's color per cell, in C order: an axis repeats
+            # each color over the cells of the axes after it, and tiles
+            # that run over the colors of the axes before it
+            color, before, after = {}, 1, cells
+            for v, domain in zip(order, domains):
+                after //= len(domain)
+                color[v] = np.tile(np.repeat(domain, after), before)
+                before *= len(domain)
             width = math.prod(len(residuals[v]) for v in rest)
             # the group grid: the grid's cells whose rest colors come first
             group_color = {v: color[v][::width] for v in group}
@@ -566,34 +573,45 @@ class _Run:
             for _, _, rows, late in inner:
                 tails[late] = _and_each(tails[late], rows)
 
-            def walk(masks, path):
-                if len(path) < len(outer):
-                    e, opts, rows, late = outer[len(path)]
-                    for m, row in zip(opts, rows.T):
-                        fixed = list(masks)
-                        fixed[late] = masks[late] & row
-                        yield from walk(fixed, path + [(e, m)])
+            def walk():
+                """The blocks of every option tuple of the outer edges, in
+                lexicographic order, by an odometer (no recursion limit caps
+                the edges): fixed[d] holds the masks with d edges fixed."""
+                pick = [0] * len(outer)
+                fixed = [masks] * (len(outer) + 1)
+                d = 0  # the first edge whose option changed
+                while True:
+                    for i in range(d, len(outer)):
+                        _, _, rows, late = outer[i]
+                        fixed[i + 1] = list(fixed[i])
+                        fixed[i + 1][late] = fixed[i][late] & rows[:, pick[i]]
+                    path = [(e, opts[p]) for (e, opts, _, _), p in zip(outer, pick)]
+                    for head in heads:
+                        vec = head + inner
+                        size = math.prod(len(t[1]) for t in vec)
+                        count = size
+                        if self.budget is not None and \
+                                self.enumerated + size > self.budget:
+                            count = self.budget - self.enumerated
+                            self.exhausted = True
+                        first = self.enumerated
+                        self.enumerated += count
+                        if count:
+                            self.blocks += 1
+                            yield self._leaf(residuals, fixed[-1], width,
+                                             head, tails, vec, count, first,
+                                             path)
                         if self.exhausted:
                             return
-                    return
-                for head in heads:
-                    vec = head + inner
-                    size = math.prod(len(t[1]) for t in vec)
-                    count = size
-                    if self.budget is not None and \
-                            self.enumerated + size > self.budget:
-                        count = self.budget - self.enumerated
-                        self.exhausted = True
-                    first = self.enumerated
-                    self.enumerated += count
-                    if count:
-                        self.blocks += 1
-                        yield self._leaf(residuals, masks, width, head,
-                                         tails, vec, count, first, path)
-                    if self.exhausted:
+                    d = len(outer) - 1
+                    while d >= 0 and pick[d] == len(outer[d][1]) - 1:
+                        pick[d] = 0
+                        d -= 1
+                    if d < 0:
                         return
+                    pick[d] += 1
 
-            yield from walk(masks, [])
+            yield from walk()
             if self.exhausted:
                 return
 

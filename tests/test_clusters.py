@@ -182,6 +182,12 @@ class TestTrianglePredicates:
         with pytest.raises(ValueError):
             cycle_predicates(pg, [0, 1])
 
+    def test_non_adjacent_vertices_rejected(self):
+        path = PlaneGraph(Graph.from_edges(3, [(0, 1), (1, 2)]),
+                          [[1], [0, 2], [1]])
+        with pytest.raises(ValueError, match="not mutually adjacent"):
+            cycle_predicates(path, [0, 1, 2])
+
 
 def with_triangle(pg: PlaneGraph, outer=None) -> PlaneGraph:
     """pg plus a disjoint triangle on three new vertices."""
@@ -209,7 +215,7 @@ class TestAgainstFloodOracle:
         pgs += generate_corpus(30, seed=11, min_n=6, max_n=20)
         seps = 0
         for pg in pgs:
-            assert pg.graph.is_connected()
+            assert len(pg.graph.components) == 1
             for tri in triangles(pg):
                 assert cycle_predicates(pg, tri) == \
                     oracle.flood_cycle_predicates(pg, tri)
@@ -219,18 +225,30 @@ class TestAgainstFloodOracle:
         assert seps > 0
 
     def test_only_non_facial_triangles_flood(self, monkeypatch):
+        # each flood records the triangle it may not cross and its size
         floods = []
-        real = graphs.interior_face_ids
-        monkeypatch.setattr(
-            "dpcolor.clusters.interior_face_ids",
-            lambda pg, cycle: floods.append(cycle) or real(pg, cycle))
+        real = graphs._face_flood
+
+        def flood(pg, start, **kw):
+            found = real(pg, start, **kw)
+            tri = frozenset(v for e in kw["blocked"] for v in e)
+            floods.append((tri, len(found)))
+            return found
+
+        monkeypatch.setattr("dpcolor.clusters._face_flood", flood)
+        sizes = set()
         for pg in generate_corpus(10, seed=11, min_n=6, max_n=16):
             floods.clear()
             separating_good_triangles(pg)
+            flooded = {tri for tri, _ in floods}
             facial = [t for t in triangles(pg)
                       if frozenset(t) in pg.facial_triangles]
-            assert facial
-            assert len(floods) == len(triangles(pg)) - len(facial)
+            assert facial and not flooded & pg.facial_triangles
+            # one flood per side of every other triangle
+            assert len(flooded) == len(triangles(pg)) - len(facial)
+            assert len(floods) == 2 * len(flooded)
+            sizes |= {size for _, size in floods}
+        assert max(sizes) == 8
 
 
 class TestDisconnectedEmbedding:

@@ -1,6 +1,7 @@
 """Plane-graph core: face tracing, Euler identity, cycles, pattern search."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,8 +16,7 @@ from dpcolor.clusters import cluster_subgraph, extract_clusters
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
     Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
-    _vertex_sides, contains_pattern, find_cycle_of_length,
-    has_cycle_of_length, interior_face_ids,
+    contains_pattern, find_cycle_of_length, has_cycle_of_length,
 )
 from dpcolor.patterns import (
     butterfly_pattern, catalog, cluster_pattern,
@@ -61,7 +61,7 @@ class TestFaces:
     def test_k4_faces(self):
         pg = triangle_with_center()
         assert len(pg.faces) == 4
-        assert pg.euler_check()
+        assert pg.n - pg.graph.m + len(pg.faces) == 2
         degs = sorted(f.degree for f in pg.faces)
         assert degs == [3, 3, 3, 3]
 
@@ -74,6 +74,42 @@ class TestFaces:
         with pytest.raises(MalformedEmbeddingError):
             PlaneGraph(g, [[1], [0, 2], [0, 1]])
 
+    @pytest.mark.parametrize("n,edges", [
+        (5, list(itertools.combinations(range(5), 2))),
+        (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    ], ids=["K5", "K3,3"])
+    def test_every_rotation_of_a_nonplanar_graph_is_rejected(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        # each vertex's cyclic orders: its least neighbour first
+        orders = [[(a[0], *rest) for rest in itertools.permutations(a[1:])]
+                  for a in map(sorted, g.adjacency)]
+        count = 0
+        for rotation in itertools.product(*orders):
+            with pytest.raises(MalformedEmbeddingError,
+                               match="not a plane embedding"):
+                PlaneGraph(g, rotation)
+            count += 1
+        assert count == {5: 6 ** 5, 6: 2 ** 6}[n]
+
+    def test_isolated_vertices_have_no_face(self):
+        pg = triangle_with_center()
+        g = Graph.from_edges(6, pg.graph.edges)
+        plus = PlaneGraph(g, [*pg.rotation, (), ()], [0, 2, 1])
+        assert plus.faces == pg.faces
+        assert plus.n - plus.graph.m + len(plus.faces) == 2 + 1 + 1
+
+    def test_no_component_makes_up_for_another(self):
+        # K4 on the torus (V - E + F = 0) beside a plane K4 (2) sums to 2,
+        # the value of one plane component, but two components need 4
+        torus = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        assert len(graphs._trace_faces(torus)) == 2
+        k4 = triangle_with_center()
+        g = Graph.from_edges(8, [*k4.graph.edges,
+                                 *((u + 4, v + 4) for u, v in k4.graph.edges)])
+        rotation = [*k4.rotation, *([w + 4 for w in r] for r in torus)]
+        with pytest.raises(MalformedEmbeddingError, match="= 2, not 4"):
+            PlaneGraph(g, rotation)
+
     def test_face_degree_sum_is_twice_edges(self):
         pg = triangle_with_center()
         assert sum(f.degree for f in pg.faces) == 2 * pg.graph.m
@@ -82,7 +118,7 @@ class TestFaces:
     @settings(max_examples=40, deadline=None)
     def test_builder_embeddings_satisfy_euler(self, seed, target):
         pg = random_plane_graph(seed, target)
-        assert pg.euler_check()
+        assert pg.n - pg.graph.m + len(pg.faces) == 2
         assert sum(f.degree for f in pg.faces) == 2 * pg.graph.m
         # every edge has exactly two face sides
         sides = sum(len(v) for v in pg._edge_faces.values())
@@ -143,21 +179,6 @@ class TestPatternSearch:
         pat = random_graph(rng, rng.randint(2, 4), 0.6)
         fast = contains_pattern(host, pat) is not None
         assert fast == oracle.contains_pattern(host, pat)
-
-
-class TestCycleSides:
-    def test_k4_center_is_interior(self):
-        pg = triangle_with_center()
-        cycle = [0, 1, 2]
-        interior, exterior = _vertex_sides(
-            pg, cycle, interior_face_ids(pg, cycle))
-        assert interior == {3}
-        assert exterior == set()
-
-    def test_interior_faces_of_outer_cycle(self):
-        pg = triangle_with_center()
-        inner = interior_face_ids(pg, list(pg.faces[pg.outer_face].walk))
-        assert inner == {f.id for f in pg.interior_faces()}
 
 
 def asset_graphs():
@@ -415,7 +436,7 @@ class TestGenerator:
 
     def test_in_class_outputs_pass_whole_graph_checks(self):
         for pg in generate_corpus(40, seed=20260823, min_n=6, max_n=14):
-            assert pg.euler_check()
+            assert pg.n - pg.graph.m + len(pg.faces) == 2
             assert not has_cycle_of_length(pg.graph, 7)
             assert contains_butterfly(pg.graph) is None
 
@@ -530,6 +551,10 @@ class TestBuilderFaces:
             PlaneGraph(pg.graph, rotation[:3], walks=walks)
         with pytest.raises(OuterWalkError):
             PlaneGraph(pg.graph, pg.rotation, [0, 1, 3, 2], walks=walks)
+        # nor the plane check: one face short
+        with pytest.raises(MalformedEmbeddingError,
+                           match="V - E \\+ F = 1, not 2"):
+            PlaneGraph(pg.graph, pg.rotation, walks=walks[:-1])
 
     def test_rotation_without_the_outer_triangle_is_rejected(self):
         with pytest.raises(MalformedEmbeddingError, match="0, 1, 2"):

@@ -16,6 +16,8 @@ from dpcolor.io import (
 )
 from dpcolor.patterns import butterfly_pattern
 
+K5_LINE = "5 bcde,acde,abde,abce,abcd"
+
 
 class TestGraphFiles:
     def test_round_trip_plane(self, tmp_path):
@@ -142,11 +144,13 @@ class TestCorpus:
             "3 bc,ca,a",  # vertex c's rotation misses b
             '{"n": 3, "edges": [[0, 1]',  # truncated JSON
             json.dumps({"n": 2, "edges": [[0, 1]]}),
+            "x bc,ca,ab",  # a count that is not an integer
+            K5_LINE,  # no rotation system of K5 is plane
         ]) + "\n")
         stats, warnings = CorpusStats(), []
         assert len(list(ingest_corpus(path, (), stats,
                                       warn=warnings.append))) == 2
-        assert (stats.read, stats.skipped) == (2, 4)
+        assert (stats.read, stats.skipped) == (2, 6)
         prefix = "skipping unreadable corpus entry: "
         assert warnings == [prefix + m for m in (
             f"{path}:2: '3 bc,ca': expected 3 rotation groups, got 2",
@@ -154,6 +158,9 @@ class TestCorpus:
             f"{path}:5: rotation at vertex 2 does not list its neighbors "
             "exactly once",
             f"{path}:6: invalid JSON at column 26: Expecting ',' delimiter",
+            f"{path}:8: bad vertex count in 'x bc,ca,ab'",
+            f"{path}:9: rotation system is not a plane embedding: "
+            "V - E + F = -2, not 2",
         )]
 
     def test_directory_skip_warnings_name_the_entry(self, tmp_path):
@@ -435,6 +442,13 @@ class TestInputErrors:
     @pytest.mark.parametrize("change,named", [
         ({"floors": [2, 2]}, "floors"),
         ({"floors": [2, 5, 2]}, "floors[1]"),
+        # a vertex with no residual color: product, edge and margin leaf
+        ({"n": 2, "edges": [], "floors": [0, 0]},
+         "floors[0] = 0 is not in 1..4"),
+        ({"n": 2, "edges": [[0, 1]], "floors": [0, 2]},
+         "floors[0] = 0 is not in 1..4"),
+        ({"floors": [2, 0, 2], "strategy": "margin", "margin_vertex": 0},
+         "floors[1] = 0 is not in 1..4"),
         ({"pivot": "0"}, "pivot"),
         ({"cut": 3}, "cut"),
         ({"margin_vertex": -1}, "margin_vertex"),
@@ -546,12 +560,32 @@ class TestInputErrors:
         # an account that the ledger does not hold
         (["discharge", "explain", str(ASSETS / "cluster_01.json"),
           "--element", "v99"], {}, "no ledger account 'v99'"),
+        (["detect", "{}"], {"n": 2}, "missing or malformed field: 'edges'"),
+        (["detect", "{}"], {"n": 2, "edges": [[0, 5]]},
+         "field 'edges': edge (0,5) out of range for n=2"),
+        (["solve", str(ASSETS / "cluster_01.json"), "--matching", "{}"],
+         {"sigma": {}}, "missing field 'k'"),
+        (["solve", str(ASSETS / "cluster_01.json"), "--matching", "{}"],
+         {"k": 2, "sigma": {"0_1": [2, 1]}}, "sigma key '0_1' is not 'u-v'"),
+        (["solve", "{}"], {**COVER, "available": {"0": [9]}},
+         "field available['0']: [9] is not a subset of 1..2"),
+        (["discharge", "audit", "{}"], EDGE,
+         "discharging needs a rotation system"),
+        # K5 has no plane rotation system
+        (["detect", "{}"],
+         {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
+          "rotation": {str(v): [w for w in range(5) if w != v]
+                       for v in range(5)}},
+         "field 'rotation': rotation system is not a plane embedding"),
     ]
 
     @pytest.mark.parametrize("argv,data,named", MALFORMED,
                              ids=["matching", "names", "negative-n", "floors",
                                   "tree", "matching-k9", "cover-k1",
-                                  "sigma-length", "explain-element"])
+                                  "sigma-length", "explain-element",
+                                  "no-edges", "edge-range", "matching-no-k",
+                                  "sigma-key", "available-range",
+                                  "audit-no-rotation", "detect-k5"])
     def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
                                                       argv, data, named):
         path = tmp_path / "input.json"
@@ -594,6 +628,16 @@ class TestInputErrors:
             rep = json.loads(out)
             assert code == 0 and (rep["read"], rep["skipped"]) == (1, 1)
             assert "Traceback" not in err
+
+    def test_corpus_skips_a_nonplanar_rotation(self, capsys, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(K5_LINE + "\n")
+        code = cli.main(["corpus", str(path)])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert code == 0 and (rep["skipped"], rep["passed"]) == (1, 0)
+        assert f"{path}:1: rotation system is not a plane embedding" in err
+        assert "Traceback" not in err
 
     def test_corpus_skips_a_negative_vertex_count(self, capsys, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -656,6 +700,7 @@ class TestInputErrors:
         ({"labels": []}, "field labels: [] is not an object"),
         ({"labels": {"u": 1.5}}, "field labels['u']: 1.5 is not an integer"),
         ({"code": "two"}, "field code: 'two' is not an integer"),
+        ({"rotation": None}, "pattern asset must carry a rotation system"),
     ])
     def test_detect_bad_asset_names_its_file(self, capsys, tmp_path, change,
                                              named):

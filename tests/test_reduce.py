@@ -926,6 +926,47 @@ class TestEliminateOrder:
         assert cover_to_dict(v.witness) == \
             cover_to_dict(reduce.build_witness(cfg, residuals, maps))
 
+    def test_adversary_saves_rows_before_the_failure(self):
+        # the pivot maps cannot block the first four rows that pass the
+        # line test; the fifth row's instance is the first failure
+        edges = [(0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (1, 6),
+                 (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+        cfg = Configuration("saved-rows", Graph.from_edges(7, edges), {},
+                            (2, 2, 3, 4, 1, 3, 4), (), "eliminate", pivot=6)
+        blocked = []
+
+        def adversary(profiles, residuals):
+            found = _adversary_blocks(profiles, residuals)
+            blocked.append(found is not None)
+            return found
+
+        with mock.patch.object(reduce, "_adversary_blocks", adversary):
+            v = check_reducible(cfg)
+        assert v.status == NOT_REDUCIBLE
+        assert (v.stats["enumerated"], v.stats["blocks"],
+                v.stats["rows_built"]) == (210, 1, 972)
+        assert blocked == [False] * 4 + [True]
+        count, residuals, maps = oracle.first_failure(cfg)
+        assert count == 210
+        assert cover_to_dict(v.witness) == \
+            cover_to_dict(reduce.build_witness(cfg, residuals, maps))
+
+
+class TestKernelSize:
+    """Neither numpy's axis limits nor Python's recursion limit caps the
+    number of vertices or walked edges."""
+
+    @pytest.mark.parametrize("n", [33, 64, 65, 200, 1200])
+    def test_floor_one_path(self, n):
+        # one residual color per vertex: one instance, and its one
+        # candidate coloring is improper on every edge of the path
+        path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        cfg = Configuration(f"path-{n}", path, {}, (1,) * n, (), "product",
+                            expect=NOT_REDUCIBLE)
+        v = check_reducible(cfg)
+        assert v.status == NOT_REDUCIBLE
+        assert v.stats["enumerated"] == 1
+
 
 # the counts of the enumeration that checks every residual choice, not only
 # the first of each orbit
