@@ -7,6 +7,8 @@ rotation system of genus g traces F faces with V - E + F = 2 - 2g, so it is a
 plane embedding exactly when that is 2.  An isolated vertex has no darts, so
 no face: it counts 1.  As no component counts more than that, PlaneGraph
 checks the sum over the components and rejects any other rotation system.
+It also rejects a rotation system with no edge, which traces no face and
+so has none to be the outer face.
 """
 
 from __future__ import annotations
@@ -212,6 +214,9 @@ class PlaneGraph:
             raise MalformedEmbeddingError(
                 f"rotation system is not a plane embedding: "
                 f"V - E + F = {euler}, not {plane}")
+        if not self.faces:
+            raise MalformedEmbeddingError(
+                "a rotation system with no edge has no face")
         self.outer_face = self._pick_outer(outer_walk)
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:

@@ -39,9 +39,14 @@ factors over the grouping vertices' assignments: the early factor ANDs the
 edges that touch a non-grouping vertex and ORs each instance over the
 non-grouping axes; the late factor ANDs the edges between two grouping
 vertices (only eliminate has any), which cannot see the non-grouping axes.
-An instance's row is the AND of one row of each.  The kernel also counts
-instances, blocks and built rows and stops on the budget.  Each strategy is
-one reduction of those blocks:
+An instance's row is the AND of one row of each.  The vectorized tail of
+the edges keeps taking early edges while they fit the cap, so the small
+configurations run in one or two blocks, but takes a late edge only as one
+of its last two: the line test on the factors skips the axes of a
+vectorized late edge's ends.  Blocks that walk no late edge share one
+late factor per residual choice.  The kernel also counts instances, blocks
+and built rows and stops on the budget.  Each strategy is one reduction of
+those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
 * "margin" (the precolored vertex): more than one dead precolor fails;
@@ -350,16 +355,23 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 # the mask kernel
 
 # Bytes that any one array of a kernel block may take.  A block vectorizes
-# the last two edges when their arrays fit together, else the last one when
-# it fits, and then as many options of the next edge as fit (at least one).
-# The arrays counted are the ones a block builds: the float32 operands and
-# product of the early factor's matmul (`_any_and`; candidate cells x head
-# or tail early options, group cells x early options), the late cube (group
-# cells x late options) and the [early, late] pair matrices of the line
-# test (in uint64 words; the block's int64 instance numbers take as much).
-# Instance rows are built in slices within the cap (`_Leaf.table`), so they
-# never size a block.
-_BLOCK_CELLS = 1 << 20
+# a tail of the edges, taken from the last one back while every array
+# fits, and then as many options of the next edge as fit (at least one).
+# The tail keeps taking early edges, so a small configuration runs in one
+# block per residual choice instead of paying numpy's fixed cost per block
+# many times; a late edge joins only as one of its last two edges, since a
+# vectorized late edge takes its endpoints' axes out of eliminate's
+# factored line test and so costs built rows.  At 1 MiB the early edges
+# would merge L6-precolor's 36 blocks into 6 larger and slower ones; at
+# 512 KiB it and L8-556 keep their 36 blocks.  The arrays counted are the
+# ones a block builds: the float32 operands and product of the early
+# factor's matmul (`_any_and`; candidate cells x head or tail early
+# options, group cells x early options), the late cube (group cells x late
+# options) and the [early, late] pair matrices of the line test (8 bytes a
+# pair, as the block's int64 instance numbers take).  Instance rows
+# are built in slices within the cap (`_Leaf.table`), so they never size a
+# block.
+_BLOCK_CELLS = 1 << 19
 
 
 @dataclass
@@ -374,13 +386,15 @@ class _Leaf:
     only on the group axes of the vertices in `touched`.  The instance's
     table row is the AND of the two.  Both factors and every table that
     `table` builds are profile-major (column-major): each group assignment's
-    column is contiguous over the rows.
+    column is contiguous over the rows.  Blocks that share a late factor
+    share its `late_lines` too.
     """
 
     run: _Run
     residuals: Mapping[int, frozenset[int]]
     early: np.ndarray  # [e, g]
     late: np.ndarray  # [l, g]
+    late_lines: dict  # axis -> float32 `_line_hits` of `late`, on demand
     count: int  # instances of the block within the budget
     first: int  # instances enumerated before this block
     path: list  # (edge, map) fixed by the walk down to this block
@@ -485,7 +499,8 @@ class _Run:
 
         The walk fixes one option per edge, fewest options first, and ANDs
         early columns into the candidate mask, late ones into the group
-        mask.  Every block vectorizes the tail edges and one slice of the
+        mask.  Every block vectorizes the tail edges (early edges while they
+        fit, a late one only as one of the last two) and one slice of the
         options of the walk's last edge, as large as the early factor's
         matmul, the late cube and the pair matrices allow (see
         _BLOCK_CELLS); that slice heads the leaf's `inner`, so instances
@@ -494,7 +509,8 @@ class _Run:
         the candidate mask, ORs each instance over the `rest` axes (one
         matmul of the head's and the tail's early masks, `_any_and`) and
         ANDs in the group mask; its late factor ANDs the vectorized late
-        edges over the group grid.
+        edges over the group grid, once per residual choice when no head
+        and no walked edge is late.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
@@ -550,11 +566,16 @@ class _Run:
                         4 * groups * h[0] * t[0], groups * h[1] * t[1],
                         8 * h[0] * h[1] * t[0] * t[1])
 
+            # a late edge joins only as one of the tail's last two edges
+            # (see _BLOCK_CELLS)
             tail = 0
-            while tail < min(len(edges), 2) and \
+            while tail < len(edges) and \
+                    (tail < 2 or not edges[len(edges) - tail - 1][3]) and \
                     max(built(edges[len(edges) - tail - 1:])) <= _BLOCK_CELLS:
                 tail += 1
             outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
+            # the walk's edges, the head's among them
+            walks_late = any(late for *_, late in outer)
             heads = [[]]
             if outer:
                 e, opts, rows, late = outer.pop()
@@ -572,6 +593,11 @@ class _Run:
             tails = [np.ones((m.size, 1), dtype=bool) for m in masks]
             for _, _, rows, late in inner:
                 tails[late] = _and_each(tails[late], rows)
+            # the early tail as every block's float32 matmul operand
+            tails[0] = tails[0].reshape(groups, width, -1).astype(np.float32)
+            # the late factor and its line hits by axis, shared by the
+            # blocks when neither a head nor the walk fixes a late edge
+            shared = None if walks_late else (tails[1].T, {})
 
             def walk():
                 """The blocks of every option tuple of the outer edges, in
@@ -599,8 +625,8 @@ class _Run:
                         if count:
                             self.blocks += 1
                             yield self._leaf(residuals, fixed[-1], width,
-                                             head, tails, vec, count, first,
-                                             path)
+                                             head, tails, shared, vec, count,
+                                             first, path)
                         if self.exhausted:
                             return
                     d = len(outer) - 1
@@ -615,11 +641,14 @@ class _Run:
             if self.exhausted:
                 return
 
-    def _leaf(self, residuals, masks, width, head, tails, vec, count, first,
-              path) -> _Leaf:
+    def _leaf(self, residuals, masks, width, head, tails, shared, vec, count,
+              first, path) -> _Leaf:
         """The two factors of one block, from the [candidate, group] masks
-        of the walk, the head slice and the [early, late] tail products;
-        `vec` lists the block's vectorized edges, the first one outermost.
+        of the walk, the head slice and the [early, late] tail products
+        (the early one as float32 [group, cell, option]); the late factor
+        is `shared` (with its line hits) unless the head or the walk fixes
+        a late edge.  `vec` lists the block's vectorized edges, the first
+        one outermost.
         """
         tables = []
         for side, mask in enumerate(masks):
@@ -629,11 +658,11 @@ class _Run:
                     table = table & rows
             tables.append(table)
         groups = masks[1].size
-        early = _any_and(*(t.reshape(groups, width, -1)
-                           for t in (tables[0], tails[0])))
+        early = _any_and(tables[0].reshape(groups, width, -1), tails[0])
         early &= masks[1][:, None]
-        return _Leaf(self, residuals, early.T,
-                     _and_each(tables[1], tails[1]).T, count, first, path,
+        if shared is None:
+            shared = _and_each(tables[1], tails[1]).T, {}
+        return _Leaf(self, residuals, early.T, *shared, count, first, path,
                      [(e, opts, late) for e, opts, _, late in vec])
 
 
@@ -645,13 +674,14 @@ def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _any_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether some cell of a group has both options, for boolean a and b
-    ([group, cell, option]): out[q, i * b.shape[2] + k] =
-    any(a[q, :, i] & b[q, :, k]), from a float32 matmul that counts the
-    cells exactly (fewer than 2^24 of them)."""
+    ([group, cell, option]; b may come as float32 0/1 already):
+    out[q, i * b.shape[2] + k] = any(a[q, :, i] & b[q, :, k]), from a
+    float32 matmul that counts the cells exactly (fewer than 2^24 of
+    them)."""
     import numpy as np
 
     product = np.matmul(a.transpose(0, 2, 1).astype(np.float32),
-                        b.astype(np.float32))
+                        b.astype(np.float32, copy=False))
     return (product > 0).reshape(len(a), -1)
 
 
@@ -797,21 +827,24 @@ def _adversary_blocks(
 
 
 def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """The rows of `alive` whose live profiles pivot maps might block: the
-    factored line test against one all-true late row, then the count."""
+    """The rows of `alive` whose live profiles pivot maps might block: no
+    line along any axis holds two of them (see _factored_line_test), and
+    at most 24 are live."""
     import numpy as np
 
-    keep = _factored_line_test(
-        alive, np.ones((1, alive.shape[1]), dtype=bool), shape,
-        [a for a in range(len(shape)) if shape[a] > 1])
-    rows = np.flatnonzero(keep[:, 0])
-    return rows[np.count_nonzero(alive[rows], axis=1) <= 24]
+    ok = np.count_nonzero(alive, axis=1) <= 24
+    for axis in range(len(shape)):
+        if shape[axis] > 1:
+            ok &= ~_line_hits(alive, shape, axis, 2).any(axis=0)
+    return np.flatnonzero(ok)
 
 
 def _factored_line_test(early: np.ndarray, late: np.ndarray,
-                        shape: Sequence[int], axes) -> np.ndarray:
+                        shape: Sequence[int], axes,
+                        late_lines: Optional[dict] = None) -> np.ndarray:
     """keep[e, l]: whether the row early[e] & late[l] passes the line test
-    along each of `axes`.
+    along each of `axes`.  `late_lines` caches the late rows' `_line_hits`
+    by axis, for callers that test one late factor again.
 
     A row lists the live profiles of the profile grid (`shape`, one axis
     per pivot neighbor), and pivot maps block a profile when its images are
@@ -826,40 +859,41 @@ def _factored_line_test(early: np.ndarray, late: np.ndarray,
 
     Every late row must be constant along each of `axes`.  A line along
     such an axis then holds two live profiles of the pair exactly when it
-    holds two of early[e] and is live in late[l].  Each factor row packs
-    one of these bits per line into a uint64 (with four neighbors and
-    K = 4 an axis has at most 4^3 = 64 lines), and a pair fails the axis
-    when its two words share a bit.
+    holds two of early[e] and is live in late[l].  Each factor row gets
+    one 0/1 entry per line (`_line_hits`), and a pair fails the axis when
+    the two rows share a line: one float32 matmul per axis counts the
+    shared lines of every pair, exactly (an axis has at most 4^3 = 64
+    lines with four neighbors and K = 4).  An axis has at least two
+    points per line, so the float32 entries take at most half the bytes
+    of the early factor's matmul product.
     """
     import numpy as np
 
+    if late_lines is None:
+        late_lines = {}
     keep = np.ones((len(early), len(late)), dtype=bool)
     for axis in sorted(axes, key=lambda a: -shape[a]):
-        words = [_line_words(rows, shape, axis, need)
-                 for rows, need in ((early, 2), (late, 1))]
-        keep &= (words[0][:, None] & words[1][None, :]) == 0
+        if axis not in late_lines:
+            late_lines[axis] = _line_hits(late, shape, axis, 1).astype(
+                np.float32)
+        hits = _line_hits(early, shape, axis, 2).T.astype(np.float32)
+        keep &= (hits @ late_lines[axis]) == 0
         if not keep.any():
             break
     return keep
 
 
-def _line_words(rows: np.ndarray, shape: Sequence[int], axis: int,
-                need: int) -> np.ndarray:
-    """One uint64 per row of `rows` ([row, profile]): bit i is set when
-    the i-th line of the profile grid along `axis` holds at least `need`
-    live profiles of the row."""
+def _line_hits(rows: np.ndarray, shape: Sequence[int], axis: int,
+               need: int) -> np.ndarray:
+    """[line, row]: whether the line of the profile grid along `axis`
+    holds at least `need` live profiles of the row of `rows`
+    ([row, profile])."""
     import numpy as np
 
     pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
     lines = rows.T.reshape(pre, shape[axis], post, len(rows))
     hit = np.add.reduce(lines, axis=1, dtype=np.uint8) >= need
-    # [row, line] padded to whole bytes, packed, then to whole words
-    bits = np.zeros((len(rows), -(-pre * post // 8) * 8), dtype=bool)
-    bits[:, :pre * post] = hit.reshape(pre * post, -1).T
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(rows), 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view("<u8")[:, 0]
+    return hit.reshape(pre * post, -1)
 
 
 def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
@@ -892,7 +926,7 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
         keep = _factored_line_test(
             leaf.early, leaf.late, shape,
             [a for a, v in enumerate(nbrs)
-             if shape[a] > 1 and v not in leaf.touched])
+             if shape[a] > 1 and v not in leaf.touched], leaf.late_lines)
         if not keep.any():
             continue
         table = list(itertools.product(*map(sorted, res)))

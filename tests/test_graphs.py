@@ -98,6 +98,13 @@ class TestFaces:
         assert plus.faces == pg.faces
         assert plus.n - plus.graph.m + len(plus.faces) == 2 + 1 + 1
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_rotation_with_no_edge_is_rejected(self, n):
+        # it satisfies Euler's formula but traces no face to be the outer one
+        with pytest.raises(MalformedEmbeddingError,
+                           match="a rotation system with no edge has no face"):
+            PlaneGraph(Graph.from_edges(n, []), [()] * n)
+
     def test_no_component_makes_up_for_another(self):
         # K4 on the torus (V - E + F = 0) beside a plane K4 (2) sums to 2,
         # the value of one plane component, but two components need 4

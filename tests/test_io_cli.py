@@ -146,11 +146,13 @@ class TestCorpus:
             json.dumps({"n": 2, "edges": [[0, 1]]}),
             "x bc,ca,ab",  # a count that is not an integer
             K5_LINE,  # no rotation system of K5 is plane
+            "2 ,",  # no edge, so no face
+            "3 bc,ac,ab",  # read after the edgeless record
         ]) + "\n")
         stats, warnings = CorpusStats(), []
         assert len(list(ingest_corpus(path, (), stats,
-                                      warn=warnings.append))) == 2
-        assert (stats.read, stats.skipped) == (2, 6)
+                                      warn=warnings.append))) == 3
+        assert (stats.read, stats.skipped) == (3, 7)
         prefix = "skipping unreadable corpus entry: "
         assert warnings == [prefix + m for m in (
             f"{path}:2: '3 bc,ca': expected 3 rotation groups, got 2",
@@ -161,6 +163,7 @@ class TestCorpus:
             f"{path}:8: bad vertex count in 'x bc,ca,ab'",
             f"{path}:9: rotation system is not a plane embedding: "
             "V - E + F = -2, not 2",
+            f"{path}:10: a rotation system with no edge has no face",
         )]
 
     def test_directory_skip_warnings_name_the_entry(self, tmp_path):
@@ -484,6 +487,7 @@ class TestInputErrors:
         assert code == 1 and named in err and "Traceback" not in err
 
     EDGE = {"n": 2, "edges": [[0, 1]]}
+    EDGELESS = {"n": 1, "edges": [], "rotation": {"0": []}}
     COVER = {**EDGE, "k": 2, "sigma": {"0-1": [2, 1]}}
 
     @pytest.mark.parametrize("argv,data,named", [
@@ -577,6 +581,11 @@ class TestInputErrors:
           "rotation": {str(v): [w for w in range(5) if w != v]
                        for v in range(5)}},
          "field 'rotation': rotation system is not a plane embedding"),
+        # a rotation system with no edge has no face to be the outer one
+        (["detect", "{}"], EDGELESS,
+         "field 'rotation': a rotation system with no edge has no face"),
+        (["discharge", "audit", "{}"], EDGELESS,
+         "field 'rotation': a rotation system with no edge has no face"),
     ]
 
     @pytest.mark.parametrize("argv,data,named", MALFORMED,
@@ -585,7 +594,8 @@ class TestInputErrors:
                                   "sigma-length", "explain-element",
                                   "no-edges", "edge-range", "matching-no-k",
                                   "sigma-key", "available-range",
-                                  "audit-no-rotation", "detect-k5"])
+                                  "audit-no-rotation", "detect-k5",
+                                  "detect-edgeless", "audit-edgeless"])
     def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
                                                       argv, data, named):
         path = tmp_path / "input.json"

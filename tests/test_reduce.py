@@ -444,7 +444,7 @@ ENUMERATED = {
     "CE-6": 4, "CE-7": 1729,
 }
 BLOCKS = {
-    "L2": 1, "L4-diamond": 36, "L5-special5": 72, "L6-precolor": 36,
+    "L2": 1, "L4-diamond": 1, "L5-special5": 2, "L6-precolor": 36,
     "L7-555": 8, "L8-556": 36, "CE-6": 1, "CE-7": 1,
 }
 # product (L4-diamond) has its budget test above
@@ -458,7 +458,8 @@ class TestKernelCounters:
         assert v.status == CATALOG[label].expect
         assert v.stats["enumerated"] == ENUMERATED[label]
         # L7-555 and L8-556: one block per option of the walked edge per
-        # orbit-first residual choice (8 = 8 x 1 and 36 = 6 x 6)
+        # orbit-first residual choice (8 = 8 x 1 and 36 = 6 x 6); the tail
+        # takes every early edge of L4-diamond, and of each L5-special5 side
         assert v.stats["blocks"] == BLOCKS[label]
 
     @pytest.mark.parametrize("label", sorted(ENUMERATED))
@@ -522,6 +523,21 @@ class TestKernelCounters:
         v = check_reducible(CATALOG["L5-special5"])
         assert v.status == REDUCIBLE
         assert len(calls) == sum(map(len, v.stats["families"])) == 8
+
+    def test_late_lines_once_per_residual_choice(self, monkeypatch):
+        # L8-556's 36 blocks walk and head only early edges, so the six
+        # blocks of each of its six residual choices share one late factor,
+        # and its line hits along the one tested axis are built once
+        late = []
+        line_hits = reduce._line_hits
+        monkeypatch.setattr(
+            reduce, "_line_hits", lambda rows, shape, axis, need:
+            (need == 1 and late.append(axis)) or
+            line_hits(rows, shape, axis, need))
+        v = check_reducible(CATALOG["L8-556"])
+        assert v.status == REDUCIBLE and v.stats["blocks"] == 36
+        assert v.stats["rows_built"] == 0  # no unfactored line test runs
+        assert len(late) == 6
 
     @pytest.mark.parametrize("strategy", ["product", "margin"])
     def test_budget_stops_before_the_failing_instance(self, strategy):
@@ -669,7 +685,8 @@ class TestBlockMemory:
 
         def pairs(early, late, *args):
             keep = line_test(early, late, *args)
-            # per axis, the [early, late] uint64 words ANDed, then keep
+            # per axis, the [early, late] pair matrix (8 bytes a pair, as
+            # much as the block's int64 instance numbers), then keep
             sizes.extend((keep.size * np.dtype(np.uint64).itemsize,
                           keep.nbytes))
             return keep
