@@ -43,9 +43,12 @@ An instance's row is the AND of one row of each.  The vectorized tail of
 the edges keeps taking early edges while they fit the cap, so the small
 configurations run in one or two blocks, but takes a late edge only as one
 of its last two: the line test on the factors skips the axes of a
-vectorized late edge's ends.  Blocks that walk no late edge share one
-late factor per residual choice.  The kernel also counts instances, blocks
-and built rows and stops on the budget.  Each strategy is one reduction of
+vectorized late edge's ends.  In color-index space the grid, the masks,
+the block plan and the late factor depend on the floors alone, so they are
+built once per check; each residual choice builds only the mask of its
+straightened edges and walks.  Blocks that walk no late edge share one
+late factor.  The kernel also counts instances, blocks and built rows and
+stops on the budget.  Each strategy is one reduction of
 those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
@@ -60,6 +63,7 @@ those blocks:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -374,6 +378,46 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 _BLOCK_CELLS = 1 << 19
 
 
+@functools.cache
+def _injections(na: int, nb: int) -> tuple[list, np.ndarray]:
+    """`maximal_injections` between the color indices range(na) and
+    range(nb), which follow those between any sorted sets of these sizes,
+    and each one's image of every index ([option, index], -1 for none)."""
+    import numpy as np
+
+    opts = maximal_injections(frozenset(range(na)), frozenset(range(nb)))
+    return opts, np.array([[m.get(i, -1) for i in range(na)] for m in opts])
+
+
+def _floor_tables(group: Sequence[int], rest: Sequence[int],
+                  sizes: Mapping[int, int], free) -> tuple[dict, list]:
+    """Over the grid of the color indices of group + rest (`sizes` each,
+    group outermost): each vertex's index per cell, and per free edge, in
+    `free` order, (edge, index options, [cell, option] mask, late), a late
+    edge (both ends in `group`) over the group grid only."""
+    import numpy as np
+
+    cells = math.prod(sizes.values())
+    # each vertex's index per cell, in C order: an axis repeats each index
+    # over the cells of the axes after it, and tiles that run over the
+    # indices of the axes before it
+    index, before, after = {}, 1, cells
+    for v in [*group, *rest]:
+        after //= sizes[v]
+        index[v] = np.tile(np.repeat(np.arange(sizes[v]), after), before)
+        before *= sizes[v]
+    width = math.prod(sizes[v] for v in rest)
+    # the group grid: the grid's cells whose rest indices come first
+    group_index = {v: index[v][::width] for v in group}
+    edges = []
+    for u, v in free:
+        opts, image = _injections(sizes[u], sizes[v])
+        late = u in group_index and v in group_index
+        at = group_index if late else index
+        edges.append(((u, v), opts, image.T[at[u]] != at[v][:, None], late))
+    return index, edges
+
+
 @dataclass
 class _Leaf:
     """One kernel block, as two factors over the group assignments.
@@ -387,7 +431,8 @@ class _Leaf:
     table row is the AND of the two.  Both factors and every table that
     `table` builds are profile-major (column-major): each group assignment's
     column is contiguous over the rows.  Blocks that share a late factor
-    share its `late_lines` too.
+    share its `late_lines` too.  Edge options are maps between color
+    indices into the sorted residual sets; `maps` turns them into colors.
     """
 
     run: _Run
@@ -397,10 +442,10 @@ class _Leaf:
     late_lines: dict  # axis -> float32 `_line_hits` of `late`, on demand
     count: int  # instances of the block within the budget
     first: int  # instances enumerated before this block
-    path: list  # (edge, map) fixed by the walk down to this block
-    inner: list  # (edge, maps, late) vectorized, the first one outermost
+    path: list  # (edge, index map) fixed by the walk down to this block
+    inner: list  # (edge, index maps, late) vectorized, the first outermost
 
-    @property
+    @functools.cached_property
     def touched(self) -> set:
         """The grouping vertices of the vectorized late edges."""
         return {v for e, _, late in self.inner if late for v in e}
@@ -438,12 +483,14 @@ class _Leaf:
             yield part, alive.T
 
     def maps(self, j: int) -> dict:
-        """The edge maps of the block's j-th instance."""
-        out = dict(self.path)
+        """The edge maps (of colors) of the block's j-th instance."""
+        picks = dict(self.path)
         for e, opts, _ in reversed(self.inner):
             j, r = divmod(j, len(opts))
-            out[e] = opts[r]
-        return out
+            picks[e] = opts[r]
+        colors = {v: sorted(s) for v, s in self.residuals.items()}
+        return {(u, v): {colors[u][a]: colors[v][b] for a, b in m.items()}
+                for (u, v), m in picks.items()}
 
 
 class _Run:
@@ -490,12 +537,16 @@ class _Run:
         """Yield the instances of every residual choice, block by block.
 
         The candidate assignments of group + rest form a grid, group
-        outermost.  Straightened edges mask out equal colors.  Each free
-        edge has one mask column per maximal injection: over the whole grid
-        for an early edge (one touching a `rest` vertex), over the group
-        grid only for a late edge (both ends in `group`).  Masks are
-        cell-major ([cell, option]), so reductions over cells run along
-        contiguous instances.
+        outermost, over color indices into the sorted residual sets.  Every
+        choice gives a vertex a set of its floor's size, and maximal
+        injections between sorted sets follow the index order, so the grid,
+        the free-edge masks (`_floor_tables`), the block plan, the tails and
+        the late factor depend on the floors alone and are built once per
+        call.  Per choice only `base` (straightened edges mask out equal
+        colors) and the walk remain.  An early edge (one touching a `rest`
+        vertex) masks the whole grid, a late one (both ends in `group`) the
+        group grid; masks are cell-major ([cell, option]), so reductions
+        over cells run along contiguous instances.
 
         The walk fixes one option per edge, fewest options first, and ANDs
         early columns into the candidate mask, late ones into the group
@@ -509,135 +560,113 @@ class _Run:
         the candidate mask, ORs each instance over the `rest` axes (one
         matmul of the head's and the tail's early masks, `_any_and`) and
         ANDs in the group mask; its late factor ANDs the vectorized late
-        edges over the group grid, once per residual choice when no head
-        and no walked edge is late.
+        edges over the group grid, once per call when no head and no
+        walked edge is late.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
-        order = [*group, *rest]
-        # per pair of endpoint sets: the maximal injections, and the image
-        # of every color under each (0 for the colors it leaves out)
-        injections: dict = {}
-        for residuals in choices:
-            domains = [sorted(residuals[v]) for v in order]
-            cells = math.prod(map(len, domains))
-            # each vertex's color per cell, in C order: an axis repeats
-            # each color over the cells of the axes after it, and tiles
-            # that run over the colors of the axes before it
-            color, before, after = {}, 1, cells
-            for v, domain in zip(order, domains):
-                after //= len(domain)
-                color[v] = np.tile(np.repeat(domain, after), before)
-                before *= len(domain)
-            width = math.prod(len(residuals[v]) for v in rest)
-            # the group grid: the grid's cells whose rest colors come first
-            group_color = {v: color[v][::width] for v in group}
+        choices = iter(choices)
+        first_choice = next(choices, None)
+        if first_choice is None:
+            return
+        sizes = {v: len(first_choice[v]) for v in [*group, *rest]}
+        index, edges = _floor_tables(group, rest, sizes, free)
+        edges.sort(key=lambda t: len(t[1]))
+        cells = math.prod(sizes.values())
+        width = math.prod(sizes[v] for v in rest)
+        groups = cells // width
+
+        def built(vec, head=1, late=False):
+            """Bytes of the arrays of a block that vectorizes `vec` after a
+            head slice of `head` options on the `late` side: the float32
+            operands and product of the early factor's matmul, the late
+            cube and the pair matrices (see _BLOCK_CELLS)."""
+            h, t = [1, 1], [1, 1]
+            h[late] = head
+            for _, opts, _, side in vec:
+                t[side] *= len(opts)
+            return (4 * cells * h[0], 4 * cells * t[0],
+                    4 * groups * h[0] * t[0], groups * h[1] * t[1],
+                    8 * h[0] * h[1] * t[0] * t[1])
+
+        # a late edge joins only as one of the tail's last two edges (see
+        # _BLOCK_CELLS)
+        tail = 0
+        while tail < len(edges) and \
+                (tail < 2 or not edges[len(edges) - tail - 1][3]) and \
+                max(built(edges[len(edges) - tail - 1:])) <= _BLOCK_CELLS:
+            tail += 1
+        outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
+        # the walk's edges, the head's among them
+        walks_late = any(late for *_, late in outer)
+        heads = [[]]
+        if outer:
+            e, opts, rows, late = outer.pop()
+            # the bytes that each head option adds to the arrays that grow
+            # with the head
+            per = max(a - b for a, b in zip(built(inner, 1, late),
+                                            built(inner, 0, late)))
+            step = max(1, _BLOCK_CELLS // per)
+            heads = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
+                     for lo in range(0, len(opts), step)]
+        # [early, late]: the [cell, option tuple] ANDs of the tail's edges,
+        # the same in every block
+        tails = [np.ones((n, 1), dtype=bool) for n in (cells, groups)]
+        for _, _, rows, late in inner:
+            tails[late] = _and_each(tails[late], rows)
+        # the early tail as every block's float32 matmul operand
+        tails[0] = tails[0].reshape(groups, width, -1).astype(np.float32)
+        # the late factor and its line hits by axis, shared by the blocks
+        # when neither a head nor the walk fixes a late edge
+        shared = None if walks_late else (tails[1].T, {})
+
+        def walk(residuals, masks):
+            """The blocks of every option tuple of the outer edges, in
+            lexicographic order, by an odometer (no recursion limit caps
+            the edges): fixed[d] holds the [candidate, group] masks with d
+            edges fixed."""
+            pick = [0] * len(outer)
+            fixed = [masks] * (len(outer) + 1)
+            d = 0  # the first edge whose option changed
+            while True:
+                for i in range(d, len(outer)):
+                    _, _, rows, late = outer[i]
+                    fixed[i + 1] = list(fixed[i])
+                    fixed[i + 1][late] = fixed[i][late] & rows[:, pick[i]]
+                path = [(e, opts[p]) for (e, opts, _, _), p in zip(outer, pick)]
+                for head in heads:
+                    vec = head + inner
+                    size = math.prod(len(t[1]) for t in vec)
+                    count = size
+                    if self.budget is not None and \
+                            self.enumerated + size > self.budget:
+                        count = self.budget - self.enumerated
+                        self.exhausted = True
+                    first = self.enumerated
+                    self.enumerated += count
+                    if count:
+                        self.blocks += 1
+                        yield self._leaf(residuals, fixed[-1], width, head,
+                                         tails, shared, vec, count, first,
+                                         path)
+                    if self.exhausted:
+                        return
+                d = len(outer) - 1
+                while d >= 0 and pick[d] == len(outer[d][1]) - 1:
+                    pick[d] = 0
+                    d -= 1
+                if d < 0:
+                    return
+                pick[d] += 1
+
+        for residuals in itertools.chain([first_choice], choices):
+            # the one table that depends on the choice's colors
+            color = {v: np.array(sorted(residuals[v]))[index[v]]
+                     for e in straight for v in e}
             base = np.ones(cells, dtype=bool)
             for u, v in straight:
                 base &= color[u] != color[v]
-            edges = []
-            for u, v in free:
-                key = (residuals[u], residuals[v])
-                if key not in injections:
-                    opts = maximal_injections(*key)
-                    injections[key] = opts, np.array(
-                        [[m.get(c, 0) for c in range(K + 1)] for m in opts],
-                        dtype=np.int64)
-                opts, image = injections[key]
-                late = u in group_color and v in group_color
-                c = group_color if late else color
-                edges.append(((u, v), opts,
-                              image.T[c[u]] != c[v][:, None], late))
-            edges.sort(key=lambda t: len(t[1]))
-
-            groups = cells // width
-
-            def built(vec, head=1, late=False):
-                """Bytes of the arrays of a block that vectorizes `vec`
-                after a head slice of `head` options on the `late` side:
-                the float32 operands and product of the early factor's
-                matmul, the late cube and the pair matrices (see
-                _BLOCK_CELLS)."""
-                h, t = [1, 1], [1, 1]
-                h[late] = head
-                for _, opts, _, side in vec:
-                    t[side] *= len(opts)
-                return (4 * cells * h[0], 4 * cells * t[0],
-                        4 * groups * h[0] * t[0], groups * h[1] * t[1],
-                        8 * h[0] * h[1] * t[0] * t[1])
-
-            # a late edge joins only as one of the tail's last two edges
-            # (see _BLOCK_CELLS)
-            tail = 0
-            while tail < len(edges) and \
-                    (tail < 2 or not edges[len(edges) - tail - 1][3]) and \
-                    max(built(edges[len(edges) - tail - 1:])) <= _BLOCK_CELLS:
-                tail += 1
-            outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
-            # the walk's edges, the head's among them
-            walks_late = any(late for *_, late in outer)
-            heads = [[]]
-            if outer:
-                e, opts, rows, late = outer.pop()
-                # the bytes that each head option adds to the arrays that
-                # grow with the head
-                per = max(a - b for a, b in zip(built(inner, 1, late),
-                                                built(inner, 0, late)))
-                step = max(1, _BLOCK_CELLS // per)
-                heads = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
-                         for lo in range(0, len(opts), step)]
-            # [early, late]: the candidate and the group masks of the walk,
-            # and the [cell, option tuple] ANDs of the tail's edges, the same
-            # in every block of this residual choice
-            masks = [base, np.ones(groups, dtype=bool)]
-            tails = [np.ones((m.size, 1), dtype=bool) for m in masks]
-            for _, _, rows, late in inner:
-                tails[late] = _and_each(tails[late], rows)
-            # the early tail as every block's float32 matmul operand
-            tails[0] = tails[0].reshape(groups, width, -1).astype(np.float32)
-            # the late factor and its line hits by axis, shared by the
-            # blocks when neither a head nor the walk fixes a late edge
-            shared = None if walks_late else (tails[1].T, {})
-
-            def walk():
-                """The blocks of every option tuple of the outer edges, in
-                lexicographic order, by an odometer (no recursion limit caps
-                the edges): fixed[d] holds the masks with d edges fixed."""
-                pick = [0] * len(outer)
-                fixed = [masks] * (len(outer) + 1)
-                d = 0  # the first edge whose option changed
-                while True:
-                    for i in range(d, len(outer)):
-                        _, _, rows, late = outer[i]
-                        fixed[i + 1] = list(fixed[i])
-                        fixed[i + 1][late] = fixed[i][late] & rows[:, pick[i]]
-                    path = [(e, opts[p]) for (e, opts, _, _), p in zip(outer, pick)]
-                    for head in heads:
-                        vec = head + inner
-                        size = math.prod(len(t[1]) for t in vec)
-                        count = size
-                        if self.budget is not None and \
-                                self.enumerated + size > self.budget:
-                            count = self.budget - self.enumerated
-                            self.exhausted = True
-                        first = self.enumerated
-                        self.enumerated += count
-                        if count:
-                            self.blocks += 1
-                            yield self._leaf(residuals, fixed[-1], width,
-                                             head, tails, shared, vec, count,
-                                             first, path)
-                        if self.exhausted:
-                            return
-                    d = len(outer) - 1
-                    while d >= 0 and pick[d] == len(outer[d][1]) - 1:
-                        pick[d] = 0
-                        d -= 1
-                    if d < 0:
-                        return
-                    pick[d] += 1
-
-            yield from walk()
+            yield from walk(residuals, [base, np.ones(groups, dtype=bool)])
             if self.exhausted:
                 return
 

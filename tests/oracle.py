@@ -28,6 +28,11 @@ Residual choices: every choice of the kernel's enumeration before its
 orbit reduction, and the choices that come first in their orbit, found by
 applying every renaming of the group to every choice.
 
+Edge masks: the kernel grid's free-edge masks built from one residual
+choice's colors, each vertex's color per cell by np.tile and np.repeat,
+which fixes the masks and option order that the kernel builds once per
+check in color-index space.
+
 Eliminate order: the first instance of an eliminate configuration that
 pivot maps block, with the instances of every residual choice listed in the
 kernel's documented order by itertools and each one's live profiles found
@@ -237,6 +242,38 @@ def residual_choices(cfg: Configuration, skip: Sequence[int] = ()):
                                                           cfg.floors[v])]
             for v in vary)):
         yield {**base, **dict(zip(vary, combo))}
+
+
+def edge_masks(residuals: Mapping[int, frozenset[int]], group: Sequence[int],
+               rest: Sequence[int], free) -> list[tuple]:
+    """Per free edge, in `free` order: (edge, maximal injections, [cell,
+    option] mask, late).
+
+    The grid runs over the colors of group + rest, group outermost, in C
+    order.  mask[cell, r] says whether option r keeps the edge's two
+    colors at that cell apart; a color that the option leaves out is kept
+    apart from every color.  A late edge (both ends in `group`) has its
+    mask over the group grid only: the cells whose rest colors come first.
+    """
+    order = [*group, *rest]
+    domains = [sorted(residuals[v]) for v in order]
+    cells = math.prod(map(len, domains))
+    color, before, after = {}, 1, cells
+    for v, domain in zip(order, domains):
+        after //= len(domain)
+        color[v] = np.tile(np.repeat(domain, after), before)
+        before *= len(domain)
+    width = math.prod(len(residuals[v]) for v in rest)
+    group_color = {v: color[v][::width] for v in group}
+    out = []
+    for u, v in free:
+        opts = maximal_injections(residuals[u], residuals[v])
+        image = np.array([[m.get(c, 0) for c in range(K + 1)] for m in opts],
+                         dtype=np.int64)
+        late = u in group_color and v in group_color
+        at = group_color if late else color
+        out.append(((u, v), opts, image.T[at[u]] != at[v][:, None], late))
+    return out
 
 
 def _choice_key(choice: Mapping[int, frozenset[int]]) -> tuple:

@@ -524,10 +524,11 @@ class TestKernelCounters:
         assert v.status == REDUCIBLE
         assert len(calls) == sum(map(len, v.stats["families"])) == 8
 
-    def test_late_lines_once_per_residual_choice(self, monkeypatch):
-        # L8-556's 36 blocks walk and head only early edges, so the six
-        # blocks of each of its six residual choices share one late factor,
-        # and its line hits along the one tested axis are built once
+    def test_late_lines_once_per_check(self, monkeypatch):
+        # L8-556's 36 blocks walk and head only early edges, and its late
+        # factor depends on the floors alone, so all 36 blocks of its six
+        # residual choices share one, and its line hits along the one
+        # tested axis are built once
         late = []
         line_hits = reduce._line_hits
         monkeypatch.setattr(
@@ -537,7 +538,7 @@ class TestKernelCounters:
         v = check_reducible(CATALOG["L8-556"])
         assert v.status == REDUCIBLE and v.stats["blocks"] == 36
         assert v.stats["rows_built"] == 0  # no unfactored line test runs
-        assert len(late) == 6
+        assert len(late) == 1
 
     @pytest.mark.parametrize("strategy", ["product", "margin"])
     def test_budget_stops_before_the_failing_instance(self, strategy):
@@ -1044,3 +1045,50 @@ class TestOrbitReduction:
     def test_same_answers_without_the_filter(self, configs, data):
         cfg, _ = data.draw(configs(forested=True))
         _same_answers(check_reducible(cfg), _unreduced(cfg))
+
+
+class TestFloorTables:
+    """The kernel builds its grid and free-edge masks once per check, over
+    color indices into the sorted residual sets.  For every residual
+    choice they equal the masks built from that choice's colors
+    (tests/oracle.py), with the options in the same order once the
+    choice's sorted sets turn indices into colors."""
+
+    @staticmethod
+    def _agree(cfg):
+        calls = []
+        floor_tables = reduce._floor_tables
+
+        def record(group, rest, sizes, free):
+            index, edges = floor_tables(group, rest, sizes, free)
+            # the kernel sorts the list it gets by option count
+            calls.append((group, rest, free, list(edges)))
+            return index, edges
+
+        with mock.patch.object(reduce, "_floor_tables", record):
+            check_reducible(cfg)
+        assert calls
+        skip = () if cfg.pivot is None else (cfg.pivot,)
+        for residuals in oracle.orbit_first_choices(cfg, skip):
+            for group, rest, free, edges in calls:
+                want = oracle.edge_masks(residuals, group, rest, free)
+                assert [(e, late) for e, _, _, late in edges] == \
+                    [(e, late) for e, _, _, late in want]
+                for (e, opts, mask, _), (_, colored, reference, _) in zip(
+                        edges, want):
+                    a, b = (sorted(residuals[v]) for v in e)
+                    assert [{a[i]: b[k] for i, k in m.items()}
+                            for m in opts] == colored
+                    assert np.array_equal(mask, reference)
+
+    @pytest.mark.parametrize("label", sorted(ENUMERATED))
+    def test_catalog_masks_are_the_references(self, label):
+        self._agree(CATALOG[label])
+
+    @pytest.mark.parametrize("configs", [product_configs, eliminate_configs],
+                             ids=["product", "eliminate"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_forested_masks_are_the_references(self, configs, data):
+        cfg, _ = data.draw(configs(forested=True))
+        self._agree(cfg)
