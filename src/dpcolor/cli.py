@@ -126,7 +126,7 @@ def cmd_detect(args) -> dict:
         report["good_outer_triangle"] = cl.has_good_outer_triangle(g)
     if args.assets:
         found = {}
-        for name, pat in sorted(pt.load_assets_dir(args.assets).items()):
+        for name, pat in sorted(dio.load_assets_dir(args.assets).items()):
             hit = contains_pattern(graph, pat.graph)
             found[name] = None if hit is None else sorted(hit.values())
         report["asset_patterns"] = found

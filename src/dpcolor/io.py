@@ -1,10 +1,11 @@
-"""File formats: graph files, matching files, cover/witness files, corpora.
+"""File formats: graph files and pattern assets, matching files, cover/witness
+files, corpora.
 
 Graph file (JSON):
     {"n": int, "edges": [[u,v],...],
      "rotation": {"v": [neighbors in cyclic order], ...}   (optional)
      "outer_face": [boundary walk]                         (optional)
-     "labels": {"u": vertex, ...}, "code": int             (catalog assets)}
+     "name": str, "labels": {"u": vertex, ...}, "code": int  (pattern assets)}
 
 Matching file: {"k": int in [2, 8], "sigma": {"u-v": [images of 1..k], ...}}
 with u < v.
@@ -127,6 +128,32 @@ def graph_to_dict(g: Union[Graph, PlaneGraph], extra: Optional[dict] = None) -> 
     if extra:
         data.update(extra)
     return data
+
+
+def pattern_from_dict(data: dict,
+                      source: str = "<dict>") -> patterns.LabeledPattern:
+    """LabeledPattern from an asset dictionary (graph fields + labels/code);
+    errors are FormatErrors that name `source` and the field."""
+    pg = graph_from_dict(data, source)
+    if not isinstance(pg, PlaneGraph):
+        raise FormatError(f"{source}: pattern asset must carry a rotation system")
+    labels = {lbl: _int(v, f"labels[{lbl!r}]", source) for lbl, v in
+              _object(data.get("labels", {}), "labels", source).items()}
+    return patterns.LabeledPattern(str(data.get("name", "pattern")), pg, labels,
+                                   _int(data.get("code", 0), "code", source))
+
+
+def load_assets_dir(path: Union[str, Path]) -> dict[str, patterns.LabeledPattern]:
+    """All pattern assets in a directory, keyed by name."""
+    if not Path(path).is_dir():
+        raise FormatError(f"{path}: no such directory of pattern assets")
+    out = {}
+    for entry in sorted(Path(path).glob("*.json")):
+        data = _load_json(entry)
+        if isinstance(data, dict) and data.keys() & {"labels", "code", "name"}:
+            pat = pattern_from_dict(data, str(entry))
+            out[pat.name] = pat
+    return out
 
 
 def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[int, dict]:

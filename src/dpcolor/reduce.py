@@ -46,10 +46,11 @@ of its last two: the line test on the factors skips the axes of a
 vectorized late edge's ends.  In color-index space the grid, the masks,
 the block plan and the late factor depend on the floors alone, so they are
 built once per check; each residual choice builds only the mask of its
-straightened edges and walks.  Blocks that walk no late edge share one
-late factor.  The kernel also counts instances, blocks and built rows and
-stops on the budget.  Each strategy is one reduction of
-those blocks:
+straightened edges and walks.  The walked late edges go into the early
+factor's group mask, so each head slice of the walk's last edge has one
+late factor, which its blocks at every walk step share.  The kernel also
+counts instances, blocks and built rows and stops on the budget.  Each
+strategy is one reduction of those blocks:
 
 * "product" (no grouping): an instance with no live candidate fails;
 * "margin" (the precolored vertex): more than one dead precolor fails;
@@ -467,12 +468,20 @@ class _Leaf:
                 self.run.rows_built += len(j)
                 yield j, (factors[0][:, lo:lo + len(j)] & factors[1]).T
             return
-        # one axis per vectorized edge; each factor spans its own edges'
-        # axes, in the mixed radix that numbers the instances
-        digits = [len(opts) for _, opts, _ in self.inner]
+        # one axis per run of consecutive vectorized edges on one side, in
+        # the mixed radix that numbers the instances; each factor spans its
+        # own side's axes.  A late edge is the head or one of the tail's
+        # last two edges, so a block has at most 4 runs, within numpy's
+        # axis limit however many edges it vectorizes.
+        digits, sides = [], []
+        for _, opts, late in self.inner:
+            if sides and sides[-1] == late:
+                digits[-1] *= len(opts)
+            else:
+                digits.append(len(opts))
+                sides.append(late)
         e, l = (np.broadcast_to(np.arange(f.shape[1]).reshape(
-            [n if late == side else 1
-             for n, (_, _, late) in zip(digits, self.inner)]),
+            [n if late == side else 1 for n, late in zip(digits, sides)]),
             digits).ravel()[:self.count] for side, f in enumerate(factors))
         j = np.flatnonzero(keep[e, l])
         for lo in range(0, len(j), step):
@@ -559,9 +568,9 @@ class _Run:
         sort.  A leaf's early factor ANDs the vectorized early edges into
         the candidate mask, ORs each instance over the `rest` axes (one
         matmul of the head's and the tail's early masks, `_any_and`) and
-        ANDs in the group mask; its late factor ANDs the vectorized late
-        edges over the group grid, once per call when no head and no
-        walked edge is late.
+        ANDs in the group mask, which carries the walked late edges; its
+        late factor ANDs the vectorized late edges over the group grid,
+        once per call for each head slice.
         """
         import numpy as np  # loaded by checks only, not by every verb
 
@@ -597,9 +606,17 @@ class _Run:
                 max(built(edges[len(edges) - tail - 1:])) <= _BLOCK_CELLS:
             tail += 1
         outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
-        # the walk's edges, the head's among them
-        walks_late = any(late for *_, late in outer)
-        heads = [[]]
+        # [early, late]: the [cell, option tuple] ANDs of the tail's edges,
+        # the same in every block
+        tails = [np.ones((n, 1), dtype=bool) for n in (cells, groups)]
+        for _, _, rows, late in inner:
+            tails[late] = _and_each(tails[late], rows)
+        # each head slice with its late factor and that factor's line hits
+        # by axis: the late tail, with the slice's options ANDed in when
+        # the head is late.  Walked late edges stay out of it, since the
+        # group mask ANDs them into every early row.
+        shared = (tails[1].T, {})
+        heads = [([], shared)]
         if outer:
             e, opts, rows, late = outer.pop()
             # the bytes that each head option adds to the arrays that grow
@@ -607,18 +624,12 @@ class _Run:
             per = max(a - b for a, b in zip(built(inner, 1, late),
                                             built(inner, 0, late)))
             step = max(1, _BLOCK_CELLS // per)
-            heads = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
+            heads = [([(e, opts[lo:lo + step], rows[:, lo:lo + step], late)],
+                      (_and_each(rows[:, lo:lo + step], tails[1]).T, {})
+                      if late else shared)
                      for lo in range(0, len(opts), step)]
-        # [early, late]: the [cell, option tuple] ANDs of the tail's edges,
-        # the same in every block
-        tails = [np.ones((n, 1), dtype=bool) for n in (cells, groups)]
-        for _, _, rows, late in inner:
-            tails[late] = _and_each(tails[late], rows)
         # the early tail as every block's float32 matmul operand
         tails[0] = tails[0].reshape(groups, width, -1).astype(np.float32)
-        # the late factor and its line hits by axis, shared by the blocks
-        # when neither a head nor the walk fixes a late edge
-        shared = None if walks_late else (tails[1].T, {})
 
         def walk(residuals, masks):
             """The blocks of every option tuple of the outer edges, in
@@ -634,7 +645,7 @@ class _Run:
                     fixed[i + 1] = list(fixed[i])
                     fixed[i + 1][late] = fixed[i][late] & rows[:, pick[i]]
                 path = [(e, opts[p]) for (e, opts, _, _), p in zip(outer, pick)]
-                for head in heads:
+                for head, late_factor in heads:
                     vec = head + inner
                     size = math.prod(len(t[1]) for t in vec)
                     count = size
@@ -647,8 +658,8 @@ class _Run:
                     if count:
                         self.blocks += 1
                         yield self._leaf(residuals, fixed[-1], width, head,
-                                         tails, shared, vec, count, first,
-                                         path)
+                                         tails[0], late_factor, vec, count,
+                                         first, path)
                     if self.exhausted:
                         return
                 d = len(outer) - 1
@@ -670,29 +681,24 @@ class _Run:
             if self.exhausted:
                 return
 
-    def _leaf(self, residuals, masks, width, head, tails, shared, vec, count,
-              first, path) -> _Leaf:
-        """The two factors of one block, from the [candidate, group] masks
-        of the walk, the head slice and the [early, late] tail products
-        (the early one as float32 [group, cell, option]); the late factor
-        is `shared` (with its line hits) unless the head or the walk fixes
-        a late edge.  `vec` lists the block's vectorized edges, the first
-        one outermost.
+    def _leaf(self, residuals, masks, width, head, early_tail, late_factor,
+              vec, count, first, path) -> _Leaf:
+        """The two factors of one block: the early one from the
+        [candidate, group] masks of the walk, the head slice when it is
+        early and the early tail product (float32 [group, cell, option]);
+        the late one is the head slice's `late_factor` (with its line
+        hits).  `vec` lists the block's vectorized edges, the first one
+        outermost.
         """
-        tables = []
-        for side, mask in enumerate(masks):
-            table = mask[:, None]
-            for _, _, rows, late in head:
-                if late == side:
-                    table = table & rows
-            tables.append(table)
+        table = masks[0][:, None]
+        for _, _, rows, late in head:
+            if not late:
+                table = table & rows
         groups = masks[1].size
-        early = _any_and(tables[0].reshape(groups, width, -1), tails[0])
+        early = _any_and(table.reshape(groups, width, -1), early_tail)
         early &= masks[1][:, None]
-        if shared is None:
-            shared = _and_each(tables[1], tails[1]).T, {}
-        return _Leaf(self, residuals, early.T, *shared, count, first, path,
-                     [(e, opts, late) for e, opts, _, late in vec])
+        return _Leaf(self, residuals, early.T, *late_factor, count, first,
+                     path, [(e, opts, late) for e, opts, _, late in vec])
 
 
 def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -856,16 +862,15 @@ def _adversary_blocks(
 
 
 def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """The rows of `alive` whose live profiles pivot maps might block: no
-    line along any axis holds two of them (see _factored_line_test), and
-    at most 24 are live."""
+    """The rows of `alive` whose live profiles pivot maps might block: at
+    most 24 are live, and they pass `_factored_line_test` against one
+    all-live late row along every axis."""
     import numpy as np
 
-    ok = np.count_nonzero(alive, axis=1) <= 24
-    for axis in range(len(shape)):
-        if shape[axis] > 1:
-            ok &= ~_line_hits(alive, shape, axis, 2).any(axis=0)
-    return np.flatnonzero(ok)
+    keep = _factored_line_test(
+        alive, np.ones((1, alive.shape[1]), dtype=bool), shape,
+        [a for a in range(len(shape)) if shape[a] > 1])[:, 0]
+    return np.flatnonzero(keep & (np.count_nonzero(alive, axis=1) <= 24))
 
 
 def _factored_line_test(early: np.ndarray, late: np.ndarray,

@@ -4,15 +4,51 @@ from __future__ import annotations
 
 import importlib.resources
 import itertools
+import math
 import random
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from dpcolor.cover import CoverInstance
 from dpcolor.generate import PlaneBuilder, generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
-from dpcolor.patterns import catalog, plane_from_coords
+from dpcolor.io import load_assets_dir
+from dpcolor.patterns import LabeledPattern, catalog
 
 ASSETS = Path(str(importlib.resources.files("dpcolor") / "assets"))
+
+
+def butterfly_pattern() -> LabeledPattern:
+    """The shipped butterfly asset."""
+    return load_assets_dir(ASSETS)["butterfly"]
+
+
+def c7_pattern() -> LabeledPattern:
+    """The shipped 7-cycle asset."""
+    return load_assets_dir(ASSETS)["c7"]
+
+
+def plane_from_coords(
+    coords: Mapping[str, tuple[float, float]],
+    edges: Sequence[tuple[str, str]],
+    outer: Sequence[str],
+) -> tuple[PlaneGraph, dict[str, int]]:
+    """Plane graph from labeled 2-D coordinates; rotation by CCW angle sort."""
+    names = sorted(coords)
+    index = {name: i for i, name in enumerate(names)}
+    g = Graph.from_edges(len(names), [(index[a], index[b]) for a, b in edges])
+    rotation = []
+    for name in names:
+        x0, y0 = coords[name]
+        nbrs = sorted(
+            g.adjacency[index[name]],
+            key=lambda u: math.atan2(
+                coords[names[u]][1] - y0, coords[names[u]][0] - x0
+            ),
+        )
+        rotation.append(nbrs)
+    pg = PlaneGraph(g, rotation, [index[name] for name in outer])
+    return pg, index
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

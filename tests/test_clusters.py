@@ -1,12 +1,13 @@
 """Cluster extraction/classification and 3-cycle predicates."""
 
 import collections
+import hashlib
 import json
 
 import pytest
 
 import oracle
-from conftest import ASSETS, audit_corpus
+from conftest import ASSETS, audit_corpus, butterfly_pattern, c7_pattern
 from dpcolor import clusters, graphs
 from dpcolor.clusters import (
     UNCLASSIFIED, classify_cluster, classifications, cycle_predicates,
@@ -15,11 +16,10 @@ from dpcolor.clusters import (
 from dpcolor.discharge import audit
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
-from dpcolor.io import parse_graph_file
-from dpcolor.patterns import (
-    butterfly_pattern, catalog, cluster_pattern,
-    contains_butterfly, load_assets_dir, pattern_from_dict,
+from dpcolor.io import (
+    graph_to_dict, load_assets_dir, parse_graph_file, pattern_from_dict,
 )
+from dpcolor.patterns import catalog, cluster_pattern, contains_butterfly
 from oracle import catalog_matches
 
 
@@ -309,3 +309,48 @@ class TestButterfly:
     def test_load_assets_dir(self):
         pats = load_assets_dir(str(ASSETS))
         assert "butterfly" in pats and "cluster-11" in pats
+
+
+# sha256 of each pattern's graph_to_dict with its name, code and labels
+# (json.dumps, sorted keys), as the coordinate drawings that the shipped
+# assets now define built them
+PATTERN_DIGESTS = {
+    "cluster-01": "c50651f0abe2427575e1dc3761b5e728ee03f8b65683ad4b4da7ec39016defc7",
+    "cluster-02": "ebc4d07db11cc7827e9da6f372f8149310156eaa0d43616aef17a0c3042d8721",
+    "cluster-03": "690c8568ed0c4453e02f73ceaea526b399904f5287cb3794791ceaa2b80af4f8",
+    "cluster-04": "d9e8cd89e3c642505140c42f57b3f1fa5f23d2f2cae737313918e9b234664011",
+    "cluster-05": "4bc07e3e26ec15b723f3e2273024c11ce0aae1cdd135256a93cf909cd046b77e",
+    "cluster-06": "37afeff2479274da63725aee68c182ea32b58fb1103ccc5c276c0c4115c94037",
+    "cluster-07": "9c44df22473bfb59e6d7df1996d3b9deabcc24398913dbd077f109e9d8a842fe",
+    "cluster-08": "49a3713d61bb665d06bd3564f965209fa89cb6638082379549027294282cac97",
+    "cluster-09": "8ef17bd9b9fcfb41dad85172b30f31dde223a2b918dd91ecceb18fc0b46e7673",
+    "cluster-10": "3aba8f59e2064944e3547f9b74aa606b74dda954cedd89a7e2418a3cdb582986",
+    "cluster-11": "e33c8d244914aeab2d213d0c3fc6291b4981f115afb5a16f13a9b125e8c2276c",
+    "butterfly": "8ab3cf1b6b368df45404283cf342ae47857c2f115110cf96c4af446136ff0cb0",
+    "c7": "f7b5bcb51bda5032720e8e17c8b57c335b705bf2751d56a1c42fc5eaae3480d1",
+}
+
+
+class TestShippedCatalog:
+    """The shipped assets are the catalog's one definition."""
+
+    def test_digests(self):
+        pats = [*catalog().values(), butterfly_pattern(), c7_pattern()]
+        digests = {}
+        for pat in pats:
+            data = graph_to_dict(pat.plane, {
+                "name": pat.name, "code": pat.code,
+                "labels": dict(sorted(pat.labels.items()))})
+            digests[pat.name] = hashlib.sha256(
+                json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digests == PATTERN_DIGESTS
+
+    @pytest.mark.parametrize("code", range(1, 12))
+    def test_lookups_share_one_pattern(self, code):
+        pat = cluster_pattern(code)
+        assert pat is catalog()[code]
+        assert pat.code == code and pat.name == f"cluster-{code:02d}"
+
+    def test_unknown_code(self):
+        with pytest.raises(ValueError, match="no catalog entry with code 12"):
+            cluster_pattern(12)

@@ -15,7 +15,8 @@ import pytest
 import dpcolor.discharge
 from dpcolor import graphs
 from conftest import (
-    audit_corpus, shared_vertex_host, special_seven_host, tight_six_host,
+    audit_corpus, butterfly_pattern, c7_pattern, shared_vertex_host,
+    special_seven_host, tight_six_host,
 )
 from dpcolor.clusters import extract_clusters
 from dpcolor.discharge import (
@@ -25,7 +26,7 @@ from dpcolor.discharge import (
 from dpcolor.generate import generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import graph_to_dict, ingest_corpus
-from dpcolor.patterns import butterfly_pattern, c7_pattern, cluster_pattern
+from dpcolor.patterns import cluster_pattern
 
 CORPUS = generate_corpus(40, seed=20260823, min_n=6, max_n=14)
 

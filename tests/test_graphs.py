@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import ASSETS, petersen, random_graph, special_seven_host
+from conftest import (
+    ASSETS, butterfly_pattern, petersen, random_graph, special_seven_host,
+)
 from dpcolor import generate, graphs
 from dpcolor.clusters import cluster_subgraph, extract_clusters
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
@@ -18,10 +20,7 @@ from dpcolor.graphs import (
     Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
     contains_pattern, find_cycle_of_length, has_cycle_of_length,
 )
-from dpcolor.patterns import (
-    butterfly_pattern, catalog, cluster_pattern,
-    contains_butterfly,
-)
+from dpcolor.patterns import catalog, cluster_pattern, contains_butterfly
 
 
 def triangle_with_center():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import ASSETS
+from conftest import ASSETS, butterfly_pattern
 from dpcolor import cli
 from dpcolor import reduce as rd
 from dpcolor.cover import CoverInstance, is_independent
@@ -14,7 +14,6 @@ from dpcolor.io import (
     ingest_corpus, parse_cover_file, parse_config_file, parse_graph_file,
     parse_planar_code_line, sigma_from_dict, write_cover_file,
 )
-from dpcolor.patterns import butterfly_pattern
 
 K5_LINE = "5 bcde,acde,abde,abce,abcd"
 

@@ -972,7 +972,7 @@ class TestEliminateOrder:
 
 class TestKernelSize:
     """Neither numpy's axis limits nor Python's recursion limit caps the
-    number of vertices or walked edges."""
+    number of vertices, walked edges or vectorized edges."""
 
     @pytest.mark.parametrize("n", [33, 64, 65, 200, 1200])
     def test_floor_one_path(self, n):
@@ -984,6 +984,20 @@ class TestKernelSize:
         v = check_reducible(cfg)
         assert v.status == NOT_REDUCIBLE
         assert v.stats["enumerated"] == 1
+
+    def test_eliminate_block_of_70_edges(self):
+        # a floor-4 pivot with four floor-2 neighbors and a 70-vertex
+        # floor-1 path off one of them: the one block vectorizes 70 edges,
+        # more than numpy's 64 axes, and its one instance fails
+        n = 75
+        edges = [(0, v) for v in range(1, 5)] + [(1, 5)] + \
+            [(i, i + 1) for i in range(5, n - 1)]
+        cfg = Configuration("eliminate-path-70", Graph.from_edges(n, edges),
+                            {}, (4,) + (2,) * 4 + (1,) * 70, (), "eliminate",
+                            pivot=0, expect=NOT_REDUCIBLE)
+        v = check_reducible(cfg)
+        assert v.status == NOT_REDUCIBLE
+        assert v.stats["enumerated"] == v.stats["blocks"] == 1
 
 
 # the counts of the enumeration that checks every residual choice, not only
