@@ -18,7 +18,6 @@ from . import clusters as cl
 from . import discharge as dc
 from . import io as dio
 from . import patterns as pt
-from . import reduce as rd
 from .cover import CoverInstance, find_transversal
 from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
 
@@ -79,18 +78,23 @@ def _parse_precolor(text: Optional[str]) -> dict[int, int]:
 
 def cmd_solve(args) -> dict:
     data = dio._load_json(args.input)
-    g = dio.graph_from_dict(data, args.input)
-    graph = g.graph if isinstance(g, PlaneGraph) else g
-    if "sigma" in data:
-        inst = dio.parse_cover_file(args.input)
-    elif args.matching:
-        k, sigma = dio.sigma_from_dict(
-            dio._load_json(args.matching), graph, args.matching)
-        inst = CoverInstance(
-            graph, k, tuple(frozenset(range(1, k + 1))
-                            for _ in range(graph.n)), sigma)
+    if isinstance(data, dict) and "sigma" in data:
+        if args.matching:
+            raise dio.FormatError(
+                f"{args.input} carries its own sigma; --matching "
+                f"{args.matching} would replace it")
+        inst = dio.cover_from_dict(data, args.input)
     else:
-        inst = CoverInstance.straight(graph, args.k)
+        g = dio.graph_from_dict(data, args.input)
+        graph = g.graph if isinstance(g, PlaneGraph) else g
+        if args.matching:
+            k, sigma = dio.sigma_from_dict(
+                dio._load_json(args.matching), graph, args.matching)
+            inst = CoverInstance(
+                graph, k, tuple(frozenset(range(1, k + 1))
+                                for _ in range(graph.n)), sigma)
+        else:
+            inst = CoverInstance.straight(graph, args.k)
     pre = _parse_precolor(args.precolor)
     t0 = time.monotonic()
     found = find_transversal(inst, pre)
@@ -134,6 +138,8 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_reduce_check(args) -> dict:
+    from . import reduce as rd  # numpy loads only when a check runs
+
     if args.config:
         cfg = dio.parse_config_file(args.config)
     else:
@@ -164,7 +170,7 @@ def cmd_reduce_check(args) -> dict:
 def cmd_witness_verify(args) -> dict:
     inst = dio.parse_cover_file(args.input)
     t0 = time.monotonic()
-    confirmed = rd.verify_witness(inst)
+    confirmed = find_transversal(inst) is None
     candidates = 1
     for v in range(inst.graph.n):
         candidates *= max(1, len(inst.available[v]))
@@ -231,6 +237,16 @@ def cmd_corpus(args) -> dict:
         "passed": len(rows),
         "graphs": rows,
     }
+
+
+VERBS = {
+    "solve": cmd_solve,
+    "detect": cmd_detect,
+    "reduce-check": cmd_reduce_check,
+    "witness-verify": cmd_witness_verify,
+    "discharge": cmd_discharge,
+    "corpus": cmd_corpus,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +323,10 @@ def main(argv: Optional[list] = None) -> int:
     for flag, low in (("budget", 0), ("limit", 1)):
         if getattr(args, flag, None) is not None and getattr(args, flag) < low:
             parser.error(f"--{flag} must be >= {low}")
+    if getattr(args, "action", None) == "explain" and not args.element:
+        parser.error("discharge explain requires --element")
     try:
-        if args.verb == "solve":
-            report = cmd_solve(args)
-        elif args.verb == "detect":
-            report = cmd_detect(args)
-        elif args.verb == "reduce-check":
-            report = cmd_reduce_check(args)
-        elif args.verb == "witness-verify":
-            report = cmd_witness_verify(args)
-        elif args.verb == "discharge":
-            if args.action == "explain" and not args.element:
-                parser.error("discharge explain requires --element")
-            report = cmd_discharge(args)
-        elif args.verb == "corpus":
-            report = cmd_corpus(args)
-        else:  # pragma: no cover - argparse enforces the verb set
-            parser.error(f"unknown verb {args.verb}")
+        report = VERBS[args.verb](args)
     except (dio.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -186,6 +186,10 @@ def random_plane_graph(
     rejected insertions in a row accumulate before the target size, or as
     soon as every insertion site of the current graph has been rejected.
     """
+    unknown = set(forbid) - {"7-cycle", "butterfly"}
+    if unknown:
+        raise ValueError(f"forbid: unknown {sorted(unknown)}; choices: "
+                         f"'7-cycle', 'butterfly'")
     rng = random.Random(seed)
     builder = PlaneBuilder()
     rejected: set[Site] = set()  # since the last accepted insertion

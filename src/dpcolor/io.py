@@ -174,6 +174,9 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
             raise FormatError(f"{source}: sigma key {key!r} is not 'u-v'")
         if (u, v) != edge_key(u, v):
             raise FormatError(f"{source}: sigma key {key!r} must have u < v")
+        if (u, v) not in graph.edges:
+            raise FormatError(f"{source}: field sigma[{key!r}]: ({u}, {v}) "
+                              f"is not an edge")
         images = _list(images, f"sigma[{key!r}]", source)
         if len(images) != k:
             raise FormatError(f"{source}: field sigma[{key!r}]: lists "
@@ -186,27 +189,32 @@ def sigma_from_dict(data: dict, graph: Graph, source: str = "<dict>") -> tuple[i
     return k, sigma
 
 
-def parse_cover_file(path: Union[str, Path]) -> CoverInstance:
-    data = _load_json(path)
-    g = graph_from_dict(data, str(path))
+def cover_from_dict(data: dict, source: str = "<dict>") -> CoverInstance:
+    """CoverInstance from a cover dictionary (graph fields + k, sigma and
+    optionally available); errors are FormatErrors that name `source`."""
+    g = graph_from_dict(data, source)
     graph = g.graph if isinstance(g, PlaneGraph) else g
-    k, sigma = sigma_from_dict(data, graph, str(path))
+    k, sigma = sigma_from_dict(data, graph, source)
     avail_raw = data.get("available")
     if avail_raw is None:
         avail = tuple(frozenset(range(1, k + 1)) for _ in range(graph.n))
     else:
-        avail_raw = _object(avail_raw, "available", str(path))
+        avail_raw = _object(avail_raw, "available", source)
         avail = tuple(
-            frozenset(_int(c, f"available['{v}']", str(path))
+            frozenset(_int(c, f"available['{v}']", source)
                       for c in _list(avail_raw.get(str(v), [*range(1, k + 1)]),
-                                     f"available['{v}']", str(path)))
+                                     f"available['{v}']", source))
             for v in range(graph.n)
         )
         for v, colors in enumerate(avail):
             if not all(1 <= c <= k for c in colors):
-                raise FormatError(f"{path}: field available['{v}']: "
+                raise FormatError(f"{source}: field available['{v}']: "
                                   f"{sorted(colors)} is not a subset of 1..{k}")
     return CoverInstance(graph, k, avail, sigma)
+
+
+def parse_cover_file(path: Union[str, Path]) -> CoverInstance:
+    return cover_from_dict(_load_json(path), str(path))
 
 
 def cover_to_dict(inst: CoverInstance) -> dict:

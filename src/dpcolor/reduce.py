@@ -69,16 +69,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .cover import (
     CoverInstance, _search, find_transversal, identity,
 )
 from .graphs import Graph, edge_key
 from .patterns import cluster_pattern
-
-if TYPE_CHECKING:
-    import numpy as np
 
 K = 4
 FULL = frozenset(range(1, K + 1))
@@ -147,21 +146,31 @@ class Verdict:
 # catalog
 
 
-def _cfg_from_pattern(code: int, label: str, floors_by_role: Mapping[str, int],
-                      tree_roles: Sequence[tuple[str, str]], strategy: str,
-                      pivot_role: Optional[str] = None,
-                      expect: str = REDUCIBLE, note: str = "") -> Configuration:
-    pat = cluster_pattern(code)
-    names = dict(pat.labels)
-    floors = [0] * pat.graph.n
-    for role, f in floors_by_role.items():
-        floors[names[role]] = f
-    tree = tuple(edge_key(names[a], names[b]) for a, b in tree_roles)
-    return Configuration(
-        label, pat.graph, names, tuple(floors), tree, strategy,
-        pivot=None if pivot_role is None else names[pivot_role],
-        expect=expect, note=note,
-    )
+def _tight_clusters() -> Iterator[Configuration]:
+    """Cluster shapes 10 and 11 with their forest uv, vw, vy, yx
+    straightened and their pivot z eliminated: lemmas L7-555 and L8-556,
+    and the gadgets CE-6 and CE-7, which lower one boundary floor of each."""
+    gadget = "tightness gadget: one boundary floor lowered from 3 to 2"
+    for code, label, floors_by_role, expect, note in (
+        (10, "L7-555", {"u": 2, "x": 4, "y": 4, "w": 2, "z": 4, "v": 3},
+         REDUCIBLE, "6-face cluster with two tight boundary vertices"),
+        (11, "L8-556", {"v": 2, "x": 4, "y": 4, "z": 4, "u": 3, "w": 3},
+         REDUCIBLE, "7-face cluster with one tight boundary vertex"),
+        (10, "CE-6", {"u": 2, "x": 4, "y": 4, "w": 2, "z": 4, "v": 2},
+         NOT_REDUCIBLE, gadget),
+        (11, "CE-7", {"v": 2, "x": 4, "y": 4, "z": 4, "u": 3, "w": 2},
+         NOT_REDUCIBLE, gadget),
+    ):
+        pat = cluster_pattern(code)
+        names = dict(pat.labels)
+        floors = [0] * pat.graph.n
+        for role, f in floors_by_role.items():
+            floors[names[role]] = f
+        tree = tuple(edge_key(names[a], names[b])
+                     for a, b in ("uv", "vw", "vy", "yx"))
+        yield Configuration(label, pat.graph, names, tuple(floors), tree,
+                            "eliminate", pivot=names["z"], expect=expect,
+                            note=note)
 
 
 def config_catalog() -> dict[str, Configuration]:
@@ -202,38 +211,7 @@ def config_catalog() -> dict[str, Configuration]:
              "for all but at most one of v's colors",
     )
 
-    out["L7-555"] = _cfg_from_pattern(
-        10, "L7-555",
-        {"u": 2, "x": 4, "y": 4, "w": 2, "z": 4, "v": 3},
-        [("u", "v"), ("v", "w"), ("v", "y"), ("y", "x")],
-        "eliminate", pivot_role="z",
-        note="6-face cluster with two tight boundary vertices",
-    )
-
-    out["L8-556"] = _cfg_from_pattern(
-        11, "L8-556",
-        {"v": 2, "x": 4, "y": 4, "z": 4, "u": 3, "w": 3},
-        [("u", "v"), ("v", "w"), ("v", "y"), ("y", "x")],
-        "eliminate", pivot_role="z",
-        note="7-face cluster with one tight boundary vertex",
-    )
-
-    out["CE-6"] = _cfg_from_pattern(
-        10, "CE-6",
-        {"u": 2, "x": 4, "y": 4, "w": 2, "z": 4, "v": 2},
-        [("u", "v"), ("v", "w"), ("v", "y"), ("y", "x")],
-        "eliminate", pivot_role="z", expect=NOT_REDUCIBLE,
-        note="tightness gadget: one boundary floor lowered from 3 to 2",
-    )
-
-    out["CE-7"] = _cfg_from_pattern(
-        11, "CE-7",
-        {"v": 2, "x": 4, "y": 4, "z": 4, "u": 3, "w": 2},
-        [("u", "v"), ("v", "w"), ("v", "y"), ("y", "x")],
-        "eliminate", pivot_role="z", expect=NOT_REDUCIBLE,
-        note="tightness gadget: one boundary floor lowered from 3 to 2",
-    )
-
+    out.update((cfg.label, cfg) for cfg in _tight_clusters())
     return out
 
 
@@ -384,8 +362,6 @@ def _injections(na: int, nb: int) -> tuple[list, np.ndarray]:
     """`maximal_injections` between the color indices range(na) and
     range(nb), which follow those between any sorted sets of these sizes,
     and each one's image of every index ([option, index], -1 for none)."""
-    import numpy as np
-
     opts = maximal_injections(frozenset(range(na)), frozenset(range(nb)))
     return opts, np.array([[m.get(i, -1) for i in range(na)] for m in opts])
 
@@ -396,8 +372,6 @@ def _floor_tables(group: Sequence[int], rest: Sequence[int],
     group outermost): each vertex's index per cell, and per free edge, in
     `free` order, (edge, index options, [cell, option] mask, late), a late
     edge (both ends in `group`) over the group grid only."""
-    import numpy as np
-
     cells = math.prod(sizes.values())
     # each vertex's index per cell, in C order: an axis repeats each index
     # over the cells of the axes after it, and tiles that run over the
@@ -457,8 +431,6 @@ class _Leaf:
         their rows alive[i] = early[e] & late[l], each slice within
         _BLOCK_CELLS bytes.  Without `keep` (product, margin and condition,
         whose blocks have no late edge) every instance j is early row j."""
-        import numpy as np
-
         factors = [self.early.T, self.late.T]  # [g, row]
         # a row takes a byte per group cell, an instance number 8 bytes
         step = max(1, _BLOCK_CELLS // max(len(factors[0]), 8))
@@ -572,8 +544,6 @@ class _Run:
         late factor ANDs the vectorized late edges over the group grid,
         once per call for each head slice.
         """
-        import numpy as np  # loaded by checks only, not by every verb
-
         choices = iter(choices)
         first_choice = next(choices, None)
         if first_choice is None:
@@ -713,8 +683,6 @@ def _any_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[q, i * b.shape[2] + k] = any(a[q, :, i] & b[q, :, k]), from a
     float32 matmul that counts the cells exactly (fewer than 2^24 of
     them)."""
-    import numpy as np
-
     product = np.matmul(a.transpose(0, 2, 1).astype(np.float32),
                         b.astype(np.float32, copy=False))
     return (product > 0).reshape(len(a), -1)
@@ -722,8 +690,6 @@ def _any_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _first_rows(table: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct boolean row."""
-    import numpy as np
-
     packed = np.packbits(table, axis=1)
     if not packed.shape[1]:  # zero-width rows are all equal
         return np.arange(min(len(packed), 1))
@@ -742,8 +708,6 @@ def _first_rows(table: np.ndarray) -> np.ndarray:
 
 def _check_product(cfg: Configuration, run: _Run) -> Verdict:
     """A counterexample is an instance with no transversal at all."""
-    import numpy as np
-
     for leaf in run.leaves(residual_choices(cfg), (), range(cfg.graph.n),
                            cfg.tree, _free_edges(cfg)):
         for at, alive in leaf.table():
@@ -757,8 +721,6 @@ def _check_product(cfg: Configuration, run: _Run) -> Verdict:
 
 def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     """REDUCIBLE iff at most one color of the precolored vertex is ever bad."""
-    import numpy as np
-
     v = cfg.margin_vertex
     if v is None:
         raise ValueError("margin strategy needs a margin vertex")
@@ -790,8 +752,6 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
     blocks (each with one realizing instance); the configuration fails iff
     one member of each side covers the cut vertex's colors together.
     """
-    import numpy as np
-
     cut = cfg.cut
     if cut is None or cfg.tree:
         raise ValueError(
@@ -802,8 +762,7 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
     if len(comps) != 2:
         raise ValueError(
             f"condition strategy needs exactly two sides, got {len(comps)}")
-    floors = {v: frozenset(range(1, cfg.floors[v] + 1))
-              for v in range(cfg.graph.n)}
+    floors, = residual_choices(cfg)  # {v: {1..floor}}: there is no forest
     colors = np.array(sorted(floors[cut]))
     families = []
     for side in comps:
@@ -865,8 +824,6 @@ def _line_test(alive: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """The rows of `alive` whose live profiles pivot maps might block: at
     most 24 are live, and they pass `_factored_line_test` against one
     all-live late row along every axis."""
-    import numpy as np
-
     keep = _factored_line_test(
         alive, np.ones((1, alive.shape[1]), dtype=bool), shape,
         [a for a in range(len(shape)) if shape[a] > 1])[:, 0]
@@ -901,8 +858,6 @@ def _factored_line_test(early: np.ndarray, late: np.ndarray,
     points per line, so the float32 entries take at most half the bytes
     of the early factor's matmul product.
     """
-    import numpy as np
-
     if late_lines is None:
         late_lines = {}
     keep = np.ones((len(early), len(late)), dtype=bool)
@@ -922,8 +877,6 @@ def _line_hits(rows: np.ndarray, shape: Sequence[int], axis: int,
     """[line, row]: whether the line of the profile grid along `axis`
     holds at least `need` live profiles of the row of `rows`
     ([row, profile])."""
-    import numpy as np
-
     pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
     lines = rows.T.reshape(pre, shape[axis], post, len(rows))
     hit = np.add.reduce(lines, axis=1, dtype=np.uint8) >= need
@@ -940,8 +893,6 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     every axis that no vectorized late edge touches; only the instances
     that pass get a table row, and finish the line test there.
     """
-    import numpy as np
-
     z = cfg.pivot
     if z is None:
         raise ValueError("eliminate strategy needs a pivot")

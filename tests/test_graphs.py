@@ -456,6 +456,18 @@ class TestGenerator:
         assert pg.rotation == oracle.random_plane_graph(
             seed, target, forbid).rotation
 
+    @pytest.mark.parametrize("make", [
+        lambda forbid: random_plane_graph(3, 60, forbid),
+        lambda forbid: generate_corpus(2, seed=3, forbid=forbid),
+    ], ids=["random_plane_graph", "generate_corpus"])
+    def test_unknown_forbid_name_is_rejected(self, make):
+        # a misspelt name would drop its ban without a word: this seed and
+        # size grow a 7-cycle when only the butterfly is banned
+        assert has_cycle_of_length(
+            random_plane_graph(3, 60, ("butterfly",)).graph, 7)
+        with pytest.raises(ValueError, match="'7cycle'"):
+            make(("7cycle", "butterfly"))
+
     @pytest.mark.parametrize("seed,target,n", [(4, 16, 6), (5, 128, 21)])
     def test_early_stops(self, seed, target, n):
         assert random_plane_graph(seed, target).n == n

@@ -1,6 +1,10 @@
 """File formats, corpus ingestion, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +298,18 @@ class TestCli:
         assignment = {int(v): c for v, c in rep["assignment"].items()}
         assert len(assignment) == 3 and is_independent(inst, assignment)
 
+    def test_solve_rejects_a_matching_for_a_cover_file(self, capsys,
+                                                        tmp_path):
+        # the cover file's own sigma (k = 4) would otherwise win silently
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"k": 3, "sigma": {}}))
+        cover = str(ASSETS / "ce6.json")
+        code = cli.main(["solve", cover, "--matching", str(matching),
+                         "--k", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert cover in err and str(matching) in err
+
     def test_detect_cluster_10(self, capsys):
         code, out = run_cli(capsys, "detect", str(ASSETS / "cluster_10.json"))
         assert code == 0
@@ -570,6 +586,9 @@ class TestInputErrors:
          {"sigma": {}}, "missing field 'k'"),
         (["solve", str(ASSETS / "cluster_01.json"), "--matching", "{}"],
          {"k": 2, "sigma": {"0_1": [2, 1]}}, "sigma key '0_1' is not 'u-v'"),
+        (["solve", "{}"], {**COVER, "n": 3, "sigma": {"0-1": [2, 1],
+                                                      "0-2": [1, 2]}},
+         "input.json: field sigma['0-2']: (0, 2) is not an edge"),
         (["solve", "{}"], {**COVER, "available": {"0": [9]}},
          "field available['0']: [9] is not a subset of 1..2"),
         (["discharge", "audit", "{}"], EDGE,
@@ -592,7 +611,8 @@ class TestInputErrors:
                                   "tree", "matching-k9", "cover-k1",
                                   "sigma-length", "explain-element",
                                   "no-edges", "edge-range", "matching-no-k",
-                                  "sigma-key", "available-range",
+                                  "sigma-key", "sigma-non-edge",
+                                  "available-range",
                                   "audit-no-rotation", "detect-k5",
                                   "detect-edgeless", "audit-edgeless"])
     def test_malformed_inputs_end_without_a_traceback(self, capsys, tmp_path,
@@ -727,3 +747,34 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert str(tmp_path / "nowhere") in err and "Traceback" not in err
+
+
+# Loads the CLI in a fresh interpreter, runs one verb with its report
+# discarded, and prints the exit code and whether numpy was imported.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from dpcolor import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyLoadsOnlyForChecks:
+    @pytest.mark.parametrize("argv,loads", [
+        (["solve", str(ASSETS / "cluster_01.json")], False),
+        (["detect", str(ASSETS / "butterfly.json")], False),
+        (["witness-verify", str(ASSETS / "ce7.json")], False),
+        (["discharge", "audit", str(ASSETS / "cluster_01.json")], False),
+        (["discharge", "explain", str(ASSETS / "cluster_01.json"),
+          "--element", "OUTER"], False),
+        (["corpus", str(ASSETS), "--limit", "2"], False),
+        (["reduce-check", "--lemma", "L2"], True),
+    ], ids=["solve", "detect", "witness-verify", "discharge-audit",
+            "discharge-explain", "corpus", "reduce-check"])
+    def test_fresh_process(self, argv, loads):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.split() == ["0", str(loads)]
