@@ -94,7 +94,12 @@ def cmd_solve(args) -> dict:
                 graph, k, tuple(frozenset(range(1, k + 1))
                                 for _ in range(graph.n)), sigma)
         else:
-            inst = CoverInstance.straight(graph, args.k)
+            inst = CoverInstance.straight(
+                graph, 4 if args.k is None else args.k)
+    if args.k is not None and args.k != inst.k:
+        raise dio.FormatError(
+            f"--k {args.k} differs from k = {inst.k} in "
+            f"{args.matching or args.input}")
     pre = _parse_precolor(args.precolor)
     t0 = time.monotonic()
     found = find_transversal(inst, pre)
@@ -271,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="find an independent transversal")
     sp.add_argument("input")
     sp.add_argument("--matching", help="matching-assignment file")
-    sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--k", type=int,
+                    help="colors per vertex of a bare graph (default 4)")
     sp.add_argument("--precolor", help="comma list v=c of fixed colors")
 
     dp = sub.add_parser("detect", parents=[common], help="substructure and cluster report")
@@ -311,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not dio.K_MIN <= getattr(args, "k", 4) <= dio.K_MAX:
-        parser.error(f"--k must be in [{dio.K_MIN}, {dio.K_MAX}], "
-                     f"got {args.k}")
+    k = getattr(args, "k", None)
+    if k is not None and not dio.K_MIN <= k <= dio.K_MAX:
+        parser.error(f"--k must be in [{dio.K_MIN}, {dio.K_MAX}], got {k}")
     workers = getattr(args, "workers", 1)
     if workers < 1:
         parser.error("--workers must be >= 1")
@@ -325,6 +331,9 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(f"--{flag} must be >= {low}")
     if getattr(args, "action", None) == "explain" and not args.element:
         parser.error("discharge explain requires --element")
+    if getattr(args, "action", None) == "audit" and args.element:
+        parser.error("discharge audit takes no --element; "
+                     "use discharge explain")
     try:
         report = VERBS[args.verb](args)
     except (dio.FormatError, OSError, ValueError) as exc:

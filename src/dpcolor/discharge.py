@@ -12,14 +12,13 @@ Rules (amounts in quarter-units):
        an adjacent 3-face's cluster, else 1 to each interior endpoint.
   R1b  each internal 4-vertex with at least three edges in one cluster
        passes its R1a income to that cluster.
-  R2   clusters of 1..5 faces collect from incident internal 5+-vertices by
-       incidence type (2 for qualifying 2-type, 2/4 for 3-type 5-vertices by
-       goodness, 2 for 3-type 6+, 6 for 4-type).
-  R3   6-face clusters collect 2/4 from bad/good 3-type 5-vertices, 6 from
-       4-type 5+ or 3-type 6+, and 8 from a good 4-type 6+-vertex when the
-       cluster holds two 3-type 5-vertices.
-  R4   7-face clusters collect 6 from 5-vertices and special 6-vertices, 8
-       from other 6-vertices, 10 from 7+-vertices.
+  R2   clusters of 1..5 faces collect from each incident internal
+       5+-vertex by its incidence type and degree, and by whether the
+       cluster is special or the vertex lies on a 4-face at it.
+  R3   6-face clusters collect by type, degree, special status and whether
+       the cluster holds two 3-type 5-vertices.
+  R4   7-face clusters collect by degree and special 6-vertex status.
+       The R2-R4 quarters are the rows of CREDITS; CEILING bounds each.
   R5   the outer face absorbs each boundary vertex's initial charge and pays
        4 to every non-internal 3-face's cluster.
 """
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .clusters import (
@@ -40,6 +40,53 @@ from .patterns import contains_butterfly
 OUTER = "OUTER"
 
 RULE_ORDER = ("R5", "R1", "R2", "R3", "R4")
+
+# The rule under which a cluster of k faces collects; larger ones collect none.
+CLUSTER_RULE = {1: "R2", 2: "R2", 3: "R2", 4: "R2", 5: "R2", 6: "R3", 7: "R4"}
+
+SPECIAL = "special"  # the cluster is special
+ON_4_FACE = "on-4-face"  # the vertex lies on a 4-face at the cluster
+TWO_3TYPE_5 = "two-3-type-5"  # the cluster holds two 3-type internal 5-vertices
+SPECIAL_6 = "special-6"  # the vertex is a special 6-vertex
+
+# The R2-R4 credits in quarters.  A vertex of type t (its edges in the
+# cluster, 4 for 4+) and degree d (7 for 7+) pays the quarters of the first
+# row of its cluster's rule that matches t and d (None matches any) and
+# whose facts all hold; no row means 0.  _CREDIT_ROWS indexes them once.
+CREDITS = (
+    # rule  t     d     facts                    quarters
+    ("R2",  2,    None, (SPECIAL,),              2),
+    ("R2",  2,    None, (ON_4_FACE,),            2),
+    ("R2",  3,    5,    (SPECIAL,),              4),
+    ("R2",  3,    None, (),                      2),
+    ("R2",  4,    None, (),                      6),
+    ("R3",  3,    5,    (SPECIAL,),              4),
+    ("R3",  3,    5,    (),                      2),
+    ("R3",  3,    None, (),                      6),
+    ("R3",  4,    5,    (),                      6),
+    ("R3",  4,    None, (SPECIAL, TWO_3TYPE_5),  8),
+    ("R3",  4,    None, (),                      6),
+    ("R4",  None, 5,    (),                      6),
+    ("R4",  None, 6,    (SPECIAL_6,),            6),
+    ("R4",  None, 6,    (),                      8),
+    ("R4",  None, 7,    (),                      10),
+)
+# CEILING[t][d - 5]: the most that a type t, degree d vertex pays one cluster
+CEILING = {2: (2, 2, 2), 3: (4, 6, 6), 4: (6, 8, 10)}
+_CREDIT_ROWS = {
+    (rule, t, d): [(frozenset(facts), q) for r, rt, rd, facts, q in CREDITS
+                   if r == rule and rt in (None, t) and rd in (None, d)]
+    for rule in ("R2", "R3", "R4") for t in CEILING for d in (5, 6, 7)}
+
+
+def credit(rule: str, t: int, d: int, facts) -> tuple[int, int]:
+    """The quarters that a vertex of type t and degree d >= 5 pays its
+    cluster under rule when the named facts hold, and their ceiling."""
+    t, d = min(t, 4), min(d, 7)
+    for needs, q in _CREDIT_ROWS[rule, t, d]:
+        if needs <= facts:
+            return q, CEILING[t][d - 5]
+    return 0, CEILING[t][d - 5]
 
 
 @dataclass
@@ -208,11 +255,9 @@ def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos,
                     if pg.internal[end]:
                         led.move("R1a", face_elem(f.id), vertex_elem(end), 1)
                         r1a_income[end] += 1
-    # pass-through: internal 4-vertices mostly inside one cluster
+    # pass-through: R1a income of internal 4-vertices mostly in one cluster
     for v in range(pg.graph.n):
-        if not pg.internal[v] or pg.graph.degree(v) != 4:
-            continue
-        if r1a_income[v] == 0:
+        if r1a_income[v] == 0 or pg.graph.degree(v) != 4:
             continue
         for info in infos:
             if info.i_type.get(v, 0) >= 3:
@@ -221,113 +266,53 @@ def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos,
                 break
 
 
-def _cluster_rule_amount(pg: PlaneGraph, special6: set, info: ClusterInfo,
-                         v: int, flags: list) -> int:
-    """Quarters v gives to the cluster under R2/R3/R4 (0 if none)."""
-    c = info.cluster
-    d = pg.graph.degree(v)
-    t = info.i_type[v]
-    good = info.special
-    k = c.k
-    if k <= 5:
-        if t == 2:
-            on4 = any(v in f.walk for f in info.four_faces)
-            if on4 and not good:
-                flags.append({
-                    "rule": "R2", "vertex": v, "cluster": c.id,
-                    "note": "2-type credit granted via the adjacent-4-face branch",
-                })
-            return 2 if (good or on4) else 0
-        if t == 3:
-            if d >= 6:
-                return 2
-            return 4 if good else 2
-        if t >= 4:
-            return 6
-        return 0
-    if k == 6:
-        three_type_fives = sum(
-            1 for u in c.vertices
-            if pg.internal[u] and pg.graph.degree(u) == 5
-            and info.i_type[u] == 3
-        )
-        if t == 3 and d == 5:
-            return 4 if good else 2
-        if t >= 4 and d >= 6 and good and three_type_fives >= 2:
-            return 8
-        if t >= 4 or (t == 3 and d >= 6):
-            return 6
-        return 0
-    if k == 7:
-        if d == 5 or (d == 6 and v in special6):
-            return 6
-        if d == 6:
-            return 8
-        if d >= 7:
-            return 10
-        return 0
-    return 0
-
-
-def _apply_cluster_rules(pg: PlaneGraph, led: ChargeLedger, infos,
-                         special6: set, which: str, flags: list) -> None:
+def _apply_credits(pg: PlaneGraph, led: ChargeLedger, special6: set,
+                   rule: str, infos, flags: list, caps: list) -> None:
+    """R2-R4: each internal 5+-vertex of a cluster pays it credit()."""
     for info in infos:
-        k = info.cluster.k
-        rule = "R2" if k <= 5 else ("R3" if k == 6 else "R4")
-        if rule != which:
-            continue
-        for v in sorted(info.cluster.vertices):
-            if not pg.internal[v] or pg.graph.degree(v) < 5:
+        c = info.cluster
+        fives = sum(1 for u, t in info.i_type.items() if t == 3
+                    and pg.internal[u] and pg.graph.degree(u) == 5)
+        on4 = {v for f in info.four_faces for v in f.walk}
+        for v in sorted(c.vertices):
+            d = pg.graph.degree(v)
+            if not pg.internal[v] or d < 5:
                 continue
-            q = _cluster_rule_amount(pg, special6, info, v, flags)
-            led.move(rule, vertex_elem(v), cluster_elem(info.cluster.id), q)
+            facts = {fact for fact, holds in (
+                (SPECIAL, info.special), (TWO_3TYPE_5, fives >= 2),
+                (SPECIAL_6, v in special6), (ON_4_FACE, v in on4)) if holds}
+            t = info.i_type[v]
+            q, ceiling = credit(rule, t, d, facts)
+            if v in on4 and q != credit(rule, t, d, facts - {ON_4_FACE})[0]:
+                flags.append({"rule": rule, "vertex": v, "cluster": c.id, "note":
+                              "2-type credit granted via the adjacent-4-face branch"})
+            led.move(rule, vertex_elem(v), cluster_elem(c.id), q)
+            if q > ceiling:
+                caps.append(
+                    {"vertex": v, "cluster": c.id, "given": q, "cap": ceiling})
 
 
 def apply_rules(pg: PlaneGraph, infos: list[ClusterInfo], special6: set,
-                led: ChargeLedger) -> list:
-    """Run the discharging rules in RULE_ORDER; returns report flags.
-    Mutates the ledger."""
+                led: ChargeLedger) -> tuple[list, list]:
+    """Run the discharging rules in RULE_ORDER; returns the report's flags
+    and cap violations.  Mutates the ledger."""
     _fold_clusters(led, infos)
     face_cluster = {
         fid: info.cluster.id for info in infos for fid in info.cluster.face_ids
     }
-    flags: list = []
+    by_rule: dict = {rule: [] for rule in CLUSTER_RULE.values()}
+    for info in infos:
+        by_rule.get(CLUSTER_RULE.get(info.cluster.k), []).append(info)
+    flags, caps = [], []
+    appliers = {
+        "R5": lambda: _apply_r5(pg, led, face_cluster),
+        "R1": lambda: _apply_r1(pg, led, infos, face_cluster),
+        **{rule: partial(_apply_credits, pg, led, special6, rule, of_rule,
+                         flags, caps) for rule, of_rule in by_rule.items()},
+    }
     for rule in RULE_ORDER:
-        if rule == "R5":
-            _apply_r5(pg, led, face_cluster)
-        elif rule == "R1":
-            _apply_r1(pg, led, infos, face_cluster)
-        elif rule in ("R2", "R3", "R4"):
-            _apply_cluster_rules(pg, led, infos, special6, rule, flags)
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-    return flags
-
-
-def credit_caps_ok(pg: PlaneGraph, led: ChargeLedger,
-                   infos: list[ClusterInfo]) -> list:
-    """Per (vertex, cluster) ceilings on R2-R4 credits; returns violations."""
-    totals: dict = {}
-    for rule, frm, to, q in led.transfers:
-        if rule in ("R2", "R3", "R4") and frm[0] == "v" and to[0] == "H":
-            totals[(frm[1], to[1])] = totals.get((frm[1], to[1]), 0) + q
-    bad = []
-    for (v, h), q in totals.items():
-        d = pg.graph.degree(v)
-        t = infos[h].i_type[v]  # cluster ids are positions in infos
-        if t == 2:
-            cap = 2
-        elif t == 3 and d == 5:
-            cap = 4
-        elif (t >= 4 and d == 5) or (t == 3 and d >= 6):
-            cap = 6
-        elif t >= 4 and d == 6:
-            cap = 8
-        else:
-            cap = 10
-        if q > cap:
-            bad.append({"vertex": v, "cluster": h, "given": q, "cap": cap})
-    return bad
+        appliers[rule]()
+    return flags, caps
 
 
 def outer_identity(pg: PlaneGraph) -> dict:
@@ -537,16 +522,11 @@ def audit(pg: PlaneGraph, force_rules: bool = False) -> AuditReport:
         return AuditReport(pre, False, verdict="preconditions-violated")
     led = initial_charges(pg)
     before = led.total()
-    flags = apply_rules(pg, infos, special6, led)
+    flags, caps = apply_rules(pg, infos, special6, led)
     after = led.total()
     ident = outer_identity(pg)
-    caps = credit_caps_ok(pg, led, infos)
-    negative = []
-    for k, q in led.accounts.items():
-        if k == OUTER:
-            continue
-        if q < 0:
-            negative.append({"element": list(k), "quarters": q})
+    negative = [{"element": list(k), "quarters": q}
+                for k, q in led.accounts.items() if k != OUTER and q < 0]
     conserved = before == 0 and after == 0
     outer_ok = led.accounts[OUTER] == 4 * ident["value"]
     if not conserved:

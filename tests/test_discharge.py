@@ -20,10 +20,11 @@ from conftest import (
 )
 from dpcolor.clusters import extract_clusters
 from dpcolor.discharge import (
-    OUTER, RULE_ORDER, audit, cluster_infos, element_name, fmt_quarters,
-    initial_charges, outer_identity, parse_element, special6_vertices,
+    CREDITS, ON_4_FACE, OUTER, RULE_ORDER, audit, cluster_infos,
+    element_name, fmt_quarters, initial_charges, outer_identity,
+    parse_element, special6_vertices,
 )
-from dpcolor.generate import generate_corpus
+from dpcolor.generate import generate_corpus, random_plane_graph
 from dpcolor.graphs import Graph, PlaneGraph
 from dpcolor.io import graph_to_dict, ingest_corpus
 from dpcolor.patterns import cluster_pattern
@@ -180,6 +181,49 @@ class TestClusterFactsOnce:
             json.dumps(reports, sort_keys=True).encode()).hexdigest()
         assert digest == (
             "92df5640c7720539fbd299ee779c7447a34c992324f900f5ef70d73760c1dc0c")
+
+
+class TestCreditTable:
+    def test_every_row_and_each_outcome_of_its_facts_is_reached(
+            self, monkeypatch):
+        # read first-match from CREDITS here, and record for each row
+        # whether a (vertex, cluster) pair that reached it had its facts
+        calls = []
+        real = dpcolor.discharge.credit
+
+        def recorded(rule, t, d, facts):
+            call = (rule, min(t, 4), min(d, 7), frozenset(facts))
+            # the applier asks again without the 4-face fact, to tell
+            # whether that fact decided the credit; that is no new pair
+            last = calls[-1] if calls else None
+            if not (last and ON_4_FACE in last[3]
+                    and call == (*last[:3], last[3] - {ON_4_FACE})):
+                calls.append(call)
+            return real(rule, t, d, facts)
+
+        monkeypatch.setattr(dpcolor.discharge, "credit", recorded)
+        for pg in audit_corpus() + [tight_six_host(v_degree6=True)[0]]:
+            audit(pg, force_rules=True)
+        outcomes = set()
+        for rule, t, d, facts in calls:
+            quarters = 0
+            for i, (r, rt, rd, needs, q) in enumerate(CREDITS):
+                if r != rule or rt not in (None, t) or rd not in (None, d):
+                    continue
+                outcomes.add((i, set(needs) <= facts))
+                if set(needs) <= facts:
+                    quarters = q
+                    break
+            assert real(rule, t, d, facts)[0] == quarters
+        assert outcomes == {(i, True) for i in range(len(CREDITS))} | {
+            (i, False) for i, row in enumerate(CREDITS) if row[3]}
+
+    def test_a_credit_above_its_ceiling_is_reported(self):
+        # a 2-type 7+-vertex pays a 7-face cluster 10 under R4; its ceiling
+        # is 2
+        rep = audit(random_plane_graph(1, 30, forbid=()), force_rules=True)
+        assert rep.cap_violations[0] == {
+            "vertex": 10, "cluster": 6, "given": 10, "cap": 2}
 
 
 class TestRuleExactness:

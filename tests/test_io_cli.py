@@ -257,6 +257,13 @@ class TestUsageErrors:
             capsys, "discharge", "explain", str(ASSETS / "cluster_01.json"))
         assert "--element" in err
 
+    def test_audit_takes_no_element(self, capsys):
+        # audit reports every account; an --element would be ignored
+        err = self.usage_error(
+            capsys, "discharge", "audit", str(ASSETS / "cluster_01.json"),
+            "--element", "v1")
+        assert "--element" in err
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -309,6 +316,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == "" and err.startswith("error: ")
         assert cover in err and str(matching) in err
+
+    @pytest.mark.parametrize("matching", [False, True])
+    def test_solve_rejects_a_k_that_differs_from_the_file(self, capsys,
+                                                           tmp_path, matching):
+        # the cover file (k = 4) or the matching file (k = 2) sets k; an
+        # explicit --k that disagrees would otherwise be ignored
+        if matching:
+            source = tmp_path / "m.json"
+            source.write_text(json.dumps({"k": 2, "sigma": {
+                "0-1": [1, 2], "1-2": [1, 2], "0-2": [1, 2]}}))
+            argv = [str(ASSETS / "cluster_01.json"), "--matching",
+                    str(source)]
+            k = 2
+        else:
+            source, argv, k = ASSETS / "ce6.json", [str(ASSETS / "ce6.json")], 4
+        code = cli.main(["solve", *argv, "--k", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert "--k 3" in err and f"k = {k}" in err and str(source) in err
+        code, out = run_cli(capsys, "solve", *argv, "--k", str(k))
+        assert code == 0 and json.loads(out)["k"] == k
 
     def test_detect_cluster_10(self, capsys):
         code, out = run_cli(capsys, "detect", str(ASSETS / "cluster_10.json"))
