@@ -135,10 +135,16 @@ class ClusterInfo:
     cluster: Cluster
     classification: Classification  # the first match, or unclassified
     matches: list  # every catalog match, in classifications() order
-    special: bool
-    special_roles: dict  # the role map under which x,y,z are internal 4-vertices
+    # the matches of shape (7), (9), (10) or (11) whose x, y, z roles land
+    # on internal 4-vertices; the cluster is special when there is one
+    special_matches: list
+    internal: bool  # every vertex of the cluster is internal
     i_type: dict  # vertex -> number of cluster edges at it
     four_faces: list  # interior 4-faces sharing an edge with the cluster
+
+    @property
+    def special(self) -> bool:
+        return bool(self.special_matches)
 
 
 def vertex_elem(v: int) -> tuple:
@@ -165,25 +171,16 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     return led
 
 
-def _special_roles(pg: PlaneGraph, matches: list) -> dict:
-    """Special: shape (7), (9), (10) or (11) whose x, y, z roles land on
-    internal 4-vertices under some catalog matching; that role map, or {}."""
-    for cls in matches:
-        if cls.code in (7, 9, 10, 11) and all(
-            pg.internal[cls.roles[r]] and pg.graph.degree(cls.roles[r]) == 4
-            for r in ("x", "y", "z")
-        ):
-            return cls.roles
-    return {}
-
-
 def cluster_infos(pg: PlaneGraph) -> list[ClusterInfo]:
     """One ClusterInfo per cluster, in cluster id order."""
     four = [f for f in pg.interior_faces() if f.degree == 4]
     out = []
     for c in extract_clusters(pg):
         matches = list(classifications(pg, c))
-        roles = _special_roles(pg, matches)
+        special = [cls for cls in matches if cls.code in (7, 9, 10, 11)
+                   and all(pg.internal[cls.roles[r]]
+                           and pg.graph.degree(cls.roles[r]) == 4
+                           for r in "xyz")]
         i_type = dict.fromkeys(c.vertices, 0)
         for e in c.edges:
             for v in e:
@@ -193,7 +190,8 @@ def cluster_infos(pg: PlaneGraph) -> list[ClusterInfo]:
         ]
         out.append(ClusterInfo(
             c, matches[0] if matches else unclassified(c), matches,
-            bool(roles), roles, i_type, four_faces))
+            special, all(pg.internal[v] for v in c.vertices), i_type,
+            four_faces))
     return out
 
 
@@ -206,7 +204,7 @@ def special6_vertices(pg: PlaneGraph, infos: list[ClusterInfo]) -> set:
         c = info.cluster
         if not info.special:
             continue
-        if c.k in (6, 7) and all(pg.internal[u] for u in c.vertices):
+        if c.k in (6, 7) and info.internal:
             four_type |= {v for v, t in info.i_type.items() if t == 4}
         if c.k in (4, 5):
             two_type |= {v for v, t in info.i_type.items() if t == 2}
@@ -243,13 +241,11 @@ def _apply_r1(pg: PlaneGraph, led: ChargeLedger, infos,
         walk = f.walk
         for i in range(len(walk)):
             u, v = walk[i], walk[(i + 1) % len(walk)]
-            sides = pg.faces_of_edge(u, v)
-            others = [g for g in sides if g != f.id]
-            other = others[0] if others else f.id
-            g = pg.faces[other]
-            if other != pg.outer_face and other != f.id and g.degree == 3:
-                led.move("R1a", face_elem(f.id),
-                         cluster_elem(face_cluster[other]), 2)
+            # f is no cluster face, so a cluster face here is across uv
+            h = next((face_cluster[g] for g in pg.faces_of_edge(u, v)
+                      if g in face_cluster), None)
+            if h is not None:
+                led.move("R1a", face_elem(f.id), cluster_elem(h), 2)
             else:
                 for end in (u, v):
                     if pg.internal[end]:
@@ -378,17 +374,11 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
     # the outer cycle itself is never separating here (its exterior is empty)
     checks["no-separating-good-3-cycle"] = {
         "ok": not seps, "witness": seps or None}
-    unmatched = [
-        info.cluster.id for info in infos if info.classification.code == 0
-    ]
+    unmatched = {info.cluster.id: info.classification.reason
+                 for info in infos if info.classification.code == 0}
     checks["clusters-in-catalog"] = {
-        "ok": not unmatched,
-        "witness": unmatched or None,
-        "reasons": {
-            info.cluster.id: info.classification.reason
-            for info in infos if info.classification.code == 0
-        } or None,
-    }
+        "ok": not unmatched, "witness": list(unmatched) or None,
+        "reasons": unmatched or None}
     dia = diamond_pattern_witness(pg)
     checks["no-glued-internal-444-faces"] = {"ok": dia is None, "witness": dia}
     # an internal 5-vertex on two special clusters
@@ -421,15 +411,10 @@ def _l7_pattern_check(pg, infos, special6) -> dict:
     carry a low third boundary vertex."""
     bad = []
     for info in infos:
-        if not (info.special and info.cluster.k == 6):
+        if info.cluster.k != 6 or not info.internal:
             continue
-        if not all(pg.internal[v] for v in info.cluster.vertices):
-            continue
-        for cls in info.matches:
+        for cls in info.special_matches:
             r = cls.roles
-            if not all(pg.internal[r[t]] and pg.graph.degree(r[t]) == 4
-                       for t in ("x", "y", "z")):
-                continue
             du, dw = pg.graph.degree(r["u"]), pg.graph.degree(r["w"])
             dv = pg.graph.degree(r["v"])
             if du == 5 and dw == 5 and (
@@ -443,24 +428,17 @@ def _l7_pattern_check(pg, infos, special6) -> dict:
 def _l8_pattern_check(pg, infos, special6) -> dict:
     """An internal 7-cluster with all boundary degrees <= 6 carries at most
     one 5-vertex or special 6-vertex."""
+    deg = pg.graph.degree
     bad = []
     for info in infos:
-        if info.classification.code != 11:
-            continue
         c = info.cluster
-        if not all(pg.internal[v] for v in c.vertices):
+        if info.classification.code != 11 or not info.internal or not any(
+                max(deg(cls.roles[t]) for t in "uvw") <= 6
+                for cls in info.matches):
             continue
-        for cls in info.matches:
-            r = cls.roles
-            if max(pg.graph.degree(r[t]) for t in ("u", "v", "w")) > 6:
-                continue
-            low = [
-                v for v in sorted(c.vertices)
-                if pg.graph.degree(v) == 5 or v in special6
-            ]
-            if len(low) >= 2:
-                bad.append({"cluster": c.id, "vertices": low})
-            break
+        low = [v for v in sorted(c.vertices) if deg(v) == 5 or v in special6]
+        if len(low) >= 2:
+            bad.append({"cluster": c.id, "vertices": low})
     return {"ok": not bad, "witness": bad or None}
 
 
@@ -535,9 +513,10 @@ def audit(pg: PlaneGraph, force_rules: bool = False) -> AuditReport:
         verdict = "outer-identity-violated"
     elif not ok:
         verdict = "forced-run-arithmetic-ok"
-    else:
-        # the ledger sums to zero, so OUTER > 0 puts another account below 0
+    elif any(q < 0 for q in led.accounts.values()):
         verdict = "charge-deficit"
+    else:
+        verdict = "all-nonnegative"
     return AuditReport(
         pre, ok, dict(led.accounts), list(led.transfers), ident, flags,
         caps, negative, verdict, forced=not ok,

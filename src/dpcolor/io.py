@@ -115,19 +115,15 @@ def parse_graph_file(path: Union[str, Path]) -> Union[Graph, PlaneGraph]:
     return graph_from_dict(_load_json(path), str(path))
 
 
-def graph_to_dict(g: Union[Graph, PlaneGraph], extra: Optional[dict] = None) -> dict:
+def graph_to_dict(g: Union[Graph, PlaneGraph]) -> dict:
     if isinstance(g, PlaneGraph):
-        data = {
+        return {
             "n": g.graph.n,
             "edges": sorted([list(e) for e in g.graph.edges]),
             "rotation": {str(v): list(g.rotation[v]) for v in range(g.graph.n)},
             "outer_face": list(g.faces[g.outer_face].walk),
         }
-    else:
-        data = {"n": g.n, "edges": sorted([list(e) for e in g.edges])}
-    if extra:
-        data.update(extra)
-    return data
+    return {"n": g.n, "edges": sorted([list(e) for e in g.edges])}
 
 
 def pattern_from_dict(data: dict,

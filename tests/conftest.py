@@ -123,13 +123,17 @@ def special_seven_host():
     return plane_from_coords(coords, edges, ["A", "B", "C"])
 
 
-def shared_vertex_host(boundary: bool = False):
+def shared_vertex_host(boundary: bool = False, w_degree7: bool = False):
     """An octahedron cluster (shape 11, roles u..z) and a three-ear cluster
     (shape 7, roles U..Z) meeting at v = U.  Both are special, and v is
     4-type on the first and 2-type on the second: a special 6-vertex.
 
     With boundary=True the octahedron's u is the corner B, so the shape (11)
     cluster touches the outer face and v is no longer special.
+
+    With w_degree7=True two vertices S and T in the face w, A, B join w
+    (S also A and B, T also S and B), so w has degree 7; the shape (11)
+    cluster keeps its 7 faces and stays all internal.
     """
     u = "B" if boundary else "u"
     coords = {
@@ -150,6 +154,10 @@ def shared_vertex_host(boundary: bool = False):
     if not boundary:
         coords["B"] = (-9.0, -8.0)
         edges += [("u", "B"), ("w", "A")]
+    if w_degree7:
+        coords.update(S=(-1.5, 4.5), T=(-2.5, 1.5))
+        edges += [("S", "w"), ("S", "A"), ("S", "B"),
+                  ("T", "w"), ("T", "S"), ("T", "B")]
     return plane_from_coords(coords, edges, ["A", "B", "C"])
 
 

@@ -338,9 +338,9 @@ class TestShippedCatalog:
         pats = [*catalog().values(), butterfly_pattern(), c7_pattern()]
         digests = {}
         for pat in pats:
-            data = graph_to_dict(pat.plane, {
-                "name": pat.name, "code": pat.code,
-                "labels": dict(sorted(pat.labels.items()))})
+            data = {**graph_to_dict(pat.plane), "name": pat.name,
+                    "code": pat.code,
+                    "labels": dict(sorted(pat.labels.items()))}
             digests[pat.name] = hashlib.sha256(
                 json.dumps(data, sort_keys=True).encode()).hexdigest()
         assert digests == PATTERN_DIGESTS

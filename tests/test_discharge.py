@@ -89,6 +89,15 @@ class TestPreconditionReports:
         rep = audit(k4_plane())
         assert rep.preconditions["no-glued-internal-444-faces"]["ok"]
 
+    def test_lone_triangle_is_all_nonnegative(self):
+        # the lone triangle passes every precondition, and every account,
+        # OUTER included, ends at 0: no account is in deficit
+        rep = audit(cluster_pattern(1).plane)
+        assert rep.ok_to_discharge and not rep.forced
+        assert set(rep.accounts.values()) == {0}
+        assert rep.negative == []
+        assert rep.verdict == "all-nonnegative"
+
 
 class TestSpecialClusters:
     def test_three_ear_cluster_special_in_host(self):
@@ -98,7 +107,7 @@ class TestSpecialClusters:
         info = infos[0]
         assert info.classification.code == 7
         assert info.special
-        assert sorted(info.special_roles[r] for r in ("x", "y", "z")) == \
+        assert sorted(info.special_matches[0].roles[r] for r in "xyz") == \
             sorted([idx["x"], idx["y"], idx["z"]])
 
     def test_same_cluster_unspecial_when_on_outer_face(self):
@@ -131,6 +140,26 @@ class TestSpecialClusters:
         paid = [q for rule, frm, to, q in rep.transfers
                 if rule == "R4" and frm == ("v", idx["v"]) and to == ("H", h)]
         assert paid == [r4]
+
+    def test_tight_seven_cluster_pattern_reported(self):
+        # u, v, w of degrees 5, 6, 5, with v a special 6-vertex
+        pg, idx = shared_vertex_host()
+        assert [pg.graph.degree(idx[r]) for r in "uvw"] == [5, 6, 5]
+        chk = audit(pg).preconditions["tight-7-cluster-pattern-absent"]
+        assert chk == {"ok": False, "witness": [
+            {"cluster": 1, "vertices": sorted(idx[r] for r in "uvw")}]}
+
+    def test_tight_seven_check_quiet_when_w_has_degree_7(self):
+        # u and the special 6-vertex v are still low, but no match has
+        # u, v, w of degree 6 or less
+        pg, idx = shared_vertex_host(w_degree7=True)
+        info = next(info for info in cluster_infos(pg)
+                    if info.classification.code == 11)
+        assert info.cluster.k == 7 and info.internal and info.special
+        assert [pg.graph.degree(idx[r]) for r in "uvw"] == [5, 6, 7]
+        assert special6_vertices(pg, cluster_infos(pg)) == {idx["v"]}
+        chk = audit(pg).preconditions["tight-7-cluster-pattern-absent"]
+        assert chk == {"ok": True, "witness": None}
 
     def test_r3_gives_8_from_a_good_4_type_6_vertex(self):
         # the special 6-cluster of shape (10) with v of degree 6 and 4-type,
@@ -180,7 +209,7 @@ class TestClusterFactsOnce:
         digest = hashlib.sha256(
             json.dumps(reports, sort_keys=True).encode()).hexdigest()
         assert digest == (
-            "92df5640c7720539fbd299ee779c7447a34c992324f900f5ef70d73760c1dc0c")
+            "d145787a146c2a3f4e126eb9961484443fa3889d31484490c547ff937db822c6")
 
 
 class TestCreditTable:

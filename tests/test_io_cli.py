@@ -34,8 +34,8 @@ class TestGraphFiles:
         for name in ("cluster_03.json", "butterfly.json", "c7.json"):
             data = json.loads((ASSETS / name).read_text())
             g = graph_from_dict(data)
-            redone = graph_to_dict(
-                g, {k: data[k] for k in ("name", "code", "labels")})
+            redone = {**graph_to_dict(g),
+                      **{k: data[k] for k in ("name", "code", "labels")}}
             assert redone == data
 
     def test_loop_edge_rejected(self):
