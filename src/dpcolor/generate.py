@@ -14,8 +14,10 @@ vertex, so any new copy of a pattern uses that vertex.  Searching only
 through it is therefore exact, and it runs on the adjacency bitsets the
 builder keeps.  An accepted insertion of arity t replaces one face by t new
 ones, so the builder splits that face in its own face list and re-lists the
-insertion sites of the new faces only; a PlaneGraph is built once per graph,
-when growth stops, from that face list, so its faces are not traced again.
+insertion sites of the new faces only.  The new faces follow from the old
+walk and the window, so they are not traced.  The builder keeps its walks
+only for the insertion sites: a PlaneGraph is built once per graph, when
+growth stops, and traces its rotation like any other.
 
 The generator also remembers two kinds of rejection, and both are exact, so
 the graphs it returns are those of searching every drawn site.  A rejected
@@ -37,8 +39,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import (
-    Graph, MalformedEmbeddingError, PlaneGraph, _face_walk, _trace_faces,
-    edge_key, find_cycle_of_length,
+    Graph, MalformedEmbeddingError, PlaneGraph, _smallest_rotation,
+    _trace_faces, edge_key, find_cycle_of_length,
 )
 from .patterns import contains_butterfly
 
@@ -103,11 +105,9 @@ class PlaneBuilder:
     def plane(self) -> PlaneGraph:
         """The PlaneGraph of the current rotation with outer walk (0, 1, 2).
 
-        Its faces are the builder's walks, which are those a trace of the
-        rotation gives, so PlaneGraph takes them as they are and traces
-        nothing; it still checks the rotation and picks the outer face.
-        Between insert_vertex and split_face or remove_last_vertex the walks
-        miss the new vertex's darts, and plane() raises.
+        PlaneGraph traces the rotation; the builder's walks serve only its
+        insertion sites.  Between insert_vertex and split_face or
+        remove_last_vertex the builder is mid-insertion, and plane() raises.
         """
         edges = {
             (v, u) if u > v else (u, v)
@@ -117,8 +117,7 @@ class PlaneBuilder:
         if sum(map(len, self.walks)) != 2 * g.m:  # one face per dart
             raise MalformedEmbeddingError(
                 "the faces are stale: split_face or remove_last_vertex first")
-        return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2],
-                          walks=self.walks)
+        return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2])
 
     def window(self, face_id: int, start: int, arity: int) -> list[int]:
         """The `arity` consecutive walk vertices of a face from index `start`:
@@ -156,17 +155,23 @@ class PlaneBuilder:
         """Replace face `face_id`, into which the last insert_vertex went, by
         the faces the new vertex cuts it into, and its sites by theirs.
 
-        Only the darts of the new faces are traced: those of the old face
-        and the 2 * arity new darts at the new vertex z.  Each new face
-        leaves z once, so tracing from the darts out of z finds them all.
+        Nothing is traced.  The window a_0 .. a_{t-1} is the rotation at the
+        new vertex z reversed, and it starts at index s of the old walk W
+        (one index: a face with sites repeats no vertex).  The new faces are
+        the triangles (a_j, a_{j+1}, z) and the rest of W closed through z,
+        (a_0, z, a_{t-1}, W[s+t], ..., W[s-1]), each from its smallest dart.
         """
         old = self.walks.pop(face_id)
         # its sites (key, i, t) have i < len(old), so sort below (key, len)
         del self.sites[bisect_left(self.sites, (old[:2],)):
                        bisect_left(self.sites, (old[:2], len(old)))]
         z = self.n - 1
-        for w in self.rotation[z]:
-            walk = _face_walk(self.rotation, (z, w))
+        window = self.rotation[z][::-1]
+        s = old.index(window[0])
+        rest = (old[s:] + old[:s])[len(window):]
+        new = [(a, b, z) for a, b in zip(window, window[1:])]
+        new.append((window[0], z, window[-1], *rest))
+        for walk in map(_smallest_rotation, new):
             insort(self.walks, walk)
             at = bisect_left(self.sites, (walk[:2],))
             self.sites[at:at] = _face_sites(walk)

@@ -122,50 +122,39 @@ class Face:
         w = self.walk
         return [edge_key(w[i], w[(i + 1) % len(w)]) for i in range(len(w))]
 
-    def canonical_walk(self) -> tuple[int, ...]:
-        """Lexicographically smallest rotation of the cyclic walk."""
-        w = self.walk
-        return min(tuple(w[i:] + w[:i]) for i in range(len(w)))
-
-
-def _face_walk(rotation: Sequence[Sequence[int]],
-               dart: tuple[int, int]) -> tuple[int, ...]:
-    """Boundary walk of the face through `dart`, from the face's smallest dart.
-
-    Dart (u, v) is followed by (v, w), where w follows u in the rotation at v.
-    """
-    walk = []
-    u, v = dart
-    while True:
-        walk.append(u)
-        rot = rotation[v]
-        u, v = v, rot[rot.index(u) + 1 - len(rot)]
-        if (u, v) == dart:
-            break
-    darts = list(zip(walk, walk[1:] + walk[:1]))
-    i = darts.index(min(darts))
-    return tuple(walk[i:] + walk[:i])
-
 
 def _trace_faces(rotation: Sequence[Sequence[int]]) -> list[Face]:
-    """Faces in the order of their smallest dart (u, v), each walk from u."""
+    """Faces in the order of their smallest dart (u, v), each walk from u.
+
+    Dart (u, v) is followed by (v, w), where w = follow[u, v] follows u in
+    the rotation at v.  Each dart not yet met, taken in sorted order, is the
+    smallest of its face, whose walk pops the darts it passes.
+    """
+    follow = {(u, v): rot[i + 1 - len(rot)]
+              for v, rot in enumerate(rotation) for i, u in enumerate(rot)}
     faces: list[Face] = []
-    used: set[tuple[int, int]] = set()
-    for dart in sorted((u, v) for v, rot in enumerate(rotation) for u in rot):
-        if dart in used:
-            continue
-        walk = _face_walk(rotation, dart)
-        used.update(zip(walk, walk[1:] + walk[:1]))
-        faces.append(Face(len(faces), walk))
+    for u, v in sorted(follow):
+        walk = []
+        while (u, v) in follow:
+            walk.append(u)
+            u, v = v, follow.pop((u, v))
+        if walk:
+            faces.append(Face(len(faces), tuple(walk)))
     return faces
 
 
+def _smallest_rotation(walk: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically smallest rotation of a cyclic walk.  A face
+    walk repeats no dart, so its smallest rotation starts at its smallest
+    dart: every walk of `_trace_faces` is its own."""
+    return min(walk[i:] + walk[:i] for i in range(len(walk)))
+
+
 def _default_outer(faces: Sequence[Face]) -> int:
-    """Id of a face of maximum degree, ties broken by smallest canonical
-    walk."""
+    """Id of a face of maximum degree, ties broken by smallest walk."""
     top = max(f.degree for f in faces)
     return min((f for f in faces if f.degree == top),
-               key=Face.canonical_walk).id
+               key=lambda f: f.walk).id
 
 
 class PlaneGraph:
@@ -174,14 +163,9 @@ class PlaneGraph:
     A rotation system that is not a plane embedding (see the module
     docstring) raises MalformedEmbeddingError.
 
-    The outer face may be given as a boundary walk; otherwise it defaults to a
-    face of maximum degree, ties broken by smallest canonical walk.
-
-    A caller that already holds the faces may pass their walks as `walks`,
-    in the order and form `_trace_faces` gives them (by smallest dart, each
-    from that dart's tail); they become the faces without a trace.  The
-    rotation is still checked against the graph, and the outer face still
-    picked, but the walks are trusted to be the rotation's faces.
+    The outer face may be given as a boundary walk, in either direction
+    and from any vertex; otherwise it defaults to a face of maximum degree,
+    ties broken by smallest walk.
     """
 
     def __init__(
@@ -189,8 +173,6 @@ class PlaneGraph:
         graph: Graph,
         rotation: Sequence[Sequence[int]],
         outer_walk: Optional[Sequence[int]] = None,
-        *,
-        walks: Optional[Iterable[Sequence[int]]] = None,
     ):
         if len(rotation) != graph.n:
             raise MalformedEmbeddingError(
@@ -203,10 +185,7 @@ class PlaneGraph:
                 )
         self.graph = graph
         self.rotation = tuple(tuple(r) for r in rotation)
-        if walks is None:
-            self.faces = tuple(_trace_faces(rotation))
-        else:
-            self.faces = tuple(Face(i, tuple(w)) for i, w in enumerate(walks))
+        self.faces = tuple(_trace_faces(rotation))
         euler = graph.n - graph.m + len(self.faces)
         plane = sum(2 if graph.adjacency[v] else 1
                     for v, root in enumerate(graph.component) if v == root)
@@ -220,15 +199,14 @@ class PlaneGraph:
         self.outer_face = self._pick_outer(outer_walk)
 
     def _pick_outer(self, outer_walk: Optional[Sequence[int]]) -> int:
-        if outer_walk is not None:
-            walk = tuple(outer_walk)
-            wanted = {Face(-1, w).canonical_walk()
-                      for w in (walk, walk[::-1]) if w}
-            for f in self.faces:
-                if f.canonical_walk() in wanted:
-                    return f.id
-            raise OuterWalkError(f"no face has boundary walk {walk}")
-        return _default_outer(self.faces)
+        if outer_walk is None:
+            return _default_outer(self.faces)
+        walk = tuple(outer_walk)
+        wanted = {_smallest_rotation(w) for w in (walk, walk[::-1]) if w}
+        for f in self.faces:
+            if f.walk in wanted:
+                return f.id
+        raise OuterWalkError(f"no face has boundary walk {walk}")
 
     @property
     def n(self) -> int:

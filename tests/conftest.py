@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 from dpcolor.cover import CoverInstance
 from dpcolor.generate import PlaneBuilder, generate_corpus
 from dpcolor.graphs import Graph, PlaneGraph
-from dpcolor.io import load_assets_dir
+from dpcolor.io import graph_from_dict, load_assets_dir
 from dpcolor.patterns import LabeledPattern, catalog
 
 ASSETS = Path(str(importlib.resources.files("dpcolor") / "assets"))
@@ -187,6 +187,21 @@ def tight_six_host(v_degree6: bool = False):
         coords["S"] = (-3.0, 1.0)
         edges += [("S", "v"), ("S", "P"), ("S", "B")]
     return plane_from_coords(coords, edges, ["A", "B", "C"])
+
+
+def pendant_octahedron_host() -> PlaneGraph:
+    """The shape (11) drawing with a pendant vertex on u (0) and one on v
+    (1): u, v and w have degree 6 or less and u, v are 5-vertices, but the
+    cluster touches the outer face, whose walk repeats u and v.  It is not
+    in audit_corpus(), whose reports are pinned."""
+    return graph_from_dict({
+        "n": 8,
+        "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [0, 6], [1, 2], [1, 4],
+                  [1, 5], [1, 7], [2, 3], [2, 5], [3, 4], [3, 5], [4, 5]],
+        "rotation": {"0": [6, 1, 4, 3, 2], "1": [7, 2, 5, 4, 0],
+                     "2": [0, 3, 5, 1], "3": [0, 4, 5, 2], "4": [0, 1, 5, 3],
+                     "5": [4, 1, 2, 3], "6": [0], "7": [1]},
+    })
 
 
 def grown(pg: PlaneGraph, keep: set, seed: int, steps: int) -> PlaneGraph:

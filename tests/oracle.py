@@ -53,6 +53,13 @@ occurrences `graphs._embed` yields, in order, and the witness of a rooted
 Catalog matching: every catalog match of a cluster by brute force over
 vertex permutations, filtered by the shape's edges and 3-faces.
 
+Face tracing: the walk through each dart not yet used, one step at a
+time by looking the previous vertex up in the rotation, then rotated to
+start at its smallest dart, which fixes the faces, and their order, that
+`graphs._trace_faces` and the generator's builder must give; and the
+face that a given outer walk picks, found by reading every face walk from
+each vertex in both directions.
+
 Generator: the insertion loop that searches every drawn site, with no
 memory of earlier rejections, which fixes the graphs
 `generate.random_plane_graph` must return.
@@ -682,6 +689,40 @@ def random_plane_graph(
         tries = 0
         builder.split_face(face_id)
     return builder.plane()
+
+
+def face_walks(rotation: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every face walk, in the order of the faces' smallest darts, each
+    walk from the tail of its smallest dart."""
+    walks = []
+    used: set[tuple[int, int]] = set()
+    for dart in sorted((u, v) for v, rot in enumerate(rotation) for u in rot):
+        if dart in used:
+            continue
+        walk = []
+        u, v = dart
+        while True:
+            walk.append(u)
+            rot = rotation[v]
+            u, v = v, rot[(rot.index(u) + 1) % len(rot)]
+            if (u, v) == dart:
+                break
+        darts = list(zip(walk, walk[1:] + walk[:1]))
+        used.update(darts)
+        i = darts.index(min(darts))
+        walks.append(tuple(walk[i:] + walk[:i]))
+    return walks
+
+
+def outer_face(pg: PlaneGraph, walk: Sequence[int]) -> Optional[int]:
+    """Id of the first face whose walk, read from some vertex in either
+    direction, is `walk`; None if no face's is."""
+    given = list(walk)
+    for f in pg.faces:
+        for w in (list(f.walk), list(f.walk[::-1])):
+            if any(w[i:] + w[:i] == given for i in range(len(w))):
+                return f.id
+    return None
 
 
 def flood_cycle_predicates(pg: PlaneGraph, cycle: Sequence[int]) -> dict:

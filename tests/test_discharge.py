@@ -15,8 +15,8 @@ import pytest
 import dpcolor.discharge
 from dpcolor import graphs
 from conftest import (
-    audit_corpus, butterfly_pattern, c7_pattern, shared_vertex_host,
-    special_seven_host, tight_six_host,
+    audit_corpus, butterfly_pattern, c7_pattern, pendant_octahedron_host,
+    shared_vertex_host, special_seven_host, tight_six_host,
 )
 from dpcolor.clusters import extract_clusters
 from dpcolor.discharge import (
@@ -160,6 +160,29 @@ class TestSpecialClusters:
         assert special6_vertices(pg, cluster_infos(pg)) == {idx["v"]}
         chk = audit(pg).preconditions["tight-7-cluster-pattern-absent"]
         assert chk == {"ok": True, "witness": None}
+
+    def test_tight_seven_check_needs_an_all_internal_cluster(
+            self, monkeypatch):
+        # u and v are 5-vertices and u, v, w have degree 6 or less, but the
+        # cluster touches the outer face; called all internal, it is caught
+        pg = pendant_octahedron_host()
+        infos = cluster_infos(pg)
+        assert [(info.classification.code, info.internal)
+                for info in infos] == [(11, False)]
+        chk = audit(pg).preconditions["tight-7-cluster-pattern-absent"]
+        assert chk == {"ok": True, "witness": None}
+        real = dpcolor.discharge.cluster_infos
+
+        def all_internal(pg):
+            infos = real(pg)
+            for info in infos:
+                info.internal = True
+            return infos
+
+        monkeypatch.setattr(dpcolor.discharge, "cluster_infos", all_internal)
+        chk = audit(pg).preconditions["tight-7-cluster-pattern-absent"]
+        assert chk == {"ok": False,
+                       "witness": [{"cluster": 0, "vertices": [0, 1]}]}
 
     def test_r3_gives_8_from_a_good_4_type_6_vertex(self):
         # the special 6-cluster of shape (10) with v of degree 6 and 4-type,

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import (
-    ASSETS, butterfly_pattern, petersen, random_graph, special_seven_host,
+    ASSETS, butterfly_pattern, pendant_octahedron_host, petersen,
+    random_graph, shared_vertex_host, special_seven_host, tight_six_host,
 )
 from dpcolor import generate, graphs
 from dpcolor.clusters import cluster_subgraph, extract_clusters
@@ -72,6 +73,12 @@ class TestFaces:
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(MalformedEmbeddingError):
             PlaneGraph(g, [[1], [0, 2], [0, 1]])
+        # one entry short, and a vertex that no longer lists neighbour 2
+        pg = triangle_with_center()
+        with pytest.raises(MalformedEmbeddingError, match="3 entries for n=4"):
+            PlaneGraph(pg.graph, pg.rotation[:3])
+        with pytest.raises(MalformedEmbeddingError, match="vertex 3"):
+            PlaneGraph(pg.graph, [*pg.rotation[:3], (0, 1)])
 
     @pytest.mark.parametrize("n,edges", [
         (5, list(itertools.combinations(range(5), 2))),
@@ -84,6 +91,8 @@ class TestFaces:
                   for a in map(sorted, g.adjacency)]
         count = 0
         for rotation in itertools.product(*orders):
+            assert [f.walk for f in graphs._trace_faces(rotation)] == \
+                oracle.face_walks(rotation)
             with pytest.raises(MalformedEmbeddingError,
                                match="not a plane embedding"):
                 PlaneGraph(g, rotation)
@@ -108,7 +117,8 @@ class TestFaces:
         # K4 on the torus (V - E + F = 0) beside a plane K4 (2) sums to 2,
         # the value of one plane component, but two components need 4
         torus = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-        assert len(graphs._trace_faces(torus)) == 2
+        walks = [f.walk for f in graphs._trace_faces(torus)]
+        assert len(walks) == 2 and walks == oracle.face_walks(torus)
         k4 = triangle_with_center()
         g = Graph.from_edges(8, [*k4.graph.edges,
                                  *((u + 4, v + 4) for u, v in k4.graph.edges)])
@@ -129,6 +139,78 @@ class TestFaces:
         # every edge has exactly two face sides
         sides = sum(len(v) for v in pg._edge_faces.values())
         assert sides == 2 * pg.graph.m
+
+
+def plane_rotations():
+    """The rotation of every shipped asset that has one, of every plane
+    host in conftest, and of seeded corpora in the class and unrestricted."""
+    for path in sorted(ASSETS.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "rotation" in data:
+            yield [data["rotation"][str(v)] for v in range(data["n"])]
+    hosts = [pendant_octahedron_host(), special_seven_host()[0],
+             *(shared_vertex_host(b, w7)[0]
+               for b, w7 in ((False, False), (True, False), (False, True))),
+             tight_six_host()[0], tight_six_host(v_degree6=True)[0]]
+    corpora = (generate_corpus(20, seed=20260823, min_n=6, max_n=24)
+               + generate_corpus(20, seed=5, min_n=8, max_n=24, forbid=()))
+    for pg in hosts + corpora:
+        yield pg.rotation
+
+
+class TestFaceTracer:
+    """The tracer and the generator's builder give the reference tracer's
+    faces, each from its smallest dart, in the order of those darts."""
+
+    def test_tracer_matches_the_reference(self):
+        rotations = list(plane_rotations())
+        assert len(rotations) == 13 + 7 + 40
+        for rotation in rotations:
+            assert [f.walk for f in graphs._trace_faces(rotation)] == \
+                oracle.face_walks(rotation)
+
+    @pytest.mark.parametrize("forbid", [("7-cycle", "butterfly"), ()],
+                             ids=["in-class", "unrestricted"])
+    def test_builder_walks_after_every_split(self, monkeypatch, forbid):
+        real = PlaneBuilder.split_face
+        splits = []
+
+        def checked(builder, face_id):
+            real(builder, face_id)
+            assert builder.walks == oracle.face_walks(builder.rotation)
+            splits.append(face_id)
+
+        monkeypatch.setattr(PlaneBuilder, "split_face", checked)
+        generate_corpus(20, seed=20260823, min_n=6, max_n=24, forbid=forbid)
+        assert len(splits) > 100
+
+
+class TestOuterWalk:
+    """A given outer walk picks the reference face, whatever vertex it
+    starts from and whichever way it runs."""
+
+    def test_every_rotation_and_direction_picks_one_face(self):
+        pgs = [pendant_octahedron_host(), triangle_with_center(),
+               special_seven_host()[0], *(p.plane for p in catalog().values()),
+               *generate_corpus(4, seed=3, min_n=6, max_n=12, forbid=())]
+        for pg in pgs:
+            for f in pg.faces:
+                w = list(f.walk)
+                picks = {PlaneGraph(pg.graph, pg.rotation, seq[i:] + seq[:i])
+                         .outer_face for seq in (w, w[::-1])
+                         for i in range(len(w))}
+                assert picks == {oracle.outer_face(pg, w)}
+        # the outer walk of the pendant host repeats u and v
+        assert pendant_octahedron_host().faces[0].walk == (0, 1, 7, 1, 2, 0, 6)
+
+    def test_a_walk_that_bounds_no_face_is_rejected(self):
+        k4, pendant = triangle_with_center(), pendant_octahedron_host()
+        for pg, walk in [(k4, [0, 1, 3, 2]), (k4, [0, 1]), (k4, []),
+                         (k4, [0, 1, 2, 0, 1, 2]), (pendant, [0, 1, 2]),
+                         (pendant, [0, 1, 7, 2, 0, 6])]:
+            assert oracle.outer_face(pg, walk) is None
+            with pytest.raises(OuterWalkError, match="no face has boundary"):
+                PlaneGraph(pg.graph, pg.rotation, walk)
 
 
 class TestCycles:
@@ -537,8 +619,7 @@ class TestBuilderFaces:
             face_id = builder.face_id(key)
             builder.insert_vertex(face_id, start, arity)
             builder.split_face(face_id)
-            # a fresh trace, not the builder's walks that plane() passes on
-            pg = PlaneGraph(builder.plane().graph, builder.rotation, [0, 1, 2])
+            pg = builder.plane()
             assert builder.walks == [f.walk for f in pg.faces]
             assert builder.outer_walk == pg.faces[pg.outer_face].walk
             assert [(builder.face_id(k), i, t)
@@ -556,23 +637,6 @@ class TestBuilderFaces:
             assert pg.rotation == fresh.rotation
             assert pg.faces == fresh.faces
             assert pg.outer_face == fresh.outer_face
-
-    def test_walks_do_not_skip_the_rotation_check(self):
-        pg = triangle_with_center()
-        walks = [f.walk for f in pg.faces]
-        rotation = [list(r) for r in pg.rotation]
-        assert PlaneGraph(pg.graph, rotation, walks=walks).faces == pg.faces
-        rotation[3] = [0, 1]  # vertex 3 no longer lists neighbour 2
-        with pytest.raises(MalformedEmbeddingError, match="vertex 3"):
-            PlaneGraph(pg.graph, rotation, walks=walks)
-        with pytest.raises(MalformedEmbeddingError):
-            PlaneGraph(pg.graph, rotation[:3], walks=walks)
-        with pytest.raises(OuterWalkError):
-            PlaneGraph(pg.graph, pg.rotation, [0, 1, 3, 2], walks=walks)
-        # nor the plane check: one face short
-        with pytest.raises(MalformedEmbeddingError,
-                           match="V - E \\+ F = 1, not 2"):
-            PlaneGraph(pg.graph, pg.rotation, walks=walks[:-1])
 
     def test_rotation_without_the_outer_triangle_is_rejected(self):
         with pytest.raises(MalformedEmbeddingError, match="0, 1, 2"):
