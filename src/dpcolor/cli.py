@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -23,9 +24,8 @@ from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        json.dump(report, sys.stdout, indent=1, default=str)
-        sys.stdout.write("\n")
+    if fmt == "json":  # written whole, so a failed report writes nothing
+        sys.stdout.write(json.dumps(report, indent=1, default=str) + "\n")
     else:
         _emit_text(report)
 
@@ -176,13 +176,13 @@ def cmd_witness_verify(args) -> dict:
     inst = dio.parse_cover_file(args.input)
     t0 = time.monotonic()
     confirmed = find_transversal(inst) is None
-    candidates = 1
-    for v in range(inst.graph.n):
-        candidates *= max(1, len(inst.available[v]))
     return {
         "status": "CONFIRMED" if confirmed else "REFUTED",
         "transversal_exists": not confirmed,
-        "candidates": candidates,
+        # the number of complete assignments, as a base-2 logarithm: with
+        # thousands of full lists it has more digits than JSON writers take
+        "candidates_log2": round(sum(math.log2(max(1, len(av)))
+                                     for av in inst.available), 3),
         "seconds": round(time.monotonic() - t0, 3),
     }
 
@@ -335,11 +335,10 @@ def main(argv: Optional[list] = None) -> int:
         parser.error("discharge audit takes no --element; "
                      "use discharge explain")
     try:
-        report = VERBS[args.verb](args)
+        _emit(VERBS[args.verb](args), args.fmt)
     except (dio.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.fmt)
     return 0
 
 

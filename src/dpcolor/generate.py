@@ -16,8 +16,9 @@ builder keeps.  An accepted insertion of arity t replaces one face by t new
 ones, so the builder splits that face in its own face list and re-lists the
 insertion sites of the new faces only.  The new faces follow from the old
 walk and the window, so they are not traced.  The builder keeps its walks
-only for the insertion sites: a PlaneGraph is built once per graph, when
-growth stops, and traces its rotation like any other.
+only for the insertion sites: a PlaneGraph is built of the starting
+rotation, which checks it, and once per graph when growth stops, and each
+traces its rotation like any other.
 
 The generator also remembers two kinds of rejection, and both are exact, so
 the graphs it returns are those of searching every drawn site.  A rejected
@@ -40,7 +41,7 @@ from typing import Sequence
 
 from .graphs import (
     Graph, MalformedEmbeddingError, PlaneGraph, _smallest_rotation,
-    _trace_faces, edge_key, find_cycle_of_length,
+    edge_key, find_cycle_of_length,
 )
 from .patterns import contains_butterfly
 
@@ -52,11 +53,15 @@ MAX_TRIES = 400  # rejected insertions in a row before a graph is given up
 
 def _face_sites(walk: tuple[int, ...]) -> list[Site]:
     """(face key, walk start index, arity) choices in one interior face."""
-    d = len(walk)
-    if len(set(walk)) != d:
-        return []  # skip faces whose walk repeats a vertex
-    key = walk[:2]
-    return [(key, i, t) for t in (2, 3) if t <= d for i in range(d)]
+    return [(walk[:2], i, t) for t in (2, 3) if t <= len(walk)
+            for i in range(len(walk))]
+
+
+def _plane(rotation: Sequence[Sequence[int]]) -> PlaneGraph:
+    """The PlaneGraph of a rotation system with outer walk (0, 1, 2)."""
+    edges = {edge_key(u, v) for v, rot in enumerate(rotation) for u in rot}
+    return PlaneGraph(Graph.from_edges(len(rotation), sorted(edges)),
+                      [list(r) for r in rotation], [0, 1, 2])
 
 
 @dataclass
@@ -70,7 +75,9 @@ class PlaneBuilder:
     and each walk starts at u.  Walks thus sort by key, and `face_id(key)`
     finds a face by bisection.  `outer_walk` is the outer face's walk, and
     `sites` holds the insertion choices of the interior faces, grouped by
-    face in the same order.
+    face in the same order.  Every face is a cycle: the starting rotation's
+    faces must be (a rotation with a face whose walk repeats a vertex is
+    rejected), and an insertion into a cycle cuts it into cycles.
     """
 
     rotation: list[list[int]] = field(
@@ -83,14 +90,13 @@ class PlaneBuilder:
 
     def __post_init__(self) -> None:
         self.masks = [sum(1 << u for u in rot) for rot in self.rotation]
-        self.walks = [f.walk for f in _trace_faces(self.rotation)]
-        # PlaneGraph's rule for outer walk [0, 1, 2]: the first face with that
-        # boundary.  Insertions only split interior faces, so it never changes.
-        outer = [w for w in self.walks if len(w) == 3 and set(w) == {0, 1, 2}]
-        if not outer:
-            raise MalformedEmbeddingError(
-                "no face has boundary walk (0, 1, 2)")
-        self.outer_walk = outer[0]
+        # PlaneGraph checks the rotation and picks the outer face; insertions
+        # only split interior faces, so the outer face never changes
+        pg = _plane(self.rotation)
+        self.walks = [f.walk for f in pg.faces]
+        if any(len(set(w)) != len(w) for w in self.walks):
+            raise MalformedEmbeddingError("a face walk repeats a vertex")
+        self.outer_walk = self.walks[pg.outer_face]
         self.sites = [site for w in self.walks if w != self.outer_walk
                       for site in _face_sites(w)]
 
@@ -109,15 +115,11 @@ class PlaneBuilder:
         insertion sites.  Between insert_vertex and split_face or
         remove_last_vertex the builder is mid-insertion, and plane() raises.
         """
-        edges = {
-            (v, u) if u > v else (u, v)
-            for v, rot in enumerate(self.rotation) for u in rot
-        }
-        g = Graph.from_edges(self.n, sorted(edges))
-        if sum(map(len, self.walks)) != 2 * g.m:  # one face per dart
+        # one face walk step per dart
+        if sum(map(len, self.walks)) != sum(map(len, self.rotation)):
             raise MalformedEmbeddingError(
                 "the faces are stale: split_face or remove_last_vertex first")
-        return PlaneGraph(g, [list(r) for r in self.rotation], [0, 1, 2])
+        return _plane(self.rotation)
 
     def window(self, face_id: int, start: int, arity: int) -> list[int]:
         """The `arity` consecutive walk vertices of a face from index `start`:
@@ -157,7 +159,7 @@ class PlaneBuilder:
 
         Nothing is traced.  The window a_0 .. a_{t-1} is the rotation at the
         new vertex z reversed, and it starts at index s of the old walk W
-        (one index: a face with sites repeats no vertex).  The new faces are
+        (one index: every face is a cycle).  The new faces are
         the triangles (a_j, a_{j+1}, z) and the rest of W closed through z,
         (a_0, z, a_{t-1}, W[s+t], ..., W[s-1]), each from its smallest dart.
         """

@@ -34,21 +34,17 @@ vertex, with the strategy's grouping vertices outermost; each free edge has
 one boolean mask per maximal injection, and an instance is the AND of one
 mask per edge.  The kernel walks the outer edges ANDing masks and
 vectorizes the rest in blocks sized so that no array a block builds passes
-a byte cap.  Each block comes as two
-factors over the grouping vertices' assignments: the early factor ANDs the
-edges that touch a non-grouping vertex and ORs each instance over the
-non-grouping axes; the late factor ANDs the edges between two grouping
-vertices (only eliminate has any), which cannot see the non-grouping axes.
-An instance's row is the AND of one row of each.  The vectorized tail of
-the edges keeps taking early edges while they fit the cap, so the small
-configurations run in one or two blocks, but takes a late edge only as one
-of its last two: the line test on the factors skips the axes of a
-vectorized late edge's ends.  In color-index space the grid, the masks,
-the block plan and the late factor depend on the floors alone, so they are
-built once per check; each residual choice builds only the mask of its
-straightened edges and walks.  The walked late edges go into the early
-factor's group mask, so each head slice of the walk's last edge has one
-late factor, which its blocks at every walk step share.  The kernel also
+a byte cap (see _BLOCK_CELLS).  Each block comes as two factors over the
+grouping vertices' assignments: the early factor ANDs the edges that touch
+a non-grouping vertex and ORs each instance over the non-grouping axes;
+the late factor ANDs the edges between two grouping vertices (only
+eliminate has any), which cannot see the non-grouping axes.  An instance's
+row is the AND of one row of each.  In color-index space the grid, the
+masks, the block plan and the late factor depend on the floors alone, so
+they are built once per check; each residual choice builds only the mask
+of its straightened edges and walks.  The walked late edges go into the
+candidate mask, so each head slice of the walk's last edge has one late
+factor, which its blocks at every walk step share.  The kernel also
 counts instances, blocks and built rows and stops on the budget.  Each
 strategy is one reduction of those blocks:
 
@@ -222,14 +218,9 @@ def config_catalog() -> dict[str, Configuration]:
 def maximal_injections(a: frozenset[int], b: frozenset[int]) -> list[dict[int, int]]:
     """All partial injections a->b matching min(|a|,|b|) colors, sorted."""
     la, lb = sorted(a), sorted(b)
-    out = []
     if len(la) <= len(lb):
-        for images in itertools.permutations(lb, len(la)):
-            out.append(dict(zip(la, images)))
-    else:
-        for sources in itertools.permutations(la, len(lb)):
-            out.append(dict(zip(sources, lb)))
-    return out
+        return [dict(zip(la, p)) for p in itertools.permutations(lb, len(la))]
+    return [dict(zip(p, lb)) for p in itertools.permutations(la, len(lb))]
 
 
 def extend_to_bijection(partial: Mapping[int, int]) -> tuple[int, ...]:
@@ -256,11 +247,12 @@ def residual_choices(cfg: Configuration,
     Sym({f+1..K}), still act on its other sets.  Of each orbit only the
     first choice in enumeration order (the subsets of each varying vertex
     in `itertools.combinations` order, the vertices in id order) is
-    yielded: a choice is dropped when one component's renaming maps that
-    component's tuple of subset ranks to a lexicographically smaller one.
-    Checking one component at a time is enough, because the first rank
-    that a product of renamings changes belongs to one component, and that
-    component's factor alone changes it the same way.
+    yielded.  A renaming acts on one component's sets alone, so a choice
+    comes first in its orbit exactly when each component's tuple of subset
+    ranks comes first in that component's orbit.  In enumeration order a
+    component meets its tuples for the first time in their lexicographic
+    order, so a tuple met before any other of its orbit is the first of
+    it: its verdict is set then, and its images are marked as later ones.
     """
     comps = Graph.from_edges(cfg.graph.n, cfg.tree).components
     canonical = {min(comp, key=lambda v: (cfg.floors[v], v)) for comp in comps}
@@ -276,32 +268,34 @@ def residual_choices(cfg: Configuration,
         for v in vary
     }
     rank = {v: {s: r for r, s in enumerate(subsets[v])} for v in vary}
-    # per component with varying vertices: their positions in `vary`, and
-    # for each renaming of its group but the identity, the rank that each
-    # of their subsets goes to
+    # per component with varying vertices: their positions in `vary`, per
+    # renaming the rank that each of their subsets goes to, and whether
+    # each tuple of their ranks met so far comes first in its orbit
     groups = []
     for comp in comps:
         at = [i for i, v in enumerate(vary) if v in comp]
         if not at:
             continue
         f = min(cfg.floors[v] for v in comp)
-        renamings = itertools.product(
-            itertools.permutations(range(1, f + 1)),
-            itertools.permutations(range(f + 1, K + 1)))
-        next(renamings)  # the identity
-        groups.append((at, [
-            [[rank[vary[i]][frozenset(pi[c - 1] for c in s)]
-              for s in subsets[vary[i]]] for i in at]
-            for pi in (low + high for low, high in renamings)]))
+        groups.append((at, [[[rank[vary[i]][frozenset(map(pi.__getitem__, s))]
+                              for s in subsets[vary[i]]] for i in at]
+                            for low, high in itertools.product(
+                                itertools.permutations(range(1, f + 1)),
+                                itertools.permutations(range(f + 1, K + 1)))
+                            for pi in [(0, *low, *high)]], {}))
     for ranks in itertools.product(*(range(len(subsets[v])) for v in vary)):
-        if any(tuple(image[ranks[i]] for image, i in zip(images, at)) < own
-               for at, renamed in groups
-               for own in [tuple(ranks[i] for i in at)]
-               for images in renamed):
-            continue
-        choice = dict(base)
-        choice.update((v, subsets[v][r]) for v, r in zip(vary, ranks))
-        yield choice
+        for at, renamed, first in groups:
+            own = tuple(ranks[i] for i in at)
+            if own not in first:
+                first.update((tuple(map(list.__getitem__, images, own)), False)
+                             for images in renamed)
+                first[own] = True
+            if not first[own]:
+                break
+        else:
+            choice = dict(base)
+            choice.update((v, subsets[v][r]) for v, r in zip(vary, ranks))
+            yield choice
 
 
 def build_witness(
@@ -314,24 +308,15 @@ def build_witness(
     edge_maps are partial injections oriented along the (min, max) edge key;
     unspecified edges (the straightened forest) get the identity.
     """
-    sigma = {}
-    for e in cfg.graph.edges:
-        if e in edge_maps:
-            sigma[e] = extend_to_bijection(edge_maps[e])
-        else:
-            sigma[e] = identity(K)
-    avail = tuple(
-        residuals.get(v, FULL) for v in range(cfg.graph.n)
-    )
+    sigma = {e: extend_to_bijection(edge_maps[e]) if e in edge_maps
+             else identity(K) for e in cfg.graph.edges}
+    avail = tuple(residuals.get(v, FULL) for v in range(cfg.graph.n))
     return CoverInstance(cfg.graph, K, avail, sigma)
 
 
 def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> list:
-    tree = set(cfg.tree)
-    return [
-        e for e in sorted(cfg.graph.edges)
-        if e not in tree and exclude_vertex not in e
-    ]
+    return [e for e in sorted(cfg.graph.edges)
+            if e not in cfg.tree and exclude_vertex not in e]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +336,9 @@ def _free_edges(cfg: Configuration, exclude_vertex: Optional[int] = None) -> lis
 # factor's matmul (`_any_and`; candidate cells x head or tail early
 # options, group cells x early options), the late cube (group cells x late
 # options) and the [early, late] pair matrices of the line test (8 bytes a
-# pair, as the block's int64 instance numbers take).  Instance rows
-# are built in slices within the cap (`_Leaf.table`), so they never size a
+# pair, as the block's int64 instance numbers take).  Instance rows come
+# in slices within the cap (`_Leaf.table`: built from the factors, or, in
+# a block with no late edge, views of the early one), so they never size a
 # block.
 _BLOCK_CELLS = 1 << 19
 
@@ -361,9 +347,11 @@ _BLOCK_CELLS = 1 << 19
 def _injections(na: int, nb: int) -> tuple[list, np.ndarray]:
     """`maximal_injections` between the color indices range(na) and
     range(nb), which follow those between any sorted sets of these sizes,
-    and each one's image of every index ([option, index], -1 for none)."""
+    and whether each one keeps each index pair apart ([a * nb + b, option]:
+    False iff it maps a to b)."""
     opts = maximal_injections(frozenset(range(na)), frozenset(range(nb)))
-    return opts, np.array([[m.get(i, -1) for i in range(na)] for m in opts])
+    return opts, np.array([[m.get(a) != b for m in opts]
+                           for a in range(na) for b in range(nb)])
 
 
 def _floor_tables(group: Sequence[int], rest: Sequence[int],
@@ -372,24 +360,26 @@ def _floor_tables(group: Sequence[int], rest: Sequence[int],
     group outermost): each vertex's index per cell, and per free edge, in
     `free` order, (edge, index options, [cell, option] mask, late), a late
     edge (both ends in `group`) over the group grid only."""
+    order = [*group, *rest]
     cells = math.prod(sizes.values())
-    # each vertex's index per cell, in C order: an axis repeats each index
-    # over the cells of the axes after it, and tiles that run over the
-    # indices of the axes before it
-    index, before, after = {}, 1, cells
-    for v in [*group, *rest]:
-        after //= sizes[v]
-        index[v] = np.tile(np.repeat(np.arange(sizes[v]), after), before)
-        before *= sizes[v]
+    # each vertex's index per cell, in C order, from one np.indices over
+    # the axes of more than one index (each at least halves the cells, so
+    # no grid that fits in memory has more axes than numpy allows); the
+    # other vertices have index 0 in every cell
+    wide = [v for v in order if sizes[v] > 1]
+    grid = np.indices([sizes[v] for v in wide]).reshape(len(wide), cells)
+    index = dict.fromkeys(order, np.zeros(cells, dtype=int))
+    index.update(zip(wide, grid))
     width = math.prod(sizes[v] for v in rest)
     # the group grid: the grid's cells whose rest indices come first
     group_index = {v: index[v][::width] for v in group}
     edges = []
     for u, v in free:
-        opts, image = _injections(sizes[u], sizes[v])
+        opts, apart = _injections(sizes[u], sizes[v])
         late = u in group_index and v in group_index
         at = group_index if late else index
-        edges.append(((u, v), opts, image.T[at[u]] != at[v][:, None], late))
+        edges.append(((u, v), opts,
+                      np.take(apart, at[u] * sizes[v] + at[v], axis=0), late))
     return index, edges
 
 
@@ -399,10 +389,10 @@ class _Leaf:
 
     An instance of the block takes one option of each vectorized edge.  The
     options of the early edges (those touching a non-grouping vertex) pick a
-    row of `early`: the group assignments that extend to the `rest` axes,
-    ANDed with the late edges fixed on the walk.  The options of the late
-    edges (both ends grouping vertices) pick a row of `late`, which depends
-    only on the group axes of the vertices in `touched`.  The instance's
+    row of `early`: the group assignments that extend to the `rest` axes
+    under every edge fixed on the walk.  The options of the late edges
+    (both ends grouping vertices) pick a row of `late`, which depends only
+    on the group axes of the vertices in `touched`.  The instance's
     table row is the AND of the two.  Both factors and every table that
     `table` builds are profile-major (column-major): each group assignment's
     column is contiguous over the rows.  Blocks that share a late factor
@@ -415,22 +405,19 @@ class _Leaf:
     early: np.ndarray  # [e, g]
     late: np.ndarray  # [l, g]
     late_lines: dict  # axis -> float32 `_line_hits` of `late`, on demand
+    inner: list  # (edge, index maps, late) vectorized, the first outermost
+    touched: set  # the grouping vertices of the vectorized late edges
     count: int  # instances of the block within the budget
     first: int  # instances enumerated before this block
     path: list  # (edge, index map) fixed by the walk down to this block
-    inner: list  # (edge, index maps, late) vectorized, the first outermost
-
-    @functools.cached_property
-    def touched(self) -> set:
-        """The grouping vertices of the vectorized late edges."""
-        return {v for e, _, late in self.inner if late for v in e}
 
     def table(self, keep: Optional[np.ndarray] = None):
         """Yield (j, alive) slices in ascending order: the block's instance
         numbers j of every (early, late) pair that `keep[e, l]` admits, and
         their rows alive[i] = early[e] & late[l], each slice within
         _BLOCK_CELLS bytes.  Without `keep` (product, margin and condition,
-        whose blocks have no late edge) every instance j is early row j."""
+        whose blocks have no late edge, so one all-true late row) every
+        instance j is early row j, and its slice is a view of `early`."""
         factors = [self.early.T, self.late.T]  # [g, row]
         # a row takes a byte per group cell, an instance number 8 bytes
         step = max(1, _BLOCK_CELLS // max(len(factors[0]), 8))
@@ -438,7 +425,7 @@ class _Leaf:
             for lo in range(0, self.count, step):
                 j = np.arange(lo, min(lo + step, self.count))
                 self.run.rows_built += len(j)
-                yield j, (factors[0][:, lo:lo + len(j)] & factors[1]).T
+                yield j, self.early[lo:lo + len(j)]
             return
         # one axis per run of consecutive vectorized edges on one side, in
         # the mixed radix that numbers the instances; each factor spans its
@@ -481,7 +468,7 @@ class _Run:
     residual choice that `residual_choices` yields, in every strategy.  The
     budget caps it: the kernel stops as soon as the next block would pass
     it.  `blocks` counts the leaf blocks evaluated.  `rows_built` counts the
-    instance rows built from the factors (all of them, except where
+    instance rows that `_Leaf.table` yields (all of them, except where
     eliminate's line test rejects an instance on the factors).
     """
 
@@ -530,17 +517,16 @@ class _Run:
         over cells run along contiguous instances.
 
         The walk fixes one option per edge, fewest options first, and ANDs
-        early columns into the candidate mask, late ones into the group
-        mask.  Every block vectorizes the tail edges (early edges while they
-        fit, a late one only as one of the last two) and one slice of the
-        options of the walk's last edge, as large as the early factor's
-        matmul, the late cube and the pair matrices allow (see
+        its column into the candidate mask (a late edge's repeated over the
+        `rest` axes).  Every block vectorizes the tail edges (early edges
+        while they fit, a late one only as one of the last two) and one
+        slice of the options of the walk's last edge, as large as the early
+        factor's matmul, the late cube and the pair matrices allow (see
         _BLOCK_CELLS); that slice heads the leaf's `inner`, so instances
         keep the lexicographic order of the edges wherever the late edges
         sort.  A leaf's early factor ANDs the vectorized early edges into
-        the candidate mask, ORs each instance over the `rest` axes (one
-        matmul of the head's and the tail's early masks, `_any_and`) and
-        ANDs in the group mask, which carries the walked late edges; its
+        the candidate mask and ORs each instance over the `rest` axes (one
+        matmul of the head's and the tail's early masks, `_any_and`); its
         late factor ANDs the vectorized late edges over the group grid,
         once per call for each head slice.
         """
@@ -556,10 +542,8 @@ class _Run:
         groups = cells // width
 
         def built(vec, head=1, late=False):
-            """Bytes of the arrays of a block that vectorizes `vec` after a
-            head slice of `head` options on the `late` side: the float32
-            operands and product of the early factor's matmul, the late
-            cube and the pair matrices (see _BLOCK_CELLS)."""
+            """Bytes of each array that sizes a block (see _BLOCK_CELLS)
+            vectorizing `vec` after `head` options on the `late` side."""
             h, t = [1, 1], [1, 1]
             h[late] = head
             for _, opts, _, side in vec:
@@ -577,16 +561,20 @@ class _Run:
             tail += 1
         outer, inner = edges[:len(edges) - tail], edges[len(edges) - tail:]
         # [early, late]: the [cell, option tuple] ANDs of the tail's edges,
-        # the same in every block
+        # the same in every block, built from the last edge back so that
+        # the long option axis is the inner one of each `_and_each`
         tails = [np.ones((n, 1), dtype=bool) for n in (cells, groups)]
-        for _, _, rows, late in inner:
-            tails[late] = _and_each(tails[late], rows)
-        # each head slice with its late factor and that factor's line hits
-        # by axis: the late tail, with the slice's options ANDed in when
-        # the head is late.  Walked late edges stay out of it, since the
-        # group mask ANDs them into every early row.
+        for _, _, rows, late in reversed(inner):
+            tails[late] = _and_each(rows, tails[late])
+        # each head slice of the walk's last edge with what its blocks
+        # share: its early rows (None without an early head), the instance
+        # count, the late factor (the late tail, ANDed with a late head's
+        # options) and its line hits by axis, the vectorized edges and the
+        # grouping vertices of the late ones.  Walked late edges stay out of
+        # the late factor: their rows, repeated over the `rest` axes here,
+        # go into the candidate mask.
         shared = (tails[1].T, {})
-        heads = [([], shared)]
+        slices = [[]]
         if outer:
             e, opts, rows, late = outer.pop()
             # the bytes that each head option adds to the arrays that grow
@@ -594,30 +582,36 @@ class _Run:
             per = max(a - b for a, b in zip(built(inner, 1, late),
                                             built(inner, 0, late)))
             step = max(1, _BLOCK_CELLS // per)
-            heads = [([(e, opts[lo:lo + step], rows[:, lo:lo + step], late)],
-                      (_and_each(rows[:, lo:lo + step], tails[1]).T, {})
-                      if late else shared)
-                     for lo in range(0, len(opts), step)]
+            slices = [[(e, opts[lo:lo + step], rows[:, lo:lo + step], late)]
+                      for lo in range(0, len(opts), step)]
+            outer = [(e, o, np.repeat(r, width, axis=0) if late else r)
+                     for e, o, r, late in outer]
+        heads = []
+        for head in slices:
+            vec = head + inner
+            _, _, rows, late = head[0] if head else (0, 0, None, False)
+            heads.append((None if late else rows,
+                          math.prod(len(t[1]) for t in vec),
+                          *((_and_each(rows, tails[1]).T, {}) if late
+                            else shared),
+                          [(e, opts, side) for e, opts, _, side in vec],
+                          {v for e, _, _, side in vec if side for v in e}))
         # the early tail as every block's float32 matmul operand
         tails[0] = tails[0].reshape(groups, width, -1).astype(np.float32)
 
-        def walk(residuals, masks):
+        def walk(residuals, base):
             """The blocks of every option tuple of the outer edges, in
             lexicographic order, by an odometer (no recursion limit caps
-            the edges): fixed[d] holds the [candidate, group] masks with d
-            edges fixed."""
+            the edges): fixed[d] holds the candidate mask with d edges
+            fixed."""
             pick = [0] * len(outer)
-            fixed = [masks] * (len(outer) + 1)
+            fixed = [base] * (len(outer) + 1)
             d = 0  # the first edge whose option changed
             while True:
                 for i in range(d, len(outer)):
-                    _, _, rows, late = outer[i]
-                    fixed[i + 1] = list(fixed[i])
-                    fixed[i + 1][late] = fixed[i][late] & rows[:, pick[i]]
-                path = [(e, opts[p]) for (e, opts, _, _), p in zip(outer, pick)]
-                for head, late_factor in heads:
-                    vec = head + inner
-                    size = math.prod(len(t[1]) for t in vec)
+                    fixed[i + 1] = fixed[i] & outer[i][2][:, pick[i]]
+                path = [(e, opts[p]) for (e, opts, _), p in zip(outer, pick)]
+                for rows, size, *shares in heads:
                     count = size
                     if self.budget is not None and \
                             self.enumerated + size > self.budget:
@@ -627,9 +621,8 @@ class _Run:
                     self.enumerated += count
                     if count:
                         self.blocks += 1
-                        yield self._leaf(residuals, fixed[-1], width, head,
-                                         tails[0], late_factor, vec, count,
-                                         first, path)
+                        yield self._leaf(residuals, fixed[-1], rows, tails[0],
+                                         shares, count, first, path)
                     if self.exhausted:
                         return
                 d = len(outer) - 1
@@ -640,35 +633,33 @@ class _Run:
                     return
                 pick[d] += 1
 
+        # each cell's index pair on each straightened edge, as a row of
+        # that edge's block of pairs in one table of them all
+        offsets = itertools.accumulate(
+            (sizes[u] * sizes[v] for u, v in straight), initial=0)
+        pairs = np.array([index[u] * sizes[v] + index[v] + at for (u, v), at
+                          in zip(straight, offsets)], int).reshape(-1, cells)
         for residuals in itertools.chain([first_choice], choices):
-            # the one table that depends on the choice's colors
-            color = {v: np.array(sorted(residuals[v]))[index[v]]
-                     for e in straight for v in e}
-            base = np.ones(cells, dtype=bool)
-            for u, v in straight:
-                base &= color[u] != color[v]
-            yield from walk(residuals, [base, np.ones(groups, dtype=bool)])
+            # the one table that depends on the choice's colors: whether
+            # each straightened edge keeps each of its index pairs apart
+            apart = np.array([a != b for u, v in straight
+                              for a in sorted(residuals[u])
+                              for b in sorted(residuals[v])])
+            yield from walk(residuals, np.take(apart, pairs).all(axis=0))
             if self.exhausted:
                 return
 
-    def _leaf(self, residuals, masks, width, head, early_tail, late_factor,
-              vec, count, first, path) -> _Leaf:
-        """The two factors of one block: the early one from the
-        [candidate, group] masks of the walk, the head slice when it is
-        early and the early tail product (float32 [group, cell, option]);
-        the late one is the head slice's `late_factor` (with its line
-        hits).  `vec` lists the block's vectorized edges, the first one
-        outermost.
+    def _leaf(self, residuals, mask, rows, early_tail, shares, count, first,
+              path) -> _Leaf:
+        """The two factors of one block: the early one from the candidate
+        mask of the walk, the head slice's early `rows` (if any) and the
+        early tail product (float32 [group, cell, option]); the late one,
+        its line hits, the vectorized edges (the first one outermost) and
+        the vertices they touch are the head slice's `shares`.
         """
-        table = masks[0][:, None]
-        for _, _, rows, late in head:
-            if not late:
-                table = table & rows
-        groups = masks[1].size
-        early = _any_and(table.reshape(groups, width, -1), early_tail)
-        early &= masks[1][:, None]
-        return _Leaf(self, residuals, early.T, *late_factor, count, first,
-                     path, [(e, opts, late) for e, opts, _, late in vec])
+        table = mask[:, None] if rows is None else mask[:, None] & rows
+        early = _any_and(table.reshape(*early_tail.shape[:2], -1), early_tail)
+        return _Leaf(self, residuals, early.T, *shares, count, first, path)
 
 
 def _and_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -690,9 +681,15 @@ def _any_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _first_rows(table: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct boolean row."""
-    packed = np.packbits(table, axis=1)
-    if not packed.shape[1]:  # zero-width rows are all equal
-        return np.arange(min(len(packed), 1))
+    if table.shape[1] <= 8:
+        # a narrow row (condition's cut colors) as a one-byte key, set
+        # column by column: np.packbits along so short an axis costs
+        # several times as much.  Zero-width rows all get key 0.
+        packed = np.zeros((len(table), 1), dtype=np.uint8)
+        for c in range(table.shape[1]):
+            packed[:, 0] |= table[:, c].view(np.uint8) << c
+    else:
+        packed = np.packbits(table, axis=1)
     # a stable sort keeps equal rows in index order, so the first row of
     # each run of equal neighbours is that row's first occurrence
     order = np.lexsort(packed.T)
@@ -729,19 +726,20 @@ def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
                            _free_edges(cfg)):
         for at, alive in leaf.table():
-            nbad = alive.shape[1] - alive.sum(axis=1)
-            over = np.flatnonzero(nbad > 1)
-            if over.size:
-                j = at[over[0]]
+            # each row's live precolors, at most K, counted in a byte
+            live = np.add.reduce(alive, axis=1, dtype=np.uint8)
+            worst = max(worst, alive.shape[1] - int(live.min()))
+            if worst > 1:
+                r = np.flatnonzero(live < alive.shape[1] - 1)[0]
+                j = at[r]
                 bad = [c for c, ok in zip(sorted(leaf.residuals[v]),
-                                          alive[over[0]]) if not ok]
+                                          alive[r]) if not ok]
                 # the witness keeps only the bad precolors, so it has no
                 # transversal at all
                 residuals = {**leaf.residuals, v: frozenset(bad)}
                 return run.stop(
                     leaf, j, build_witness(cfg, residuals, leaf.maps(j)),
                     bad_colors=bad, worst_bad_colors=len(bad))
-            worst = max(worst, int(nbad.max()))
     return run.done(worst_bad_colors=worst)
 
 
@@ -860,16 +858,17 @@ def _factored_line_test(early: np.ndarray, late: np.ndarray,
     """
     if late_lines is None:
         late_lines = {}
-    keep = np.ones((len(early), len(late)), dtype=bool)
+    keep = None
     for axis in sorted(axes, key=lambda a: -shape[a]):
         if axis not in late_lines:
             late_lines[axis] = _line_hits(late, shape, axis, 1).astype(
                 np.float32)
         hits = _line_hits(early, shape, axis, 2).T.astype(np.float32)
-        keep &= (hits @ late_lines[axis]) == 0
+        apart = (hits @ late_lines[axis]) == 0
+        keep = apart if keep is None else keep & apart
         if not keep.any():
             break
-    return keep
+    return np.ones((len(early), len(late)), bool) if keep is None else keep
 
 
 def _line_hits(rows: np.ndarray, shape: Sequence[int], axis: int,
@@ -904,16 +903,16 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     if any(z in e for e in cfg.tree):
         raise ValueError("straightened forest must avoid the pivot")
     rest = [v for v in range(cfg.graph.n) if v != z and v not in nbrs]
+    shape = [cfg.floors[v] for v in nbrs]  # each residual set's size
     for leaf in run.leaves(residual_choices(cfg, skip=(z,)), nbrs, rest,
                            cfg.tree, _free_edges(cfg, exclude_vertex=z)):
-        res = [leaf.residuals[v] for v in nbrs]
-        shape = [len(r) for r in res]
         keep = _factored_line_test(
             leaf.early, leaf.late, shape,
             [a for a, v in enumerate(nbrs)
              if shape[a] > 1 and v not in leaf.touched], leaf.late_lines)
         if not keep.any():
             continue
+        res = [leaf.residuals[v] for v in nbrs]
         table = list(itertools.product(*map(sorted, res)))
         for at, alive in leaf.table(keep):
             rows = _line_test(alive, shape)
@@ -923,11 +922,9 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
                 fs = _adversary_blocks(profiles, res)
                 if fs is None:
                     continue
-                pivot_maps = {
-                    edge_key(nb, z): (f if nb < z
-                                      else {img: c for c, img in f.items()})
-                    for nb, f in zip(nbrs, fs)
-                }
+                pivot_maps = {edge_key(nb, z): f if nb < z else
+                              {img: c for c, img in f.items()}
+                              for nb, f in zip(nbrs, fs)}
                 return run.stop(
                     leaf, j, build_witness(cfg, leaf.residuals,
                                            leaf.maps(j) | pivot_maps),

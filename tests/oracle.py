@@ -222,10 +222,13 @@ def line_test_rows(alive, shape: Sequence[int]) -> list[int]:
 
 def first_rows(table) -> list[int]:
     """Indices of the first occurrence of each distinct row of a boolean
-    [row, column] table, in ascending order."""
-    _, first = np.unique(np.packbits(table, axis=1), axis=0,
-                         return_index=True)
-    return sorted(first.tolist())
+    [row, column] table, in ascending order, by one pass over the rows."""
+    seen, first = set(), []
+    for i, row in enumerate(map(tuple, table.tolist())):
+        if row not in seen:
+            seen.add(row)
+            first.append(i)
+    return first
 
 
 def residual_choices(cfg: Configuration, skip: Sequence[int] = ()):
@@ -319,6 +322,39 @@ def orbit_first_choices(cfg: Configuration,
         if min(position[_choice_key(o)] for o in orbit) == i:
             out.append(choice)
     return out
+
+
+def margin_outcome(cfg: Configuration):
+    """(bad colors, worst) of a margin configuration, by solving each
+    precoloring of every instance: the sorted bad colors of the first
+    instance with more than one, and their number, or None and the most
+    bad colors of any instance.
+
+    Instances come in the kernel's order: residual choices as
+    `residual_choices` yields them, the forest straight, then one maximal
+    injection per other edge, lexicographically, with the edges sorted by
+    option count (ties by edge).  Every choice is searched; the first
+    failing one comes first in its orbit (see reduce.py).
+    """
+    v = cfg.margin_vertex
+    tree = sorted(cfg.tree)
+    free = [e for e in sorted(cfg.graph.edges) if e not in tree]
+    worst = 0
+    for residuals in residual_choices(cfg):
+        options = sorted(
+            ((e, maximal_injections(residuals[e[0]], residuals[e[1]]))
+             for e in free), key=lambda t: len(t[1]))
+        straight = [(a, b, {c: c for c in residuals[a]}) for a, b in tree]
+        for combo in itertools.product(*(opts for _, opts in options)):
+            cons = straight + [(a, b, m) for ((a, b), _), m in
+                               zip(options, combo)]
+            bad = [c for c in sorted(residuals[v]) if local_solve(
+                range(cfg.graph.n), {**residuals, v: frozenset({c})},
+                cons) is None]
+            if len(bad) > 1:
+                return bad, len(bad)
+            worst = max(worst, len(bad))
+    return None, worst
 
 
 def first_failure(cfg: Configuration):

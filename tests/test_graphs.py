@@ -641,3 +641,14 @@ class TestBuilderFaces:
     def test_rotation_without_the_outer_triangle_is_rejected(self):
         with pytest.raises(MalformedEmbeddingError, match="0, 1, 2"):
             PlaneBuilder(rotation=[[1, 3], [2, 0], [3, 1], [0, 2]])
+
+    @pytest.mark.parametrize("rotation,message", [
+        ([[1, 2, 1], [2, 0], [0, 1]], "exactly once"),
+        ([[1, 2], [2, 0], [0, 1, 3], [2]], "repeats a vertex"),
+    ], ids=["neighbour-listed-twice", "pendant-in-a-face"])
+    def test_malformed_rotations_are_rejected(self, rotation, message):
+        # vertex 0 lists vertex 1 twice; the second is a plane triangle
+        # with a pendant vertex in its interior face, whose walk
+        # (0, 1, 2, 3, 2) repeats vertex 2, so no insertion could split it
+        with pytest.raises(MalformedEmbeddingError, match=message):
+            PlaneBuilder(rotation=rotation)

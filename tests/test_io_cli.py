@@ -374,6 +374,34 @@ class TestCli:
             capsys, "witness-verify", str(ASSETS / "ce7.json"))
         rep = json.loads(out)
         assert code == 0 and rep["status"] == "CONFIRMED"
+        assert rep["candidates_log2"] == 9.585  # 768 = 2^9 * 3/2
+
+    def test_witness_verify_with_ten_thousand_full_lists(self, capsys,
+                                                          tmp_path):
+        # CE-6 with 9,994 isolated vertices of full lists added: 4^9994
+        # times 512 complete assignments, a count of more digits than the
+        # JSON writer takes, reported as its base-2 logarithm
+        data = json.loads((ASSETS / "ce6.json").read_text())
+        data["n"] = 10000
+        path = tmp_path / "ce6-big.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["witness-verify", str(path)])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert code == 0 and rep["status"] == "CONFIRMED"
+        assert rep["candidates_log2"] == 9 + 2 * 9994
+        assert err == ""
+
+    def test_a_report_that_cannot_be_written_ends_in_an_error(
+            self, capsys, monkeypatch):
+        # the JSON writer refuses an int of more than 4,300 digits; the
+        # run ends in exit 1 and writes no partial report
+        monkeypatch.setitem(cli.VERBS, "witness-verify",
+                            lambda args: {"candidates": 4 ** 10000})
+        code = cli.main(["witness-verify", str(ASSETS / "ce7.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_discharge_audit(self, capsys, tmp_path):
         from dpcolor.generate import random_plane_graph

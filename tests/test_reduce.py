@@ -416,6 +416,23 @@ def _agrees_with_oracle(case):
         assert tuple(sizes) == cfg.floors
 
 
+class TestMarginOracle:
+    """The margin reduction counts live precolors in a byte per row: its
+    worst and first bad colors agree with solving every precoloring of
+    every instance, however the cap cuts the blocks."""
+
+    @given(margin_configs(), st.sampled_from([1, 300, None]))
+    @settings(max_examples=100, deadline=None)
+    def test_bad_colors(self, case, cap):
+        cfg, _ = case
+        bad, worst = oracle.margin_outcome(cfg)
+        with mock.patch.object(reduce, "_BLOCK_CELLS",
+                               cap or reduce._BLOCK_CELLS):
+            v = check_reducible(cfg)
+        assert v.stats["worst_bad_colors"] == worst
+        assert v.stats.get("bad_colors") == bad
+
+
 class TestOracleAgreement:
     @given(product_configs())
     @settings(max_examples=60, deadline=None)
@@ -795,8 +812,8 @@ class TestBlockMemory:
 
 
 class TestFirstRows:
-    """The sort-based distinct-row pass keeps the rows that np.unique over
-    the packed rows keeps (tests/oracle.py)."""
+    """The sort-based distinct-row pass keeps the rows that a pass over the
+    rows keeps (tests/oracle.py)."""
 
     @pytest.mark.parametrize("shape,fill", [
         ((0, 5), False), ((1, 7), True), ((6, 9), True), ((6, 9), False),
@@ -815,6 +832,22 @@ class TestFirstRows:
             table = pool[rng.integers(0, len(pool), rows)]
             assert reduce._first_rows(table).tolist() == \
                 oracle.first_rows(table)
+
+
+    @pytest.mark.parametrize("rows", [0, 1, 300])
+    def test_narrow_and_wide_rows(self, rows):
+        # widths 1 to 100 cross the switch from one-byte keys (at most 8
+        # columns) to packed rows; a narrow pool holds every row of its
+        # width, and the kernel's tables are column-major views
+        rng = np.random.default_rng(rows)
+        for width in range(1, 101):
+            pool = (np.array(list(itertools.product([False, True],
+                                                    repeat=width)))
+                    if width <= 8 else rng.random((5, width)) < 0.5)
+            table = pool[rng.integers(0, len(pool), rows)]
+            for t in (table, np.asfortranarray(table)):
+                assert reduce._first_rows(t).tolist() == \
+                    oracle.first_rows(t), width
 
 
 def _profile_rows(draw, shape, count):
