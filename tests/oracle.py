@@ -22,7 +22,10 @@ Eliminate line test: the rows of a pivot-profile table that no pivot maps
 can block, found pair by pair of live profiles.
 
 Distinct rows: the first occurrence of each distinct row of a boolean
-table, by `np.unique` over the packed rows.
+table, by one pass over the rows.
+
+Margin outcome: the worst and first bad colors of a margin configuration,
+by solving every precoloring of every instance in the kernel's order.
 
 Residual choices: every choice of the kernel's enumeration before its
 orbit reduction, and the choices that come first in their orbit, found by

@@ -833,7 +833,6 @@ class TestFirstRows:
             assert reduce._first_rows(table).tolist() == \
                 oracle.first_rows(table)
 
-
     @pytest.mark.parametrize("rows", [0, 1, 300])
     def test_narrow_and_wide_rows(self, rows):
         # widths 1 to 100 cross the switch from one-byte keys (at most 8
