@@ -20,7 +20,7 @@ from . import discharge as dc
 from . import io as dio
 from . import patterns as pt
 from .cover import CoverInstance, find_transversal
-from .graphs import PlaneGraph, contains_pattern, find_cycle_of_length
+from .graphs import PlaneGraph, contains_pattern
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -116,11 +116,9 @@ def cmd_detect(args) -> dict:
     g = dio.parse_graph_file(args.input)
     graph = g.graph if isinstance(g, PlaneGraph) else g
     report: dict = {"n": graph.n, "m": graph.m}
-    seven = find_cycle_of_length(graph, 7)
-    bf = pt.contains_butterfly(graph)
-    report["seven_cycle"] = seven
-    report["butterfly"] = None if bf is None else {
-        role: v for role, v in sorted(bf.items())}
+    report["seven_cycle"] = pt.FORBIDDEN["7-cycle"](graph)
+    bf = pt.FORBIDDEN["butterfly"](graph)
+    report["butterfly"] = None if bf is None else dict(sorted(bf.items()))
     if isinstance(g, PlaneGraph):
         report["faces"] = len(g.faces)
         report["clusters"] = [{

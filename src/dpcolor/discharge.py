@@ -34,8 +34,8 @@ from .clusters import (
     Classification, Cluster, classifications, extract_clusters,
     has_good_outer_triangle, separating_good_triangles, unclassified,
 )
-from .graphs import PlaneGraph, find_cycle_of_length
-from .patterns import contains_butterfly
+from .graphs import PlaneGraph
+from .patterns import FORBIDDEN
 
 OUTER = "OUTER"
 
@@ -357,13 +357,11 @@ def precondition_report(pg: PlaneGraph, infos: list[ClusterInfo],
                         special6: set) -> dict:
     """Structural hypotheses the charge bounds rely on; each with a witness."""
     checks: dict = {}
-    seven = find_cycle_of_length(pg.graph, 7)
-    checks["no-7-cycle"] = {"ok": seven is None, "witness": seven}
-    bf = contains_butterfly(pg.graph)
-    checks["no-butterfly"] = {
-        "ok": bf is None,
-        "witness": None if bf is None else sorted(bf.values()),
-    }
+    for name, search in FORBIDDEN.items():
+        found = search(pg.graph)
+        # a cycle's witness is its walk, an occurrence's its vertex set
+        checks[f"no-{name}"] = {"ok": found is None, "witness": (
+            sorted(found.values()) if isinstance(found, dict) else found)}
     checks["outer-good-3-cycle"] = {
         "ok": has_good_outer_triangle(pg),
         "witness": list(pg.faces[pg.outer_face].walk)}
@@ -456,7 +454,7 @@ class AuditReport:
     forced: bool = False
 
     def to_json(self) -> dict:
-        class_keys = ("no-7-cycle", "no-butterfly")
+        class_keys = {f"no-{name}" for name in FORBIDDEN}
         out = {
             "class_checks": {
                 k: v for k, v in self.preconditions.items() if k in class_keys

@@ -40,10 +40,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import (
-    Graph, MalformedEmbeddingError, PlaneGraph, _smallest_rotation,
-    edge_key, find_cycle_of_length,
+    Graph, MalformedEmbeddingError, PlaneGraph, _smallest_rotation, edge_key,
 )
-from .patterns import contains_butterfly
+from .patterns import FORBIDDEN
 
 
 Site = tuple[tuple[int, int], int, int]  # (face key, walk start, arity)
@@ -182,21 +181,21 @@ class PlaneBuilder:
 def random_plane_graph(
     seed: int,
     target_n: int,
-    forbid: Sequence[str] = ("7-cycle", "butterfly"),
+    forbid: Sequence[str] = tuple(FORBIDDEN),
 ) -> PlaneGraph:
     """A plane graph with triangular outer face and about target_n vertices.
 
     Grown by seeded random vertex insertions.  An insertion that creates a
-    forbidden substructure ("7-cycle", "butterfly") is rolled back; the
+    forbidden pattern named in `forbid` (see FORBIDDEN) is rolled back; the
     check searches only through the new vertex, which is exact because the
     graph before the insertion has none.  Returns early if MAX_TRIES
     rejected insertions in a row accumulate before the target size, or as
     soon as every insertion site of the current graph has been rejected.
     """
-    unknown = set(forbid) - {"7-cycle", "butterfly"}
+    unknown = set(forbid) - FORBIDDEN.keys()
     if unknown:
         raise ValueError(f"forbid: unknown {sorted(unknown)}; choices: "
-                         f"'7-cycle', 'butterfly'")
+                         f"{', '.join(map(repr, FORBIDDEN))}")
     rng = random.Random(seed)
     builder = PlaneBuilder()
     rejected: set[Site] = set()  # since the last accepted insertion
@@ -220,18 +219,17 @@ def _insert(builder: PlaneBuilder, site: Site, forbid: Sequence[str],
     substructure; a 7-cycle found adds its pair to `bad_pairs`."""
     key, start, arity = site
     face_id = builder.face_id(key)
-    if "7-cycle" in forbid and any(
-            edge_key(a, b) in bad_pairs
-            for a, b in combinations(builder.window(face_id, start, arity), 2)):
+    window = builder.window(face_id, start, arity)
+    if any(edge_key(a, b) in bad_pairs for a, b in combinations(window, 2)):
         return False
     builder.insert_vertex(face_id, start, arity)
-    z = builder.n - 1
-    seven = "7-cycle" in forbid and find_cycle_of_length(builder, 7, z)
-    if seven:
-        bad_pairs.add(edge_key(seven[1], seven[-1]))
-    if seven or ("butterfly" in forbid and contains_butterfly(builder, z)):
-        builder.remove_last_vertex()
-        return False
+    for name, search in FORBIDDEN.items():
+        found = name in forbid and search(builder, builder.n - 1)
+        if found:
+            if name == "7-cycle":
+                bad_pairs.add(edge_key(found[1], found[-1]))
+            builder.remove_last_vertex()
+            return False
     builder.split_face(face_id)
     return True
 
@@ -241,7 +239,7 @@ def generate_corpus(
     seed: int,
     min_n: int = 6,
     max_n: int = 16,
-    forbid: Sequence[str] = ("7-cycle", "butterfly"),
+    forbid: Sequence[str] = tuple(FORBIDDEN),
 ) -> list[PlaneGraph]:
     """count seeded plane graphs with sizes spread over [min_n, max_n]."""
     rng = random.Random(seed)

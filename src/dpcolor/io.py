@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from . import clusters, graphs, patterns
+from . import clusters, patterns
 from .cover import CoverInstance
 from .graphs import (
     Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
@@ -301,11 +301,12 @@ def parse_planar_code_line(line: str, source: str = "<line>") -> PlaneGraph:
 
 # Corpus filters, in the order they are applied: a graph is counted under the
 # first one it fails.  Each predicate gets the record and its plain graph and
-# tells whether the graph passes; the names are looked up in their modules at
-# call time, so tracing wrappers see the calls.
+# tells whether the graph passes; the class filters call patterns.FORBIDDEN's
+# rows, and names are looked up at call time, so tracing wrappers see calls.
 FILTERS = {
-    "no-7-cycles": lambda g, graph: not graphs.has_cycle_of_length(graph, 7),
-    "no-butterfly": lambda g, graph: not patterns.contains_butterfly(graph),
+    "no-7-cycles": lambda g, graph: not patterns.FORBIDDEN["7-cycle"](graph),
+    "no-butterfly": lambda g, graph: (
+        not patterns.FORBIDDEN["butterfly"](graph)),
     "has-good-triangle": lambda g, graph: (
         isinstance(g, PlaneGraph) and clusters.has_good_outer_triangle(g)),
 }

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
+from . import graphs
 from .graphs import Graph, PlaneGraph, contains_pattern
 
 _ASSETS = Path(__file__).parent / "assets"
@@ -53,6 +54,17 @@ def contains_butterfly(g: Graph, through: Optional[int] = None):
     only copies that use that vertex of g count.
     """
     return contains_pattern(g, _shipped()[1], through)
+
+
+# The class: graphs with no pattern below as a subgraph, checked in order.
+# A row is search(g, through=None) -> witness or None, exact through a
+# vertex (the generator keeps a vertex its search clears); it looks its
+# search up by name at each call, so a patch or tracer of it sees every check.
+FORBIDDEN = {
+    "7-cycle": lambda g, through=None: graphs.find_cycle_of_length(
+        g, 7, through),
+    "butterfly": lambda g, through=None: contains_butterfly(g, through),
+}
 
 
 def cluster_pattern(code: int) -> LabeledPattern:

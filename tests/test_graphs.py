@@ -14,14 +14,17 @@ from conftest import (
     ASSETS, butterfly_pattern, pendant_octahedron_host, petersen,
     random_graph, shared_vertex_host, special_seven_host, tight_six_host,
 )
-from dpcolor import generate, graphs
+from dpcolor import graphs, patterns
 from dpcolor.clusters import cluster_subgraph, extract_clusters
+from dpcolor.discharge import audit
 from dpcolor.generate import PlaneBuilder, generate_corpus, random_plane_graph
 from dpcolor.graphs import (
     Graph, GraphError, MalformedEmbeddingError, OuterWalkError, PlaneGraph,
     contains_pattern, find_cycle_of_length, has_cycle_of_length,
 )
-from dpcolor.patterns import catalog, cluster_pattern, contains_butterfly
+from dpcolor.patterns import (
+    FORBIDDEN, catalog, cluster_pattern, contains_butterfly,
+)
 
 
 def triangle_with_center():
@@ -399,14 +402,42 @@ class TestRootedSearch:
         graphs = [g for _, g in asset_graphs()] + [
             random_plane_graph(seed, 20, forbid=()).graph for seed in range(6)
         ] + [pg.graph for pg in generate_corpus(8, seed=3)]
-        butterfly = butterfly_pattern().graph
         for g in graphs:
-            rooted = [find_cycle_of_length(g, 7, through=v) is not None
-                      for v in range(g.n)]
-            assert any(rooted) == has_cycle_of_length(g, 7)
-            rooted = [contains_butterfly(g, through=v) is not None
-                      for v in range(g.n)]
-            assert any(rooted) == (contains_pattern(g, butterfly) is not None)
+            for name, search in FORBIDDEN.items():
+                rooted = [search(g, v) is not None for v in range(g.n)]
+                assert any(rooted) == (search(g) is not None), name
+
+    @pytest.mark.parametrize("forbid", [
+        (), ("7-cycle",), ("butterfly",), ("7-cycle", "butterfly")])
+    def test_rooted_is_exact_after_every_insertion(self, monkeypatch, forbid):
+        # An insertion adds edges at the new vertex z only, so a row's
+        # pattern is in the new graph exactly when it was in the old one or
+        # its search through z finds it: the generator relies on this for
+        # the rows it bans, and it holds for the others as well.
+        split_face = PlaneBuilder.split_face
+        found_before: set = set()
+        accepted = []
+
+        def checking(builder, face_id):
+            nonlocal found_before
+            split_face(builder, face_id)
+            if builder.n == 4:  # a new graph, grown from the triangle
+                found_before = set()
+            g = Graph.from_edges(builder.n, [
+                (u, v) for v, rot in enumerate(builder.rotation)
+                for u in rot if u < v])
+            found = {name for name, search in FORBIDDEN.items()
+                     if search(g) is not None}
+            for name, search in FORBIDDEN.items():
+                through = search(builder, builder.n - 1) is not None
+                assert (name in found) == (name in found_before or through)
+            assert not found & set(forbid)
+            found_before = found
+            accepted.append(builder.n)
+
+        monkeypatch.setattr(PlaneBuilder, "split_face", checking)
+        generate_corpus(6, seed=11, min_n=8, max_n=22, forbid=forbid)
+        assert len(accepted) > 50
 
     def test_empty_pattern_uses_no_vertex(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -550,6 +581,22 @@ class TestGenerator:
         with pytest.raises(ValueError, match="'7cycle'"):
             make(("7cycle", "butterfly"))
 
+    def test_a_new_forbidden_pattern_is_one_row(self, monkeypatch):
+        # the generator, its name check and the audit's class checks all
+        # read the table, so a row added there reaches each of them
+        assert has_cycle_of_length(random_plane_graph(3, 12, ()).graph, 4)
+        monkeypatch.setitem(
+            patterns.FORBIDDEN, "4-cycle",
+            lambda g, through=None: find_cycle_of_length(g, 4, through))
+        pg = random_plane_graph(3, 12, ("4-cycle",))
+        assert not has_cycle_of_length(pg.graph, 4)
+        report = audit(pg).to_json()
+        assert report["class_checks"]["no-4-cycle"] == {
+            "ok": True, "witness": None}
+        assert list(report["class_checks"]) == [
+            "no-7-cycle", "no-butterfly", "no-4-cycle"]
+        assert "no-4-cycle" not in report["lemma_preconditions"]
+
     @pytest.mark.parametrize("seed,target,n", [(4, 16, 6), (5, 128, 21)])
     def test_early_stops(self, seed, target, n):
         assert random_plane_graph(seed, target).n == n
@@ -564,7 +611,7 @@ class TestGenerator:
             searched.append(tuple(map(tuple, g.rotation)))
             return find_cycle_of_length(g, length, through)
 
-        monkeypatch.setattr(generate, "find_cycle_of_length", counting)
+        monkeypatch.setattr(graphs, "find_cycle_of_length", counting)
         random_plane_graph(1, 64)
         assert searched and len(searched) == len(set(searched))
 
