@@ -153,15 +153,8 @@ def cmd_reduce_check(args) -> dict:
                 f"choices: {', '.join(sorted(catalog))}")
         cfg = catalog[args.lemma]
     v = rd.check_reducible(cfg, budget=args.budget)
-    report = {
-        "label": cfg.label,
-        "status": v.status,
-        "enumerated": v.stats.get("enumerated"),
-        "seconds": round(v.stats.get("seconds", 0.0), 3),
-    }
-    for key in ("blocks", "rows_built", "reason", "worst_bad_colors"):
-        if key in v.stats:
-            report[key] = v.stats[key]
+    report = {"label": cfg.label, "status": v.status, **v.stats,
+              "seconds": round(v.stats["seconds"], 3)}
     if v.witness is not None:
         report["witness"] = dio.cover_to_dict(v.witness)
         if args.save_witness:

@@ -233,10 +233,12 @@ def parse_config_file(path: Union[str, Path]):
     """Reducibility configuration from JSON.
 
     Fields: label, n, edges, names {role: vertex}, floors [per vertex],
-    tree [[u,v],...], strategy, and optionally pivot/cut/margin_vertex/
-    expect/note.
+    tree [[u,v],...], strategy, the one role field the strategy reads
+    (eliminate: pivot, condition: cut, margin: margin_vertex, product:
+    none; the others must be absent), and optionally expect/note.  Every
+    integer may also be written as a string of one.
     """
-    from .reduce import Configuration, REDUCIBLE
+    from .reduce import Configuration, REDUCIBLE, ROLE_FIELDS
 
     src = str(path)
     data = _load_json(path)
@@ -257,9 +259,8 @@ def parse_config_file(path: Union[str, Path]):
                        for i, e in enumerate(
                            _list(data.get("tree", []), "tree", src))),
             strategy=str(data["strategy"]),
-            pivot=data.get("pivot"),
-            cut=data.get("cut"),
-            margin_vertex=data.get("margin_vertex"),
+            **{role: _int(data[role], role, src)
+               for role in ROLE_FIELDS if role in data},
             expect=str(data.get("expect", REDUCIBLE)),
             note=str(data.get("note", "")),
         )

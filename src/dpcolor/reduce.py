@@ -90,7 +90,7 @@ class Configuration:
     names: Mapping[str, int]  # role name -> vertex id
     floors: tuple[int, ...]  # per vertex id
     tree: tuple[tuple[int, int], ...]  # straightened forest (edge keys)
-    strategy: str  # product | condition | eliminate | margin
+    strategy: str  # a key of STRATEGIES
     pivot: Optional[int] = None  # eliminate: the removed full-floor vertex
     cut: Optional[int] = None  # condition: the articulation vertex
     margin_vertex: Optional[int] = None  # margin: the precolored vertex
@@ -110,8 +110,16 @@ class Configuration:
             # a vertex with no residual color is never reducible
             if type(f) is not int or not 1 <= f <= K:
                 raise ValueError(f"floors[{v}] = {f!r} is not in 1..{K}")
-        for role in ("pivot", "cut", "margin_vertex"):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy: unknown {self.strategy!r}; choices: "
+                             f"{', '.join(sorted(STRATEGIES))}")
+        reads = STRATEGIES[self.strategy][0]
+        for role in ROLE_FIELDS:
             v = getattr(self, role)
+            if (v is None) == (role == reads):
+                raise ValueError(f"{role}: the {self.strategy} strategy "
+                                 f"{'needs a' if v is None else 'takes no'} "
+                                 f"{role}")
             if v is not None and not is_vertex(v):
                 raise ValueError(f"{role}: {v!r} is not a vertex id in "
                                  f"0..{n - 1}")
@@ -126,9 +134,6 @@ class Configuration:
         forest = Graph.from_edges(n, set(self.tree))
         if len(forest.components) != n - len(self.tree):
             raise ValueError("tree: the edges contain a cycle")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy: unknown {self.strategy!r}; choices: "
-                             f"{', '.join(sorted(_STRATEGIES))}")
 
 
 @dataclass
@@ -719,8 +724,6 @@ def _check_product(cfg: Configuration, run: _Run) -> Verdict:
 def _check_margin(cfg: Configuration, run: _Run) -> Verdict:
     """REDUCIBLE iff at most one color of the precolored vertex is ever bad."""
     v = cfg.margin_vertex
-    if v is None:
-        raise ValueError("margin strategy needs a margin vertex")
     rest = [x for x in range(cfg.graph.n) if x != v]
     worst = 0
     for leaf in run.leaves(residual_choices(cfg), [v], rest, cfg.tree,
@@ -751,9 +754,9 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
     one member of each side covers the cut vertex's colors together.
     """
     cut = cfg.cut
-    if cut is None or cfg.tree:
-        raise ValueError(
-            "condition strategy needs a cut vertex and no straightened forest")
+    if cfg.tree:
+        raise ValueError("tree: the condition strategy needs a forest of no "
+                         "edges")
     comps = [c for c in Graph.from_edges(
         cfg.graph.n, [e for e in cfg.graph.edges if cut not in e]).components
         if cut not in c]
@@ -893,8 +896,6 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     that pass get a table row, and finish the line test there.
     """
     z = cfg.pivot
-    if z is None:
-        raise ValueError("eliminate strategy needs a pivot")
     if cfg.floors[z] != K:
         raise ValueError("eliminate strategy needs a full-floor pivot")
     nbrs = sorted(cfg.graph.adjacency[z])
@@ -932,12 +933,15 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
     return run.done()
 
 
-_STRATEGIES = {
-    "product": _check_product,
-    "margin": _check_margin,
-    "condition": _check_condition,
-    "eliminate": _check_eliminate,
+# each strategy: the one role field of `Configuration` it reads (the other
+# two stay unset) and its check
+STRATEGIES = {
+    "product": (None, _check_product),
+    "margin": ("margin_vertex", _check_margin),
+    "condition": ("cut", _check_condition),
+    "eliminate": ("pivot", _check_eliminate),
 }
+ROLE_FIELDS = tuple(role for role, _ in STRATEGIES.values() if role)
 
 
 def check_reducible(
@@ -952,7 +956,7 @@ def check_reducible(
         raise ValueError(f"mode: {mode!r} is not 'full'")
     if budget is not None and budget < 0:
         raise ValueError(f"budget: {budget} is negative")
-    verdict = _STRATEGIES[cfg.strategy](cfg, _Run(budget))
+    verdict = STRATEGIES[cfg.strategy][1](cfg, _Run(budget))
     if verdict.status == NOT_REDUCIBLE:
         assert verdict.witness is not None
         if not verify_witness(verdict.witness):

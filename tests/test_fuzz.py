@@ -1,11 +1,13 @@
-"""Reader fuzzing: mutated shipped assets never reach a Python traceback.
+"""Reader fuzzing: mutated inputs never reach a Python traceback.
 
-Each example takes one shipped asset, applies a few mutations (delete or
-retype a key, change an integer, duplicate or drop a list entry) and runs
-the verbs that read a graph file in-process.  Each run must end in exit 0,
-or in exit 1 with a message that starts with "error: "; any other exception
-fails the test.  The seed is fixed, so the examples are the same on every
-run.
+Each example takes one input, applies a few mutations (delete or retype a
+key, change an integer, duplicate or drop a list entry) and runs verbs that
+read it in-process: the graph readers on every shipped asset, and the
+solver, the witness check and a budgeted reducibility check on the cover
+and cluster assets and on small configurations of every strategy.  Each
+run must end in exit 0, in exit 1 with a message that starts with
+"error: ", or in argparse's exit 2; any other exception fails the test.
+The seeds are fixed, so the examples are the same on every run.
 """
 
 import copy
@@ -21,6 +23,22 @@ from conftest import ASSETS
 from dpcolor import cli
 
 ASSET_FILES = sorted(ASSETS.glob("*.json"))
+
+PATH = {"n": 3, "edges": [[0, 1], [1, 2]], "floors": [2, 2, 2]}
+STAR = {"n": 5, "edges": [[0, 1], [0, 4], [1, 4], [2, 4], [3, 4]],
+        "floors": [2, 2, 2, 2, 4]}
+# one small configuration per strategy; the first carries every optional
+# field, so that mutations reach each field's reader
+CONFIGS = [
+    {**PATH, "label": "path", "names": {"u": 0}, "tree": [[0, 1]],
+     "strategy": "product", "expect": "REDUCIBLE", "note": ""},
+    {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+     "floors": [4, 2, 3, 3], "strategy": "margin", "margin_vertex": 0},
+    {**PATH, "floors": [2, 3, 2], "strategy": "condition", "cut": 1},
+    {**STAR, "tree": [[0, 1]], "strategy": "eliminate", "pivot": 4},
+]
+SOLVER_INPUTS = [json.loads(f.read_text()) for f in ASSET_FILES
+                 if f.stem in ("ce6", "ce7") or f.stem.startswith("cluster")]
 
 # Integers stay small: a vertex count is allocated, and a huge one would
 # test memory, not the reader.
@@ -62,11 +80,14 @@ def _mutate(data, draw):
 def _run(argv: list) -> None:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1), (argv, code)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert err.getvalue().startswith("error: "), err.getvalue()
-    else:
+    elif code == 0:
         json.loads(out.getvalue())
 
 
@@ -90,3 +111,19 @@ def test_mutated_assets_end_in_a_report_or_an_error(workdir, asset, count,
     _run(["detect", str(graph)])
     _run(["discharge", "audit", str(graph), "--force-rules"])
     _run(["corpus", str(corpus)])
+
+
+@seed(20261023)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(SOLVER_INPUTS + CONFIGS), st.integers(1, 3),
+       st.data())
+def test_mutated_covers_and_configurations_end_in_a_report_or_an_error(
+        workdir, record, count, data):
+    record = copy.deepcopy(record)
+    for _ in range(count):
+        _mutate(record, data.draw)
+    path = workdir / "input.json"
+    path.write_text(json.dumps(record))
+    _run(["solve", str(path)])
+    _run(["witness-verify", str(path)])
+    _run(["reduce-check", "--config", str(path), "--budget", "200"])

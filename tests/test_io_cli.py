@@ -1,5 +1,6 @@
 """File formats, corpus ingestion, and the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -369,6 +370,43 @@ class TestCli:
         code = cli.main(["reduce-check", "--lemma", "nope"])
         assert code == 1
 
+    @pytest.mark.parametrize("label,key,value", [
+        # the live neighbor-color profiles that the pivot maps block
+        ("CE-6", "profiles",
+         [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3]]),
+        # each side's families of blocked cut colors
+        ("L5-special5", "families",
+         [[[], [1], [2], [3]], [[], [1], [2], [3]]]),
+    ])
+    def test_reduce_check_reports_the_strategy_counters(self, capsys, label,
+                                                        key, value):
+        code, out = run_cli(capsys, "reduce-check", "--lemma", label)
+        assert code == 0 and json.loads(out)[key] == value
+
+    def test_reduce_check_reports_the_bad_colors(self, capsys, tmp_path):
+        # two neighbors of floor 1 each kill one precolor of vertex 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n": 3, "edges": [[0, 1], [0, 2]], "floors": [4, 1, 1],
+            "strategy": "margin", "margin_vertex": 0}))
+        code, out = run_cli(capsys, "reduce-check", "--config", str(path))
+        rep = json.loads(out)
+        assert code == 0 and rep["status"] == "NOT_REDUCIBLE"
+        assert rep["bad_colors"] == [1, 2] and rep["worst_bad_colors"] == 2
+
+    def test_catalog_reports_are_pinned(self, capsys):
+        # sha256 of the eight reports without `seconds`, keys in report
+        # order: label, status, every verdict counter, then the witness
+        reports = []
+        for label in rd.config_catalog():
+            code, out = run_cli(capsys, "reduce-check", "--lemma", label)
+            rep = json.loads(out)
+            assert code == 0 and isinstance(rep.pop("seconds"), float)
+            reports.append(rep)
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == (
+            "bf738d93a108c8ac36a42cf951ca979c9a35b7f0991570c2c7327804c3609140")
+
     def test_witness_verify(self, capsys):
         code, out = run_cli(
             capsys, "witness-verify", str(ASSETS / "ce7.json"))
@@ -523,9 +561,9 @@ class TestInputErrors:
          "floors[0] = 0 is not in 1..4"),
         ({"floors": [2, 0, 2], "strategy": "margin", "margin_vertex": 0},
          "floors[1] = 0 is not in 1..4"),
-        ({"pivot": "0"}, "pivot"),
-        ({"cut": 3}, "cut"),
-        ({"margin_vertex": -1}, "margin_vertex"),
+        ({"strategy": "eliminate", "pivot": "x"}, "pivot"),
+        ({"strategy": "condition", "cut": 3}, "cut"),
+        ({"strategy": "margin", "margin_vertex": -1}, "margin_vertex"),
         ({"names": {"u": 7}}, "names['u']"),
         ({"tree": [[0, 2]]}, "tree: (0, 2) is not a graph edge"),
         ({"edges": [[0, 1], [1, 2], [0, 2]],
@@ -533,9 +571,9 @@ class TestInputErrors:
         ({"tree": [[0, 1], [1, 0]]}, "tree: the edges contain a cycle"),
         ({"strategy": "greedy"}, "strategy"),
         # each strategy's roles, checked before any instance is enumerated
-        ({"strategy": "margin"}, "margin strategy needs a margin vertex"),
+        ({"strategy": "margin"}, "margin strategy needs a margin_vertex"),
         ({"strategy": "condition", "cut": 1, "tree": [[0, 1]]},
-         "condition strategy needs a cut vertex and no straightened forest"),
+         "condition strategy needs a forest of no edges"),
         ({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "floors": [2, 2, 2, 2],
           "strategy": "condition", "cut": 0},
          "condition strategy needs exactly two sides, got 3"),
@@ -549,6 +587,14 @@ class TestInputErrors:
           "floors": [2, 2, 2, 2, 4], "tree": [[0, 4]],
           "strategy": "eliminate", "pivot": 4},
          "straightened forest must avoid the pivot"),
+        # a role field that the strategy does not read is refused, not
+        # ignored
+        ({"pivot": 0}, "pivot: the product strategy takes no pivot"),
+        ({"cut": 1}, "cut: the product strategy takes no cut"),
+        ({"margin_vertex": 1},
+         "margin_vertex: the product strategy takes no margin_vertex"),
+        ({"strategy": "eliminate", "pivot": 1, "cut": 1},
+         "cut: the eliminate strategy takes no cut"),
     ])
     def test_reduce_check_bad_config(self, capsys, tmp_path, change, named):
         path = tmp_path / "cfg.json"
@@ -772,6 +818,19 @@ class TestInputErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**self.PATH_CONFIG, "n": "3",
                                     "floors": ["2", 2, 2]}))
+        code, out = run_cli(capsys, "reduce-check", "--config", str(path))
+        assert code == 0 and json.loads(out)["status"] == "REDUCIBLE"
+
+    @pytest.mark.parametrize("config", [
+        {"n": 5, "edges": [[0, 4], [1, 4], [2, 4], [3, 4]],
+         "floors": [2, 2, 2, 2, 4], "strategy": "eliminate", "pivot": "4"},
+        {**PATH_CONFIG, "strategy": "condition", "cut": "1"},
+        {**PATH_CONFIG, "strategy": "margin", "margin_vertex": "0"},
+    ])
+    def test_role_field_strings_are_read_as_integers(self, capsys, tmp_path,
+                                                     config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
         code, out = run_cli(capsys, "reduce-check", "--config", str(path))
         assert code == 0 and json.loads(out)["status"] == "REDUCIBLE"
 
