@@ -785,7 +785,7 @@ def _check_condition(cfg: Configuration, run: _Run) -> Verdict:
             if bad_a | bad_b >= floors[cut]:
                 return run.verdict(
                     NOT_REDUCIBLE, build_witness(cfg, floors, maps_a | maps_b),
-                    blocking_pair=(sorted(bad_a), sorted(bad_b)))
+                    blocking_pair=[sorted(bad_a), sorted(bad_b)])
     return run.done(families=[sorted(map(sorted, f)) for f in families])
 
 
@@ -929,7 +929,7 @@ def _check_eliminate(cfg: Configuration, run: _Run) -> Verdict:
                 return run.stop(
                     leaf, j, build_witness(cfg, leaf.residuals,
                                            leaf.maps(j) | pivot_maps),
-                    profiles=sorted(profiles))
+                    profiles=[list(p) for p in sorted(profiles)])
     return run.done()
 
 

@@ -5,9 +5,9 @@ key, change an integer, duplicate or drop a list entry) and runs verbs that
 read it in-process: the graph readers on every shipped asset, and the
 solver, the witness check and a budgeted reducibility check on the cover
 and cluster assets and on small configurations of every strategy.  Each
-run must end in exit 0, in exit 1 with a message that starts with
-"error: ", or in argparse's exit 2; any other exception fails the test.
-The seeds are fixed, so the examples are the same on every run.
+run must end in exit 0, or in exit 1 with a message that starts with
+"error: "; any other exit or exception fails the test.  The seeds are
+fixed, so the examples are the same on every run.
 """
 
 import copy
@@ -80,14 +80,11 @@ def _mutate(data, draw):
 def _run(argv: list) -> None:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code)
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, code)
     if code == 1:
         assert err.getvalue().startswith("error: "), err.getvalue()
-    elif code == 0:
+    else:
         json.loads(out.getvalue())
 
 
